@@ -217,6 +217,8 @@ def _cmd_steady_state(cfg: dict) -> int:
     except (NotConvergent, IsolatedNode) as err:
         print(f"steady state not solvable: {err}", file=sys.stderr)
         return EXIT_NOT_CONVERGENT
+    except ValueError as err:
+        raise CliError(str(err))
     print(", ".join(_num(v) for v in result.ess))
     return EXIT_OK
 

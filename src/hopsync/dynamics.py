@@ -9,11 +9,11 @@ of (I - a) x = delta_t * 1.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .model import SystemMatrices
 
@@ -105,8 +105,15 @@ def steady_state_error(mats: SystemMatrices, delta_t: float) -> SteadyStateResul
 
     Raises NotConvergent when a pivot falls below _SINGULAR_REL times the
     largest row norm of (I - a), which happens exactly when some node has no
-    path to the gateway and the system is only marginally stable.
+    path to the gateway and the system is only marginally stable. Raises
+    ValueError when delta_t is not finite.
     """
+    if not math.isfinite(delta_t):
+        raise ValueError("delta_t must be finite")
+    # scipy is imported here, not at module level: it is most of the package's
+    # import time and only this solve needs it
+    from scipy.linalg import lu_factor, lu_solve
+
     n = mats.n
     if n == 0:
         return SteadyStateResult(ess=np.zeros(0))

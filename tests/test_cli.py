@@ -95,6 +95,27 @@ def test_bad_config_values_exit2(capsys):
     assert run_cli("simulate", "--rounds", "10") == 2  # below guard window
 
 
+@pytest.mark.parametrize("argv", [
+    ("--delta-t", "nan", "--init-max", "1"),
+    ("--delta-t", "nan"),
+    ("--delta-t", "inf"),
+    ("--init-min", "nan"),
+])
+def test_simulate_non_finite_exit2(tmp_path, capsys, argv):
+    code = run_cli("simulate", "--topology", "grid:3x3", *argv,
+                   "--out", str(tmp_path))
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_steady_state_non_finite_exit2(capsys):
+    assert run_cli("steady-state", "--topology", "line:3",
+                   "--delta-t", "nan") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_sweep_smoke(tmp_path, capsys):
     code = run_cli("sweep", "--sizes", "2x2,3x3,4x4", "--rounds", "300",
                    "--out", str(tmp_path))

@@ -1,14 +1,21 @@
 import csv
+import hashlib
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hopsync.detector import DetectionEvent
 from hopsync.dynamics import steady_state_error
-from hopsync.harness import (ConfigInvalid, SimConfig, initial_clocks, run,
-                             run_error_recursion, scaling_sweep, summarize,
-                             write_summary_csv, write_sweep_csv,
-                             write_trace_csv)
-from hopsync.model import build_matrices, grid_topology, line_topology
+from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig,
+                             initial_clocks, run, run_error_recursion,
+                             scaling_sweep, summarize, write_summary_csv,
+                             write_sweep_csv, write_trace_csv)
+from hopsync.model import Topology, build_matrices, grid_topology, line_topology
 
 GRID = grid_topology(4, 4)
 # a seeded clustered-start run whose metrics mirror the reference experiment:
@@ -31,6 +38,15 @@ def test_config_defaults_and_validation():
         SimConfig(topology=GRID, init_min=0.2, init_max=0.1)
     with pytest.raises(ConfigInvalid):
         SimConfig(topology=GRID, seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta_t", math.nan), ("delta_t", math.inf), ("init_min", math.nan),
+    ("init_min", -math.inf), ("init_max", math.nan), ("init_max", math.inf)])
+def test_config_rejects_non_finite(field, value):
+    kwargs = {"init_max": 1.0, field: value}
+    with pytest.raises(ConfigInvalid):
+        SimConfig(topology=GRID, **kwargs)
 
 
 def test_initial_clocks_seeded_range():
@@ -270,3 +286,106 @@ def test_sweep_csv_schema(tmp_path):
     assert rows[0] == ["nodes", "instant_mean", "instant_min", "instant_max"]
     assert [int(r[0]) for r in rows[1:]] == [4, 9]
     assert float(rows[1][1]) == result.points[0].instant_mean
+
+
+# SHA-256 of the CSVs as written by the original one-row-at-a-time
+# csv.writer implementation; any change to the output bytes shows here.
+GOLDEN_SHA256 = {
+    "reference": {
+        "trace.csv": "526de01e17debebe5292caaa3bb5668a71d8e77a27bb0c6260510ea4faefac0a",
+        "summary.csv": "d443c565c0538d1cd9b35a97d714e03a54cee530cea86f07d935fc213d1ddb8b",
+    },
+    "halt": {
+        "trace.csv": "b9640dc52e7a7add6458d89fdb4cc862ced4fc87183f9e7a5144d0e22918d0d8",
+        "summary.csv": "94121294427e8eb579767c3e2ab91aaef125aa5cf4541a0fccade65a5393f3df",
+    },
+}
+
+
+@pytest.mark.parametrize("name, halt", [("reference", False), ("halt", True)])
+def test_csv_golden_hashes(tmp_path, name, halt):
+    tr = run(SimConfig(**{**REFERENCE, "halt_on_detect": halt}))
+    write_trace_csv(tr, tmp_path / "trace.csv")
+    write_summary_csv(summarize(tr), tmp_path / "summary.csv")
+    for fname, digest in GOLDEN_SHA256[name].items():
+        data = (tmp_path / fname).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, fname
+
+
+def _oracle_fmt(v) -> str:
+    f = float(v)
+    return "" if np.isnan(f) else repr(f)
+
+
+def _oracle_write_trace_csv(trace, path):
+    """The original writer, one csv.writer row per (round, node)."""
+    flagged = {(e.target_round, e.node_id) for e in trace.events}
+    n = trace.topology.node_count
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["round", "node", "clock", "error", "filter_out",
+                    "detected"])
+        for rnd in range(trace.n_max + 1):
+            for i in range(n):
+                w.writerow([rnd, i,
+                            repr(float(trace.times[rnd, i])),
+                            repr(float(trace.errors[rnd, i])),
+                            _oracle_fmt(trace.filter_outputs[rnd, i]),
+                            1 if (rnd, i) in flagged else 0])
+
+
+# floats whose repr or CSV cell is easy to get wrong: NaN, signed zero,
+# subnormals, exponent-form reprs, infinities
+_AWKWARD = [math.nan, -0.0, 0.0, 5e-324, 1.5e-310, 1e-05, 1e-04, 1e16, 1e15,
+            -1e16, 1.7976931348623157e308, math.inf, -math.inf, 0.1, -2.5]
+
+
+def _hand_trace(n, n_max, pool, seed, events):
+    """A RunTrace over n nodes and n_max + 1 rounds whose cells are drawn
+    from ``pool``; the writer reads only the arrays, topology and events."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool, dtype=np.float64)
+    cells = lambda: pool[rng.integers(len(pool), size=(n_max + 1, n))]
+    return RunTrace(
+        config=None, topology=Topology(node_count=n, gateway_id=n, edges=()),
+        connected=False, times=cells(), errors=cells(),
+        filter_outputs=cells(),
+        events=tuple(DetectionEvent(node_id=i, detect_round=r + 3,
+                                    target_round=r, frozen_time=0.0)
+                     for r, i in sorted(events, key=lambda e: e[1])))
+
+
+def _same_bytes_as_oracle(trace):
+    with tempfile.TemporaryDirectory() as d:
+        new, old = os.path.join(d, "new.csv"), os.path.join(d, "old.csv")
+        write_trace_csv(trace, new)
+        _oracle_write_trace_csv(trace, old)
+        with open(new, "rb") as a, open(old, "rb") as b:
+            return a.read() == b.read()
+
+
+@st.composite
+def hand_traces(draw):
+    n = draw(st.sampled_from([1, 2, 3, 7, 900, 4097]))
+    n_max = draw(st.integers(0, 3 if n > 4096 else 40))
+    pool = _AWKWARD + draw(st.lists(st.floats(), max_size=8))
+    nodes = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 5)))
+    events = [(draw(st.integers(0, n_max)), i) for i in nodes]
+    return _hand_trace(n, n_max, pool, draw(st.integers(0, 2**32)), events)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hand_traces())
+@example(_hand_trace(1, 0, _AWKWARD, 0, [(0, 0)]))
+@example(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
+@example(_hand_trace(4097, 2, _AWKWARD, 2, [(0, 0), (2, 4096), (1, 17)]))
+@example(_hand_trace(4096, 2, _AWKWARD, 3, [(0, 4095), (2, 0)]))
+@example(_hand_trace(2048, 5, _AWKWARD, 4, [(1, 2047), (2, 0), (5, 5)]))
+def test_trace_csv_matches_csv_writer_oracle(trace):
+    assert _same_bytes_as_oracle(trace)
+
+
+def test_trace_csv_matches_oracle_across_blocks():
+    # 15 nodes and 600 rounds span several blocks, with a partial last one
+    tr = run(SimConfig(**{**REFERENCE, "n_max": 600, "p": 0.7}))
+    assert _same_bytes_as_oracle(tr)
