@@ -17,7 +17,6 @@ from .harness import (ConfigInvalid, NodeSummary, RunTrace, SimConfig,
                       SweepPoint, SweepResult, initial_clocks, run,
                       run_error_recursion, scaling_sweep, summarize,
                       write_summary_csv, write_sweep_csv, write_trace_csv)
-from .kernels import BACKEND
 from .model import (InvalidPlacement, IsolatedNode, SystemMatrices, Topology,
                     build_matrices, generate_topology, grid_topology,
                     has_spanning_path, line_topology, load_topology,
@@ -26,7 +25,7 @@ from .model import (InvalidPlacement, IsolatedNode, SystemMatrices, Topology,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "ChannelModel", "ClockState", "ConfigInvalid",
+    "ChannelModel", "ClockState", "ConfigInvalid",
     "DetectionEvent", "DetectorConfig", "DimensionMismatch", "ErrorState",
     "InvalidPlacement", "IsolatedNode", "NodeSummary", "NotConvergent",
     "OnlineDetector", "RunTrace", "SeriesTooShort", "SimConfig",

@@ -1,5 +1,6 @@
 """Stochastic link availability: one Bernoulli coin per undirected edge per
-round, and the effective (renormalized) averaging matrices for a round.
+round. The effective (renormalized) averaging matrices for a round's mask are
+built by model.effective_matrices, re-exported here.
 
 Mask draws are keyed by (seed, round), so a round's mask never depends on the
 horizon or on the order in which rounds are sampled.
@@ -10,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemMatrices, Topology
+from .model import Topology, effective_matrices  # noqa: F401 (re-exported)
 
-# Stream labels keeping the per-purpose RNG streams disjoint under one seed.
-_INIT_STREAM = 0
+# Mask draws use stream 1 of the seed; initial clocks use stream 0 (see
+# harness.py), so the two never collide.
 _MASK_STREAM = 1
 
 
@@ -59,39 +60,3 @@ def sample_masks(model: ChannelModel, topo: Topology, rounds: int) -> np.ndarray
     for n in range(rounds):
         out[n] = sample_mask(model, topo, n)
     return out
-
-
-def effective_matrices(topo: Topology, mask: np.ndarray) -> SystemMatrices:
-    """Averaging matrices restricted to the edges available this round.
-
-    Neighbor counts are recomputed over available edges only; a node with no
-    available neighbor holds its value (a[i][i] = 1, b[i] = 0), so every row
-    of (a | b) stays stochastic.
-    """
-    n = topo.node_count
-    gw = topo.gateway_id
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(topo.edges),):
-        raise ValueError("mask length must equal the edge count")
-    deg = np.zeros(n, dtype=np.int64)
-    for k, (u, v) in enumerate(topo.edges):
-        if not mask[k]:
-            continue
-        if u < n:
-            deg[u] += 1
-        if v < n:
-            deg[v] += 1
-    a = np.zeros((n, n), dtype=np.float64)
-    b = np.zeros(n, dtype=np.float64)
-    for k, (u, v) in enumerate(topo.edges):
-        if not mask[k]:
-            continue
-        if v == gw:
-            b[u] = 1.0 / deg[u]
-        else:
-            a[u, v] = 1.0 / deg[u]
-            a[v, u] = 1.0 / deg[v]
-    for i in range(n):
-        if deg[i] == 0:
-            a[i, i] = 1.0
-    return SystemMatrices(a, b)

@@ -232,21 +232,25 @@ def _parse_sizes(raw: Optional[str]) -> List[Tuple[int, int]]:
         try:
             if not sep:
                 raise ValueError(part)
-            out.append((int(r), int(c)))
+            rows, cols = int(r), int(c)
+            if rows < 1 or cols < 1 or rows * cols < 2:
+                raise ValueError(part)
         except ValueError:
-            raise CliError(f"bad size {part.strip()!r} in --sizes")
+            raise CliError(f"bad size {part.strip()!r} in --sizes "
+                           "(need RxC with at least 2 total nodes)")
+        out.append((rows, cols))
     return out
 
 
 def _cmd_sweep(cfg: dict) -> int:
     sizes = _parse_sizes(cfg["sizes"])
     rows, cols = sizes[0]
+    template = _sim_config(cfg, generate_topology(f"grid:{rows}x{cols}"))
     try:
-        template = _sim_config(cfg, generate_topology(f"grid:{rows}x{cols}"))
-    except ValueError as err:
+        result = scaling_sweep(sizes, template, seeds=cfg["seeds"],
+                               workers=cfg["workers"] or None)
+    except ConfigInvalid as err:
         raise CliError(str(err))
-    result = scaling_sweep(sizes, template, seeds=cfg["seeds"],
-                           workers=cfg["workers"] or None)
     os.makedirs(cfg["out"], exist_ok=True)
     write_sweep_csv(result, os.path.join(cfg["out"], "sweep.csv"))
     if result.slope is None:

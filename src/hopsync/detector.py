@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from .kernels import filter_series
 
 # Number of look-ahead samples the filter consumes past its output index.
 _LOOKAHEAD = 3
@@ -79,35 +79,42 @@ def filter_response(series, cfg: DetectorConfig) -> np.ndarray:
         raise ValueError("series must be one-dimensional")
     if x.shape[0] < 7:
         raise SeriesTooShort(f"need at least 7 samples, got {x.shape[0]}")
-    return kernels.filter_series(x, float(cfg.c_f))
+    return filter_series(x, float(cfg.c_f))
 
 
-def _sign(v: float) -> int:
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
+def _first_flips(y, k_guard: int, first_m: int, prev):
+    """The polarity rule over a (rows, nodes) block of filter outputs.
+
+    Row j of ``y`` is the output at m = first_m + j. ``prev`` is each node's
+    last nonzero polarity before the block (0 when it has none yet). Returns
+    the first accepted flip m per node (-1 where none) and the polarity
+    carried into the next block. A zero or NaN output carries the previous
+    polarity: a flip is judged against the last nonzero output, and a zero
+    never fires. Flips before the guard still update the carried polarity,
+    so an early flip is suppressed rather than deferred.
+    """
+    if len(y) == 0:
+        return np.full(prev.shape, -1), prev
+    s = np.vstack([prev[None], (y > 0).astype(np.int8) - (y < 0)])
+    rows = np.arange(s.shape[0])[:, None]
+    # held[j]: the last nonzero polarity in s[:j + 1], where s[0] is prev
+    held = np.take_along_axis(
+        s, np.maximum.accumulate(np.where(s != 0, rows, 0), axis=0), axis=0)
+    flip = s[1:] * held[:-1] < 0
+    flip[:max(0, k_guard - first_m)] = False
+    m = np.where(flip.any(axis=0), first_m + flip.argmax(axis=0), -1)
+    return m, held[-1]
 
 
 def scan_polarity(y, k_guard: int, first_m: int = _LOOKAHEAD) -> Optional[int]:
     """Index m of the first polarity change with m >= k_guard, else None.
 
-    y[j] is the filter output at m = first_m + j. Zero outputs carry the
-    previous polarity: a flip is judged against the last nonzero output, and
-    a zero itself never fires. Flips before the guard still update the
-    reference polarity, so an early flip is suppressed rather than deferred.
+    y[j] is the filter output at m = first_m + j; see _first_flips for the
+    rule.
     """
-    prev = 0
-    for j, val in enumerate(y):
-        s = _sign(val)
-        if s == 0:
-            continue
-        m = first_m + j
-        if prev != 0 and s != prev and m >= k_guard:
-            return m
-        prev = s
-    return None
+    y = np.asarray(y, dtype=np.float64)
+    m, _ = _first_flips(y[:, None], k_guard, first_m, np.zeros(1, np.int8))
+    return None if m[0] < 0 else int(m[0])
 
 
 def detect(series, cfg: DetectorConfig, node_id: int = 0,
@@ -121,7 +128,7 @@ def detect(series, cfg: DetectorConfig, node_id: int = 0,
     x = np.asarray(series, dtype=np.float64)
     if x.shape[0] < 7:
         return None
-    y = kernels.filter_series(x, float(cfg.c_f))
+    y = filter_series(x, float(cfg.c_f))
     m = scan_polarity(y, cfg.k_guard)
     if m is None:
         return None
@@ -158,7 +165,7 @@ class OnlineDetector:
         self.node_id = node_id
         self._window = []
         self._count = 0
-        self._prev_sign = 0
+        self._prev_sign = np.zeros(1, np.int8)
         self._fired = False
 
     def push(self, sample: float, clock: float = math.nan) -> Optional[DetectionEvent]:
@@ -170,17 +177,12 @@ class OnlineDetector:
         self._count += 1
         if self._count < 7:
             return None
-        x = self._window
-        cf = self.cfg.c_f
-        # same expression tree as kernels.filter_series, hence bit-identical
-        y = 0.2 * ((cf * x[6] - x[2]) + (cf * x[4] - x[0])) + 0.5 * (cf * x[5] - x[1])
+        y = filter_series(np.array(self._window)[:, None], self.cfg.c_f)
         m = self._count - 1 - _LOOKAHEAD
-        s = _sign(y)
-        if s == 0:
+        found, self._prev_sign = _first_flips(y, self.cfg.k_guard, m,
+                                              self._prev_sign)
+        if found[0] < 0:
             return None
-        if self._prev_sign != 0 and s != self._prev_sign and m >= self.cfg.k_guard:
-            self._fired = True
-            return DetectionEvent(node_id=self.node_id, detect_round=m + _LOOKAHEAD,
-                                  target_round=m, frozen_time=float(clock))
-        self._prev_sign = s
-        return None
+        self._fired = True
+        return DetectionEvent(node_id=self.node_id, detect_round=m + _LOOKAHEAD,
+                              target_round=m, frozen_time=float(clock))

@@ -16,10 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
-from .channel import ChannelModel, effective_matrices, sample_masks
-from .detector import DetectionEvent, DetectorConfig, OnlineDetector, detect, node_filter_input
-from .model import Topology, grid_topology, has_spanning_path
+from .channel import ChannelModel, sample_masks
+from .detector import DetectionEvent, DetectorConfig, _first_flips
+from .kernels import filter_series, run_rounds
+from .model import Topology, effective_matrices, grid_topology, has_spanning_path
 
 # Uniform initial clocks are drawn from stream 0 of the run seed; channel
 # masks use stream 1 (see channel.py), so the two never collide.
@@ -30,8 +30,9 @@ _SUMMARY_HEADER = ["node", "min_error_instant", "min_error_value",
                    "ss_error_instant", "ss_error_value",
                    "detected_instant", "detected_error_value"]
 _SWEEP_HEADER = ["nodes", "instant_mean", "instant_min", "instant_max"]
-# trace.csv is formatted in blocks of whole rounds holding about this many
-# rows (at least one round). Larger blocks are no faster and cost peak RSS.
+# trace.csv is formatted, and the filter and detector run, in blocks of whole
+# rounds holding about this many (round, node) cells (at least one round).
+# Larger blocks are no faster and cost peak RSS.
 _TRACE_BLOCK_ROWS = 4096
 
 
@@ -139,8 +140,8 @@ def initial_clocks(cfg: SimConfig) -> np.ndarray:
 def run(cfg: SimConfig) -> RunTrace:
     """Evolve the system for cfg.n_max rounds and run every node's detector.
 
-    Deterministic for a fixed config, including across kernel backends. A
-    disconnected topology is simulated anyway and flagged via ``connected``.
+    Deterministic for a fixed config. A disconnected topology is simulated
+    anyway and flagged via ``connected``.
     """
     topo = cfg.topology
     n = topo.node_count
@@ -148,62 +149,65 @@ def run(cfg: SimConfig) -> RunTrace:
     eu, ev = topo.edge_arrays()
     masks = sample_masks(ChannelModel(p=cfg.p, seed=cfg.seed), topo, cfg.n_max)
     t0 = initial_clocks(cfg)
-
-    if not cfg.halt_on_detect:
-        times = kernels.run_rounds(t0, eu, ev, n, masks, cfg.delta_t)
-        events = []
-        for i in range(n):
-            x = node_filter_input(times[:, i], cfg.delta_t)
-            event = detect(x, cfg.detector, node_id=i, clocks=times[:, i])
-            if event is not None:
-                events.append(event)
+    if cfg.halt_on_detect:
+        times = _run_halting(cfg, t0, eu, ev, masks)
     else:
-        times, events = _run_halting(cfg, t0, eu, ev, masks)
+        times = run_rounds(t0, eu, ev, n, masks, cfg.delta_t)
 
     rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
     errors = cfg.delta_t * rounds[:, None] - times
+    # The detector input |t - n*delta_t| is |errors|: the two differences are
+    # exact negatives. Filter and scan it a block of whole rounds at a time.
+    # A halted node's series is frozen after its decision round, so the
+    # offline scan finds the same first flip the halting loop acted on.
+    det = cfg.detector
     filter_outputs = np.full((cfg.n_max + 1, n), np.nan)
-    for i in range(n):
-        y = kernels.filter_series(node_filter_input(times[:, i], cfg.delta_t),
-                                  cfg.detector.c_f)
-        filter_outputs[3:cfg.n_max - 2, i] = y
+    flips = np.full(n, -1)
+    sign = np.zeros(n, np.int8)
+    step = max(1, _TRACE_BLOCK_ROWS // n)
+    for m0 in range(3, cfg.n_max - 2, step):
+        m1 = min(m0 + step, cfg.n_max - 2)
+        y = filter_series(np.abs(errors[m0 - 3:m1 + 3]), det.c_f)
+        filter_outputs[m0:m1] = y
+        found, sign = _first_flips(y, det.k_guard, m0, sign)
+        flips = np.where(flips < 0, found, flips)
+    events = tuple(
+        DetectionEvent(node_id=int(i), detect_round=int(m) + 3,
+                       target_round=int(m), frozen_time=float(times[m + 3, i]))
+        for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
     return RunTrace(config=cfg, topology=topo, connected=connected, times=times,
-                    errors=errors, filter_outputs=filter_outputs,
-                    events=tuple(sorted(events, key=lambda e: e.node_id)))
+                    errors=errors, filter_outputs=filter_outputs, events=events)
 
 
-def _run_halting(cfg: SimConfig, t0, eu, ev, masks):
-    """Round-by-round loop where detected nodes leave the exchange."""
+def _run_halting(cfg: SimConfig, t0, eu, ev, masks) -> np.ndarray:
+    """Round-by-round loop where detected nodes leave the exchange.
+
+    A node halts at the round its detector fires (the last sample of the
+    window holding the flip): its links go silent and its clock freezes.
+    """
     n = cfg.topology.node_count
+    dt, det = cfg.delta_t, cfg.detector
     halted = np.zeros(n, dtype=bool)
-    detectors = [OnlineDetector(cfg.detector, node_id=i) for i in range(n)]
+    sign = np.zeros(n, np.int8)
     times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
     times[0] = t0
-    events = []
-
-    def push_all(rnd):
-        for i in range(n):
-            if halted[i]:
-                continue
-            x = abs(times[rnd, i] - rnd * cfg.delta_t)
-            event = detectors[i].push(x, clock=times[rnd, i])
-            if event is not None:
-                events.append(event)
-                halted[i] = True
-
-    push_all(0)
     t = t0.copy()
-    for rnd in range(cfg.n_max):
+    for rnd in range(1, cfg.n_max + 1):
         # silence every edge touching a halted node, then advance one round
-        row = masks[rnd] & ~halted[eu]
+        row = masks[rnd - 1] & ~halted[eu]
         if len(ev):
             row &= (ev >= n) | ~halted[np.minimum(ev, n - 1)]
-        stepped = kernels.run_rounds(t, eu, ev, n, row[None, :], cfg.delta_t,
-                                     round0=rnd)
+        stepped = run_rounds(t, eu, ev, n, row[None, :], dt, round0=rnd - 1)
         t = np.where(halted, t, stepped[1])
-        times[rnd + 1] = t
-        push_all(rnd + 1)
-    return times, events
+        times[rnd] = t
+        if rnd >= 6 and not halted.all():
+            # the filter output at m = rnd - 3 from the window rnd-6..rnd
+            r = np.arange(rnd - 6, rnd + 1, dtype=np.float64)
+            y = filter_series(np.abs(dt * r[:, None] - times[rnd - 6:rnd + 1]),
+                              det.c_f)
+            found, sign = _first_flips(y, det.k_guard, rnd - 3, sign)
+            halted |= found >= 0
+    return times
 
 
 def run_error_recursion(cfg: SimConfig) -> np.ndarray:
@@ -268,6 +272,8 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
     with its R-squared, which is None when fewer than two sizes are swept.
     Results are independent of ``workers``.
     """
+    if seeds < 1:
+        raise ConfigInvalid("seeds must be at least 1")
     jobs = [(si, s) for si in range(len(sizes)) for s in range(seeds)]
     values = {}
     if workers and workers > 1:

@@ -112,25 +112,38 @@ def build_matrices(topo: Topology) -> SystemMatrices:
 
     Raises IsolatedNode for any ordinary node with no neighbors at all.
     """
+    mats = effective_matrices(topo, np.ones(len(topo.edges), dtype=bool))
+    # there are no self-loops, so a[i][i] is nonzero only for a held node
+    isolated = np.flatnonzero(np.diagonal(mats.a))
+    if isolated.size:
+        raise IsolatedNode(int(isolated[0]))
+    return mats
+
+
+def effective_matrices(topo: Topology, mask) -> SystemMatrices:
+    """Averaging matrices restricted to the edges available this round.
+
+    ``mask`` is aligned with topo.edges. Neighbor counts are taken over
+    available edges only; a node with no available neighbor holds its value
+    (a[i][i] = 1, b[i] = 0), so every row of (a | b) stays stochastic.
+    """
     n = topo.node_count
-    gw = topo.gateway_id
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in topo.edges:
-        if u < n:
-            deg[u] += 1
-        if v < n:
-            deg[v] += 1
-    for i in range(n):
-        if deg[i] == 0:
-            raise IsolatedNode(i)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (len(topo.edges),):
+        raise ValueError("mask length must equal the edge count")
+    eu, ev = topo.edge_arrays()
+    eu, ev = eu[mask], ev[mask]
+    deg = np.bincount(np.concatenate([eu, ev]), minlength=n + 1)[:n]
+    inv = 1.0 / np.maximum(deg, 1)
     a = np.zeros((n, n), dtype=np.float64)
     b = np.zeros(n, dtype=np.float64)
-    for u, v in topo.edges:
-        if v == gw:
-            b[u] = 1.0 / deg[u]
-        else:
-            a[u, v] = 1.0 / deg[u]
-            a[v, u] = 1.0 / deg[v]
+    to_gw = ev == n
+    b[eu[to_gw]] = inv[eu[to_gw]]
+    u, v = eu[~to_gw], ev[~to_gw]
+    a[u, v] = inv[u]
+    a[v, u] = inv[v]
+    held = np.flatnonzero(deg == 0)
+    a[held, held] = 1.0
     return SystemMatrices(a, b)
 
 

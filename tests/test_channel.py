@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from hopsync.channel import (ChannelModel, effective_matrices, sample_mask,
                              sample_masks)
-from hopsync.model import build_matrices, grid_topology, line_topology
+from hopsync.model import (IsolatedNode, build_matrices, grid_topology,
+                           line_topology, random_topology)
 
 GRID = grid_topology(4, 4)
 
@@ -90,3 +91,48 @@ def test_effective_rows_stochastic(seed, rnd, p):
     eff = effective_matrices(GRID, mask)
     sums = eff.a.sum(axis=1) + eff.b
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+
+def _oracle_matrices(topo, mask):
+    """The original edge-by-edge loops, kept as the reference."""
+    n = topo.node_count
+    deg = np.zeros(n, dtype=np.int64)
+    for k, (u, v) in enumerate(topo.edges):
+        if mask[k]:
+            deg[u] += 1
+            if v < n:
+                deg[v] += 1
+    a = np.zeros((n, n))
+    b = np.zeros(n)
+    for k, (u, v) in enumerate(topo.edges):
+        if not mask[k]:
+            continue
+        if v == n:
+            b[u] = 1.0 / deg[u]
+        else:
+            a[u, v] = 1.0 / deg[u]
+            a[v, u] = 1.0 / deg[v]
+    for i in range(n):
+        if deg[i] == 0:
+            a[i, i] = 1.0
+    return a, b, deg
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 14), prob=st.floats(0.0, 1.0),
+       seed=st.integers(0, 10**6), p=st.floats(0.0, 1.0))
+def test_matrices_match_loop_oracle(n, prob, seed, p):
+    topo = random_topology(n, prob, seed)
+    mask = np.random.default_rng(seed).random(len(topo.edges)) < p
+    a, b, _ = _oracle_matrices(topo, mask)
+    eff = effective_matrices(topo, mask)
+    assert np.array_equal(eff.a, a) and np.array_equal(eff.b, b)
+    # build_matrices is the all-edges case, refusing a node with no neighbor
+    a, b, deg = _oracle_matrices(topo, np.ones(len(topo.edges), dtype=bool))
+    if np.any(deg == 0):
+        with pytest.raises(IsolatedNode) as err:
+            build_matrices(topo)
+        assert err.value.node_id == int(np.argmin(deg))
+    else:
+        mats = build_matrices(topo)
+        assert np.array_equal(mats.a, a) and np.array_equal(mats.b, b)

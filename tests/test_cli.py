@@ -130,6 +130,12 @@ def test_sweep_empty_and_malformed_sizes(capsys):
     assert run_cli("sweep", "--sizes", "") == 2
     assert run_cli("sweep", "--sizes", "2x2,9") == 2
     assert run_cli("sweep") == 2  # sizes required
+    # sizes past the first and the seed count are checked too
+    assert run_cli("sweep", "--sizes", "2x2", "--seeds", "0") == 2
+    assert run_cli("sweep", "--sizes", "2x2", "--seeds", "-1") == 2
+    assert run_cli("sweep", "--sizes", "2x2,0x3") == 2
+    assert run_cli("sweep", "--sizes", "2x2,1x1") == 2
+    assert run_cli("sweep", "--sizes=2x2,-1x-3") == 2
 
 
 def test_dump_config_round_trip(tmp_path, capsys):

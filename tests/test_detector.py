@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsync.detector import (DetectionEvent, DetectorConfig, OnlineDetector,
-                              SeriesTooShort, detect, filter_response,
-                              node_filter_input, scan_polarity)
+                              SeriesTooShort, _first_flips, detect,
+                              filter_response, node_filter_input,
+                              scan_polarity)
 from hopsync.dynamics import steady_state_error
 from hopsync.harness import SimConfig, run, summarize
 from hopsync.model import build_matrices, grid_topology
@@ -219,6 +220,67 @@ def test_steady_trajectory_constant_input_no_false_fire():
     assert np.allclose(y, 0.9 * (1.002 - 1.0) * lag, rtol=1e-9)
     assert np.all(y > 0.0)
     assert detect(d, DEFAULT) is None
+
+
+def _oracle_sign(v):
+    if v > 0.0:
+        return 1
+    if v < 0.0:
+        return -1
+    return 0
+
+
+def _oracle_scan_polarity(y, k_guard, first_m):
+    """The original one-sample-at-a-time rule, kept as the reference."""
+    prev = 0
+    for j, val in enumerate(y):
+        s = _oracle_sign(val)
+        if s == 0:
+            continue
+        m = first_m + j
+        if prev != 0 and s != prev and m >= k_guard:
+            return m
+        prev = s
+    return None
+
+
+# magnitudes whose sign is easy to get wrong: zeros of both signs, NaN,
+# subnormals and huge values
+_MAGNITUDES = [0.0, -0.0, math.nan, 5e-324, 1e-300, 0.5, 1.0, 3.6, 1e300]
+
+
+@st.composite
+def output_blocks(draw):
+    """(L, N) filter outputs: runs of one polarity, zeros and NaN mixed in."""
+    rows = draw(st.integers(0, 40))
+    cols = draw(st.integers(1, 6))
+    flip_p = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    signs = np.cumprod(np.where(rng.random((rows, cols)) < flip_p, -1.0, 1.0),
+                       axis=0) * rng.choice([-1.0, 1.0], size=cols)
+    mags = np.array(_MAGNITUDES)[rng.integers(len(_MAGNITUDES), size=(rows, cols))]
+    return signs * mags
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=output_blocks(), k=st.integers(0, 20), first_m=st.sampled_from([0, 3]))
+def test_first_flips_matches_scalar_oracle(y, k, first_m):
+    m, _ = _first_flips(y, k, first_m, np.zeros(y.shape[1], np.int8))
+    for i in range(y.shape[1]):
+        want = _oracle_scan_polarity(y[:, i], k, first_m)
+        assert m[i] == (-1 if want is None else want)
+        assert scan_polarity(y[:, i], k, first_m) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=output_blocks(), k=st.integers(0, 20), first_m=st.sampled_from([0, 3]),
+       cut=st.floats(0.0, 1.0))
+def test_first_flips_split_carries_sign(y, k, first_m, cut):
+    c = int(cut * y.shape[0])
+    whole, _ = _first_flips(y, k, first_m, np.zeros(y.shape[1], np.int8))
+    head, sign = _first_flips(y[:c], k, first_m, np.zeros(y.shape[1], np.int8))
+    tail, _ = _first_flips(y[c:], k, first_m + c, sign)
+    assert np.array_equal(np.where(head >= 0, head, tail), whole)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopsync.detector import DetectionEvent
+from hopsync import harness
+from hopsync.detector import DetectionEvent, detect, node_filter_input
 from hopsync.dynamics import steady_state_error
 from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig,
                              initial_clocks, run, run_error_recursion,
                              scaling_sweep, summarize, write_summary_csv,
                              write_sweep_csv, write_trace_csv)
-from hopsync.model import Topology, build_matrices, grid_topology, line_topology
+from hopsync.model import (Topology, build_matrices, generate_topology,
+                           grid_topology, line_topology)
 
 GRID = grid_topology(4, 4)
 # a seeded clustered-start run whose metrics mirror the reference experiment:
@@ -312,6 +314,56 @@ def test_csv_golden_hashes(tmp_path, name, halt):
         assert hashlib.sha256(data).hexdigest() == digest, fname
 
 
+# Lossy runs on other topologies, two of them halting, hashed before run()
+# filtered and scanned for flips a block of rounds at a time.
+MORE_RUNS = {
+    "random7": (dict(topology=generate_topology("random:7:0.5", seed=0),
+                     p=0.7),
+                "60dd5a5163c9e92492a8df44d927f38d31347bd3741eb33222c734121c021bf4",
+                "3c041db2159e4494be1de81e86f3a3b082b6d9aede7ca30eac033f14bf68bf36"),
+    "ring6_halt": (dict(topology=generate_topology("ring:6"), p=0.6,
+                        halt_on_detect=True),
+                   "e8c7522ab7d78aa2f8f678be88609b99fc82527c9d6d9036178c32bc16f6a361",
+                   "2a190bf48fb5afb0b8d7ad9177ee60dfe93a4dd1028f738c33ab6c5cd85e3066"),
+    "line5_halt": (dict(topology=generate_topology("line:5"), p=0.6,
+                        halt_on_detect=True),
+                   "155373068b384d136b6dc19c7f9a49300bf6644507183cb2e66de1cd9c99e62e",
+                   "7ba8a56c229e7301ad60acafea91d962526a24b2a11e934fa89ab3cba3c00b76"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MORE_RUNS))
+def test_more_golden_hashes(tmp_path, name):
+    kwargs, trace_digest, summary_digest = MORE_RUNS[name]
+    tr = run(SimConfig(**kwargs))
+    write_trace_csv(tr, tmp_path / "trace.csv")
+    write_summary_csv(summarize(tr), tmp_path / "summary.csv")
+    for fname, digest in (("trace.csv", trace_digest),
+                          ("summary.csv", summary_digest)):
+        data = (tmp_path / fname).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, fname
+
+
+@pytest.mark.parametrize("kwargs", [
+    REFERENCE,
+    {**REFERENCE, "p": 0.6, "n_max": 900},
+    {**REFERENCE, "halt_on_detect": True, "p": 0.8},
+    dict(topology=grid_topology(9, 9), p=0.5, n_max=300, seed=3),
+])
+def test_events_equal_per_column_detect(kwargs):
+    # the block-wise scan in run() fires where offline detect() fires on
+    # each node's own series, in halting runs too
+    cfg = SimConfig(**kwargs)
+    tr = run(cfg)
+    want = []
+    for i in range(tr.topology.node_count):
+        x = node_filter_input(tr.times[:, i], cfg.delta_t)
+        event = detect(x, cfg.detector, node_id=i, clocks=tr.times[:, i])
+        if event is not None:
+            want.append(event)
+    assert list(tr.events) == want
+
+
 def _oracle_fmt(v) -> str:
     f = float(v)
     return "" if np.isnan(f) else repr(f)
@@ -383,6 +435,20 @@ def hand_traces(draw):
 @example(_hand_trace(2048, 5, _AWKWARD, 4, [(1, 2047), (2, 0), (5, 5)]))
 def test_trace_csv_matches_csv_writer_oracle(trace):
     assert _same_bytes_as_oracle(trace)
+
+
+@pytest.mark.parametrize("halt", [False, True])
+@pytest.mark.parametrize("block_rows", [1, 15 * 7, 10**9])
+def test_run_independent_of_block_size(monkeypatch, halt, block_rows):
+    # one round per block puts every flip at a block's first row, so the
+    # sign carried between blocks decides it
+    cfg = SimConfig(**{**REFERENCE, "p": 0.7, "halt_on_detect": halt})
+    want = run(cfg)
+    monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", block_rows)
+    got = run(cfg)
+    assert got.events == want.events
+    assert np.array_equal(got.filter_outputs, want.filter_outputs,
+                          equal_nan=True)
 
 
 def test_trace_csv_matches_oracle_across_blocks():

@@ -1,19 +1,9 @@
 import numpy as np
-import pytest
 
 from hopsync import kernels
-from hopsync import _kernels_py
 from hopsync.channel import ChannelModel, sample_masks
 from hopsync.dynamics import ClockState, step
 from hopsync.model import build_matrices, grid_topology
-
-try:
-    from hopsync import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-needs_compiled = pytest.mark.skipif(_kernels_cy is None,
-                                    reason="compiled backend not built")
 
 
 def _setup(p=0.7, rounds=120, seed=11):
@@ -23,28 +13,6 @@ def _setup(p=0.7, rounds=120, seed=11):
     rng = np.random.default_rng(seed)
     t0 = rng.uniform(0.0, 0.1, topo.node_count)
     return topo, eu, ev, t0, masks
-
-
-def test_backend_reported():
-    assert kernels.BACKEND in ("python", "cython")
-
-
-@needs_compiled
-def test_backends_bit_identical_run():
-    topo, eu, ev, t0, masks = _setup()
-    a = _kernels_py.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
-    b = _kernels_cy.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
-    assert np.array_equal(a, b)
-
-
-@needs_compiled
-def test_backends_bit_identical_filter():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=500)
-    for cf in (1.0, 1.002, 0.95):
-        a = _kernels_py.filter_series(x, cf)
-        b = _kernels_cy.filter_series(x, cf)
-        assert np.array_equal(a, b)
 
 
 def test_run_matches_dense_steps():
@@ -101,15 +69,13 @@ def test_filter_output_length():
     assert len(kernels.filter_series(x, 1.0)) == 44
 
 
-def test_backend_env_override(monkeypatch):
-    import importlib
-    monkeypatch.setenv("HOPSYNC_BACKEND", "py")
-    mod = importlib.reload(kernels)
-    try:
-        assert mod.BACKEND == "python"
-        monkeypatch.setenv("HOPSYNC_BACKEND", "nope")
-        with pytest.raises(ValueError):
-            importlib.reload(kernels)
-    finally:
-        monkeypatch.delenv("HOPSYNC_BACKEND")
-        importlib.reload(kernels)
+def test_filter_block_matches_columns():
+    # a (samples, columns) block filters each column with the same bits
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(90, 13))
+    for cf in (1.0, 1.002, 0.95):
+        block = kernels.filter_series(x, cf)
+        assert block.shape == (84, 13)
+        for i in range(13):
+            assert np.array_equal(block[:, i],
+                                  kernels.filter_series(x[:, i].copy(), cf))
