@@ -19,8 +19,7 @@ from .detector import DetectorConfig
 from .dynamics import NotConvergent, steady_state_error
 from .harness import (ConfigInvalid, SimConfig, run, scaling_sweep, summarize,
                       write_summary_csv, write_sweep_csv, write_trace_csv)
-from .model import (IsolatedNode, build_matrices, generate_topology,
-                    has_spanning_path)
+from .model import generate_topology, has_spanning_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -212,9 +211,8 @@ def _cmd_simulate(cfg: dict) -> int:
 def _cmd_steady_state(cfg: dict) -> int:
     topo = _build_topology(cfg)
     try:
-        mats = build_matrices(topo)
-        result = steady_state_error(mats, cfg["delta-t"])
-    except (NotConvergent, IsolatedNode) as err:
+        result = steady_state_error(topo, cfg["delta-t"])
+    except NotConvergent as err:
         print(f"steady state not solvable: {err}", file=sys.stderr)
         return EXIT_NOT_CONVERGENT
     except ValueError as err:

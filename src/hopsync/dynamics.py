@@ -5,21 +5,18 @@ The gateway clock is the exact ramp delta_t * n. Ordinary clocks evolve by
 T(n+1) = a @ T(n) + b * (delta_t * n); per-node errors are
 e_i(n) = delta_t * n - t_i(n) and satisfy E(n+1) = a @ E(n) + delta_t * 1
 whenever row i of (a | b) sums to one. The asymptotic error is the solution
-of (I - a) x = delta_t * 1.
+of (I - a) x = delta_t * 1, solved sparsely: a has one nonzero per directed
+link.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from .model import SystemMatrices
-
-# Pivot threshold, relative to the largest row norm, below which the
-# steady-state solve is declared singular.
-_SINGULAR_REL = 1e-12
+from .model import SystemMatrices, Topology, _averaging_entries
 
 
 class DimensionMismatch(ValueError):
@@ -27,7 +24,9 @@ class DimensionMismatch(ValueError):
 
 
 class NotConvergent(RuntimeError):
-    """(I - a) is singular to working precision; some node is unreachable."""
+    """There is no finite steady state: some node has no path to the
+    gateway, so (I - a) is singular and that node's error grows without
+    bound, or the solve overflows."""
 
 
 @dataclass(frozen=True)
@@ -100,33 +99,59 @@ def error_step(err: ErrorState, mats: SystemMatrices, delta_t: float) -> ErrorSt
     return ErrorState(errors=mats.a @ err.errors + delta_t)
 
 
-def steady_state_error(mats: SystemMatrices, delta_t: float) -> SteadyStateResult:
-    """Solve (I - a) x = delta_t * 1 by dense LU.
+def steady_state_error(system: Union[Topology, SystemMatrices],
+                       delta_t: float) -> SteadyStateResult:
+    """Solve (I - a) x = delta_t * 1 with a sparse LU of (I - a).
 
-    Raises NotConvergent when a pivot falls below _SINGULAR_REL times the
-    largest row norm of (I - a), which happens exactly when some node has no
-    path to the gateway and the system is only marginally stable. Raises
-    ValueError when delta_t is not finite.
+    ``system`` is a Topology, whose uniform-averaging entries are built
+    straight from its edges without a dense (N, N) array, or a
+    SystemMatrices, whose nonzeros are used. Both give the same bits for
+    the same network.
+
+    Raises NotConvergent when some node cannot hear the gateway through a
+    chain of nonzero weights (for a topology: when has_spanning_path is
+    false). When the rows of (a | b) sum to one, that is exactly when
+    (I - a) is singular; an exactly zero pivot or a non-finite solution
+    raises it too. Raises ValueError when delta_t is not finite.
     """
     if not math.isfinite(delta_t):
         raise ValueError("delta_t must be finite")
     # scipy is imported here, not at module level: it is most of the package's
     # import time and only this solve needs it
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+    from scipy.sparse.linalg import splu
 
-    n = mats.n
+    if isinstance(system, Topology):
+        n = system.node_count
+        rows, cols, vals, b = _averaging_entries(
+            system, np.ones(len(system.edges), dtype=bool))
+    else:
+        n = system.n
+        rows, cols = np.nonzero(system.a)
+        vals, b = system.a[rows, cols], system.b
+    # node i hears node j when a[i][j] != 0 and the gateway (index n) when
+    # b[i] != 0; every node must hear the gateway through some chain. For a
+    # topology this is has_spanning_path.
+    heard = np.flatnonzero(b)
+    hears = coo_matrix((np.ones(len(rows) + heard.size),
+                        (np.concatenate([cols, np.full(heard.size, n)]),
+                         np.concatenate([rows, heard]))),
+                       shape=(n + 1, n + 1)).tocsr()
+    if breadth_first_order(hears, n, return_predecessors=False).size <= n:
+        raise NotConvergent("some node is unreachable from the gateway")
     if n == 0:
         return SteadyStateResult(ess=np.zeros(0))
-    m = np.eye(n) - mats.a
-    scale = np.abs(m).sum(axis=1).max()
-    with warnings.catch_warnings():
-        # exact singularity is an expected input here, reported as
-        # NotConvergent below rather than as a warning
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < _SINGULAR_REL * scale:
-        raise NotConvergent("some node is unreachable from the gateway; "
-                            "(I - a) is singular to working precision")
-    x = lu_solve((lu, piv), np.full(n, float(delta_t)), check_finite=False)
+    diag = np.arange(n)
+    m = coo_matrix((np.concatenate([np.ones(n), -vals]),
+                    (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
+                   shape=(n, n)).tocsc()
+    # canonical (sorted, summed) form, so both kinds of input factor alike
+    m.sum_duplicates()
+    try:
+        x = splu(m).solve(np.full(n, float(delta_t)))
+    except RuntimeError as err:  # an exactly zero pivot
+        raise NotConvergent(f"(I - a) is singular: {err}") from None
+    if not np.all(np.isfinite(x)):
+        raise NotConvergent("the steady-state error is not finite")
     return SteadyStateResult(ess=x)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelModel, sample_masks
+from .channel import ChannelModel, sample_mask, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import filter_series, run_rounds
 from .model import Topology, effective_matrices, grid_topology, has_spanning_path
@@ -147,12 +147,13 @@ def run(cfg: SimConfig) -> RunTrace:
     n = topo.node_count
     connected = has_spanning_path(topo)
     eu, ev = topo.edge_arrays()
-    masks = sample_masks(ChannelModel(p=cfg.p, seed=cfg.seed), topo, cfg.n_max)
+    model = ChannelModel(p=cfg.p, seed=cfg.seed)
     t0 = initial_clocks(cfg)
     if cfg.halt_on_detect:
-        times = _run_halting(cfg, t0, eu, ev, masks)
+        times = _run_halting(cfg, t0, eu, ev, model)
     else:
-        times = run_rounds(t0, eu, ev, n, masks, cfg.delta_t)
+        times = run_rounds(t0, eu, ev, n, sample_masks(model, topo, cfg.n_max),
+                           cfg.delta_t)
 
     rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
     errors = cfg.delta_t * rounds[:, None] - times
@@ -179,13 +180,18 @@ def run(cfg: SimConfig) -> RunTrace:
                     errors=errors, filter_outputs=filter_outputs, events=events)
 
 
-def _run_halting(cfg: SimConfig, t0, eu, ev, masks) -> np.ndarray:
+def _run_halting(cfg: SimConfig, t0, eu, ev, model: ChannelModel) -> np.ndarray:
     """Round-by-round loop where detected nodes leave the exchange.
 
     A node halts at the round its detector fires (the last sample of the
     window holding the flip): its links go silent and its clock freezes.
+    Once every node has halted nothing changes again, so the loop stops and
+    the remaining rounds repeat the frozen clocks. Masks are drawn a round
+    at a time; the stream is keyed by (seed, round), so stopping early
+    changes no draw.
     """
-    n = cfg.topology.node_count
+    topo = cfg.topology
+    n = topo.node_count
     dt, det = cfg.delta_t, cfg.detector
     halted = np.zeros(n, dtype=bool)
     sign = np.zeros(n, np.int8)
@@ -193,14 +199,17 @@ def _run_halting(cfg: SimConfig, t0, eu, ev, masks) -> np.ndarray:
     times[0] = t0
     t = t0.copy()
     for rnd in range(1, cfg.n_max + 1):
+        if halted.all():
+            times[rnd:] = t
+            break
         # silence every edge touching a halted node, then advance one round
-        row = masks[rnd - 1] & ~halted[eu]
+        row = sample_mask(model, topo, rnd - 1) & ~halted[eu]
         if len(ev):
             row &= (ev >= n) | ~halted[np.minimum(ev, n - 1)]
         stepped = run_rounds(t, eu, ev, n, row[None, :], dt, round0=rnd - 1)
         t = np.where(halted, t, stepped[1])
         times[rnd] = t
-        if rnd >= 6 and not halted.all():
+        if rnd >= 6:
             # the filter output at m = rnd - 3 from the window rnd-6..rnd
             r = np.arange(rnd - 6, rnd + 1, dtype=np.float64)
             y = filter_series(np.abs(dt * r[:, None] - times[rnd - 6:rnd + 1]),
@@ -230,25 +239,39 @@ def run_error_recursion(cfg: SimConfig) -> np.ndarray:
 
 
 def summarize(trace: RunTrace) -> List[NodeSummary]:
-    """One NodeSummary per node from a complete trace."""
+    """One NodeSummary per node from a complete trace.
+
+    The per-node minimum of |e| is reduced a block of whole rounds at a time,
+    so no copy of the whole error array is made. Ties go to the earliest
+    round and a NaN wins over any number, as np.argmin decides.
+    """
+    errors = trace.errors
     n = trace.topology.node_count
-    abs_err = np.abs(trace.errors)
-    by_node = {e.node_id: e for e in trace.events}
+    cols = np.arange(n)
+    best_at = np.zeros(n, dtype=np.int64)
+    best = np.abs(errors[0])
+    step = max(1, _TRACE_BLOCK_ROWS // n)
+    for r0 in range(1, trace.n_max + 1, step):
+        block = np.abs(errors[r0:r0 + step])
+        at = np.argmin(block, axis=0)
+        low = block[at, cols]
+        better = (low < best) | (np.isnan(low) & ~np.isnan(best))
+        best_at = np.where(better, at + r0, best_at)
+        best = np.where(better, low, best)
+    detected = {e.node_id: e.target_round for e in trace.events}
+    ss = np.abs(errors[-1]).tolist()
     out = []
-    for i in range(n):
-        col = abs_err[:, i]
-        mi = int(np.argmin(col))
-        event = by_node.get(i)
-        det_instant = event.target_round if event is not None else None
-        det_value = float(col[det_instant]) if event is not None else None
+    for i, (at, low) in enumerate(zip(best_at.tolist(), best.tolist())):
+        det = detected.get(i)
         out.append(NodeSummary(
             node_id=i,
-            min_error_instant=mi,
-            min_error_value=float(col[mi]),
+            min_error_instant=at,
+            min_error_value=low,
             ss_error_instant=trace.n_max,
-            ss_error_value=float(col[-1]),
-            detected_instant=det_instant,
-            detected_error_value=det_value,
+            ss_error_value=ss[i],
+            detected_instant=det,
+            detected_error_value=(None if det is None
+                                  else float(abs(errors[det, i]))),
         ))
     return out
 

@@ -127,6 +127,17 @@ def effective_matrices(topo: Topology, mask) -> SystemMatrices:
     available edges only; a node with no available neighbor holds its value
     (a[i][i] = 1, b[i] = 0), so every row of (a | b) stays stochastic.
     """
+    rows, cols, vals, b = _averaging_entries(topo, mask)
+    n = topo.node_count
+    a = np.zeros((n, n), dtype=np.float64)
+    a[rows, cols] = vals
+    return SystemMatrices(a, b)
+
+
+def _averaging_entries(topo: Topology, mask):
+    """The nonzeros of effective_matrices(topo, mask).a as (rows, cols, vals)
+    triplets, one per available directed link plus one per held node, and
+    the dense gateway weights ``b``: O(E) memory, no (N, N) array."""
     n = topo.node_count
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (len(topo.edges),):
@@ -135,16 +146,15 @@ def effective_matrices(topo: Topology, mask) -> SystemMatrices:
     eu, ev = eu[mask], ev[mask]
     deg = np.bincount(np.concatenate([eu, ev]), minlength=n + 1)[:n]
     inv = 1.0 / np.maximum(deg, 1)
-    a = np.zeros((n, n), dtype=np.float64)
     b = np.zeros(n, dtype=np.float64)
     to_gw = ev == n
     b[eu[to_gw]] = inv[eu[to_gw]]
     u, v = eu[~to_gw], ev[~to_gw]
-    a[u, v] = inv[u]
-    a[v, u] = inv[v]
     held = np.flatnonzero(deg == 0)
-    a[held, held] = 1.0
-    return SystemMatrices(a, b)
+    rows = np.concatenate([u, v, held])
+    cols = np.concatenate([v, u, held])
+    vals = np.concatenate([inv[u], inv[v], np.ones(held.size)])
+    return rows, cols, vals, b
 
 
 def has_spanning_path(topo: Topology) -> bool:

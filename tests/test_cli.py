@@ -1,9 +1,14 @@
 import csv
+import math
+import os
+import resource
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import hopsync
 from hopsync.cli import main
 from hopsync.model import Topology, save_topology
 
@@ -64,6 +69,29 @@ def test_steady_state_disconnected_exit4(tmp_path, capsys):
     code = run_cli("steady-state", "--topology", f"file:{path}")
     assert code == 4
     assert "not solvable" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    limit = 3 * 10**9
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_steady_state_large_grid_bounded_memory():
+    # a dense (I - a) for 39,999 nodes would need 11.9 GiB; the sparse solve
+    # fits in 3 GB of address space
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopsync.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopsync.cli", "steady-state",
+         "--topology", "grid:200x200"],
+        capture_output=True, text=True, env=env,
+        preexec_fn=_limit_address_space, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    values = [float(v) for v in proc.stdout.strip().split(", ")]
+    assert len(values) == 39_999
+    assert all(math.isfinite(v) and v > 0 for v in values)
 
 
 def test_require_connected_exit3(tmp_path, capsys):

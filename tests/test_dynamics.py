@@ -7,8 +7,9 @@ from hopsync.dynamics import (ClockState, DimensionMismatch, ErrorState,
                               NotConvergent, error_of, error_step,
                               steady_state_error, step)
 from hopsync.harness import SimConfig, run
-from hopsync.model import (Topology, build_matrices, grid_topology,
-                           line_topology, random_topology)
+from hopsync.model import (SystemMatrices, Topology, build_matrices,
+                           effective_matrices, grid_topology,
+                           has_spanning_path, line_topology, random_topology)
 
 LINE = build_matrices(line_topology(3))
 SINGLE = build_matrices(line_topology(2))
@@ -91,6 +92,77 @@ def test_steady_state_not_convergent_when_disconnected():
     mats = build_matrices(topo)
     with pytest.raises(NotConvergent):
         steady_state_error(mats, 1e-3)
+
+
+def _dense_steady_state(mats, delta_t):
+    """The dense reference solve of (I - a) x = delta_t * 1."""
+    return np.linalg.solve(np.eye(mats.n) - mats.a, np.full(mats.n, delta_t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 25), prob=st.floats(0.05, 1.0),
+       seed=st.integers(0, 10**6),
+       dt=st.sampled_from([1e-3, 1.0, 0.37, 2.0**-20]))
+def test_steady_state_topology_equals_matrices(n, prob, seed, dt):
+    # the sparse entries built from the edges and the nonzeros of the dense
+    # matrices give the same bits, and both agree with a dense solve; without
+    # a spanning path there is no steady state
+    topo = random_topology(n, prob, seed=seed)
+    if not has_spanning_path(topo):
+        with pytest.raises(NotConvergent):
+            steady_state_error(topo, dt)
+        return
+    mats = build_matrices(topo)
+    from_topo = steady_state_error(topo, dt).ess
+    from_mats = steady_state_error(mats, dt).ess
+    assert np.array_equal(from_topo, from_mats)
+    want = _dense_steady_state(mats, dt)
+    assert np.max(np.abs(from_topo - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("topo", [grid_topology(4, 4), grid_topology(60, 60),
+                                  line_topology(7), random_topology(30, 0.3, 0)])
+def test_steady_state_entry_points_bit_identical(topo):
+    mats = build_matrices(topo)
+    assert np.array_equal(steady_state_error(topo, 1e-3).ess,
+                          steady_state_error(mats, 1e-3).ess)
+
+
+SPLIT = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+# nodes 1..6 form a 2x3 grid that cannot hear the gateway; the LU of this
+# singular (I - a) meets no exactly zero pivot, so only the reachability rule
+# keeps it from returning finite garbage
+SPLIT_GRID = Topology(node_count=7, gateway_id=7, edges=(
+    (0, 7), (1, 2), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (5, 6)))
+
+
+@pytest.mark.parametrize("system", [
+    SPLIT,
+    SPLIT_GRID,
+    build_matrices(SPLIT_GRID),
+    # node 1 has no neighbor at all
+    Topology(node_count=2, gateway_id=2, edges=((0, 2),)),
+    # node 0's only link is down, so it holds: a[0][0] = 1
+    effective_matrices(Topology(node_count=2, gateway_id=2,
+                                edges=((0, 1), (1, 2))), [False, True]),
+    # hears the gateway, but its row of (a | b) sums to 1.5: (I - a) = 0
+    SystemMatrices(np.array([[1.0]]), np.array([0.5])),
+    SystemMatrices(np.array([[np.nan]]), np.array([1.0])),
+], ids=["split-topology", "split-grid-topology", "split-grid-matrices",
+        "isolated", "held", "singular", "nan"])
+def test_steady_state_not_convergent_both_entry_points(system):
+    with pytest.raises(NotConvergent):
+        steady_state_error(system, 1e-3)
+
+
+def test_steady_state_overflow_not_convergent():
+    # a stochastic row that barely leaks to the gateway: x = dt / 2**-52
+    # overflows, which must raise rather than print inf
+    eps = 2.0 ** -52
+    mats = SystemMatrices(np.array([[1.0 - eps]]), np.array([eps]))
+    assert steady_state_error(mats, 1.0).ess[0] == 2.0 ** 52
+    with pytest.raises(NotConvergent):
+        steady_state_error(mats, 1e300)
 
 
 def _evolve_clocks(mats, times0, delta_t, k):

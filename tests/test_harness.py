@@ -344,6 +344,44 @@ def test_more_golden_hashes(tmp_path, name):
         assert hashlib.sha256(data).hexdigest() == digest, fname
 
 
+# Long halting runs, hashed before the halting loop stopped at the round
+# every node had halted and drew its masks a round at a time: on the grid all
+# 8 nodes halt by round 20; on the line 2 of 5 halt, so the loop runs on to
+# n_max.
+HALT_RUNS = {
+    "grid3x3_all_halt": (dict(topology=generate_topology("grid:3x3"), p=0.5),
+                         8,
+                         "39639c3f62492c905186a4ac1d2869911dfce720c77e213a9dcfe078848a1d5c",
+                         "581fe87b0d076b9ef621323ee51d0c3b4eb63af5bb5f9cf12bf5656bfe0b6457"),
+    "line6_some_halt": (dict(topology=generate_topology("line:6"), p=0.6),
+                        2,
+                        "50c690a14e29982de0c680806133ec8158b518af92ce75e4673d99596702ec34",
+                        "f3281b24ff74047834f16b01d36c19c2f947821680a56bfdb8d81bea969c81fb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALT_RUNS))
+def test_long_halting_golden_hashes(tmp_path, monkeypatch, name):
+    kwargs, halts, trace_digest, summary_digest = HALT_RUNS[name]
+    calls = []
+    stepper = harness.run_rounds
+    monkeypatch.setattr(harness, "run_rounds",
+                        lambda *a, **k: calls.append(1) or stepper(*a, **k))
+    tr = run(SimConfig(**kwargs, seed=0, n_max=3000, halt_on_detect=True))
+    assert len(tr.events) == halts
+    if halts == tr.topology.node_count:
+        # no round is stepped after the last node halts
+        assert len(calls) == max(e.detect_round for e in tr.events)
+    else:
+        assert len(calls) == 3000
+    write_trace_csv(tr, tmp_path / "trace.csv")
+    write_summary_csv(summarize(tr), tmp_path / "summary.csv")
+    for fname, digest in (("trace.csv", trace_digest),
+                          ("summary.csv", summary_digest)):
+        data = (tmp_path / fname).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, fname
+
+
 @pytest.mark.parametrize("kwargs", [
     REFERENCE,
     {**REFERENCE, "p": 0.6, "n_max": 900},
@@ -455,3 +493,52 @@ def test_trace_csv_matches_oracle_across_blocks():
     # 15 nodes and 600 rounds span several blocks, with a partial last one
     tr = run(SimConfig(**{**REFERENCE, "n_max": 600, "p": 0.7}))
     assert _same_bytes_as_oracle(tr)
+
+
+def _oracle_summarize(trace):
+    """The original summarize: the whole |errors| copy, one node at a time."""
+    abs_err = np.abs(trace.errors)
+    by_node = {e.node_id: e for e in trace.events}
+    out = []
+    for i in range(trace.topology.node_count):
+        col = abs_err[:, i]
+        mi = int(np.argmin(col))
+        event = by_node.get(i)
+        det = event.target_round if event is not None else None
+        out.append((i, mi, float(col[mi]), trace.n_max, float(col[-1]), det,
+                    float(col[det]) if event is not None else None))
+    return out
+
+
+def _summary_tuples(trace):
+    return [(s.node_id, s.min_error_instant, s.min_error_value,
+             s.ss_error_instant, s.ss_error_value, s.detected_instant,
+             s.detected_error_value) for s in summarize(trace)]
+
+
+def _same_floats(a, b):
+    return len(a) == len(b) and all(
+        x == y or (isinstance(x, float) and x != x and y != y)
+        for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hand_traces(), st.sampled_from([1, 5, 4096, 10**9]))
+@example(_hand_trace(1, 30, [0.0, -0.0, 1.0], 5, [(7, 0)]), 1)
+@example(_hand_trace(3, 20, [math.nan, 2.0, -1.0], 6, []), 2)
+def test_summarize_matches_oracle(trace, block_rows):
+    # ties (0.0 and -0.0 included) go to the first round and a NaN wins, in
+    # any block of rounds, as the whole-column np.argmin decides
+    saved = harness._TRACE_BLOCK_ROWS
+    harness._TRACE_BLOCK_ROWS = block_rows
+    try:
+        got = _summary_tuples(trace)
+    finally:
+        harness._TRACE_BLOCK_ROWS = saved
+    assert _same_floats(got, _oracle_summarize(trace))
+
+
+def test_summarize_matches_oracle_on_runs():
+    for kwargs in (REFERENCE, {**REFERENCE, "p": 0.6, "halt_on_detect": True}):
+        tr = run(SimConfig(**kwargs))
+        assert _summary_tuples(tr) == _oracle_summarize(tr)
