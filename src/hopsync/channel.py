@@ -51,12 +51,18 @@ def sample_mask(model: ChannelModel, topo: Topology, round: int) -> np.ndarray:
 
 def sample_masks(model: ChannelModel, topo: Topology, rounds: int) -> np.ndarray:
     """Masks for rounds 0..rounds-1 as a (rounds, n_edges) bool array."""
-    n_edges = len(topo.edges)
-    if model.p >= 1.0:
-        return np.ones((rounds, n_edges), dtype=bool)
-    if model.p <= 0.0:
-        return np.zeros((rounds, n_edges), dtype=bool)
-    out = np.empty((rounds, n_edges), dtype=bool)
-    for n in range(rounds):
-        out[n] = sample_mask(model, topo, n)
+    return _mask_block([model], topo, 0, rounds)[:, 0]
+
+
+def _mask_block(models, topo: Topology, r0: int, r1: int) -> np.ndarray:
+    """Masks of rounds r0..r1-1 for one run per model, as a
+    (r1 - r0, runs, n_edges) bool array; row r - r0 holds sample_mask(model,
+    topo, r) for each model in turn."""
+    out = np.empty((r1 - r0, len(models), len(topo.edges)), dtype=bool)
+    for j, model in enumerate(models):
+        if 0.0 < model.p < 1.0:
+            for r in range(r0, r1):
+                out[r - r0, j] = sample_mask(model, topo, r)
+        else:
+            out[:, j] = model.p >= 1.0
     return out

@@ -30,7 +30,7 @@ EXIT_NOT_CONVERGENT = 4
 # row here so a dumped file round-trips to the same effective configuration.
 _KEYS = ["topology", "gateway", "delta-t", "rounds", "p", "seed", "init-min",
          "init-max", "cf", "k-guard", "halt-on-detect", "require-connected",
-         "out", "sizes", "seeds", "workers"]
+         "out", "sizes", "seeds"]
 
 _DEFAULTS = {
     "topology": "grid:4x4",
@@ -48,11 +48,10 @@ _DEFAULTS = {
     "out": ".",
     "sizes": None,          # sweep only; required there
     "seeds": 5,
-    "workers": 0,
 }
 
 _BOOL_KEYS = {"halt-on-detect", "require-connected"}
-_INT_KEYS = {"rounds", "seed", "k-guard", "seeds", "workers"}
+_INT_KEYS = {"rounds", "seed", "k-guard", "seeds"}
 _FLOAT_KEYS = {"delta-t", "p", "init-min", "init-max", "cf"}
 
 
@@ -121,7 +120,6 @@ def _resolve(args) -> dict:
         "require-connected": args.require_connected, "out": args.out,
         "sizes": getattr(args, "sizes", None),
         "seeds": getattr(args, "seeds", None),
-        "workers": getattr(args, "workers", None),
     }
     for key, val in flag_map.items():
         if val is not None:
@@ -245,14 +243,13 @@ def _cmd_sweep(cfg: dict) -> int:
     rows, cols = sizes[0]
     template = _sim_config(cfg, generate_topology(f"grid:{rows}x{cols}"))
     try:
-        result = scaling_sweep(sizes, template, seeds=cfg["seeds"],
-                               workers=cfg["workers"] or None)
+        result = scaling_sweep(sizes, template, seeds=cfg["seeds"])
     except ConfigInvalid as err:
         raise CliError(str(err))
     os.makedirs(cfg["out"], exist_ok=True)
     write_sweep_csv(result, os.path.join(cfg["out"], "sweep.csv"))
     if result.slope is None:
-        print("fit: undefined (need at least two sizes)")
+        print("fit: undefined (need at least two distinct node counts)")
     else:
         r2 = "undefined" if result.r_squared is None else f"{result.r_squared:.4f}"
         print(f"fit: instant = {result.slope:.4f} * nodes + "
@@ -311,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of grid sizes, e.g. 2x2,3x3,4x4")
     p_sweep.add_argument("--seeds", type=int, metavar="N",
                          help="seeds per size (default 5)")
-    p_sweep.add_argument("--workers", type=int, metavar="N",
-                         help="thread pool size for the sweep (default serial)")
 
     p_ss = sub.add_parser("steady-state",
                           help="print the analytic per-node steady-state error")

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelModel, sample_mask, sample_masks
+from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import filter_series, run_rounds
 from .model import Topology, effective_matrices, grid_topology, has_spanning_path
@@ -34,6 +33,11 @@ _SWEEP_HEADER = ["nodes", "instant_mean", "instant_min", "instant_max"]
 # rounds holding about this many (round, node) cells (at least one round).
 # Larger blocks are no faster and cost peak RSS.
 _TRACE_BLOCK_ROWS = 4096
+# scaling_sweep evolves all seeds of one size in blocks of whole rounds holding
+# about this many (round, seed, node) cells (at least one round), one
+# run_rounds call per block: fewer, larger blocks save per-call work and cost
+# peak RSS.
+_SWEEP_BLOCK_CELLS = 1 << 18
 
 
 class ConfigInvalid(ValueError):
@@ -150,7 +154,13 @@ def run(cfg: SimConfig) -> RunTrace:
     model = ChannelModel(p=cfg.p, seed=cfg.seed)
     t0 = initial_clocks(cfg)
     if cfg.halt_on_detect:
-        times = _run_halting(cfg, t0, eu, ev, model)
+        times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
+        times[0] = t0
+        last = 0
+        stream = _run_halting(cfg, t0[None], eu, ev, [model])
+        for last, t in enumerate(stream, 1):
+            times[last] = t[0]
+        times[last + 1:] = times[last]
     else:
         times = run_rounds(t0, eu, ev, n, sample_masks(model, topo, cfg.n_max),
                            cfg.delta_t)
@@ -180,43 +190,45 @@ def run(cfg: SimConfig) -> RunTrace:
                     errors=errors, filter_outputs=filter_outputs, events=events)
 
 
-def _run_halting(cfg: SimConfig, t0, eu, ev, model: ChannelModel) -> np.ndarray:
+def _run_halting(cfg: SimConfig, t0, eu, ev, models):
     """Round-by-round loop where detected nodes leave the exchange.
 
-    A node halts at the round its detector fires (the last sample of the
-    window holding the flip): its links go silent and its clock freezes.
-    Once every node has halted nothing changes again, so the loop stops and
-    the remaining rounds repeat the frozen clocks. Masks are drawn a round
-    at a time; the stream is keyed by (seed, round), so stopping early
-    changes no draw.
+    Evolves one run per mask model in ``models`` at once from the (runs, N)
+    clocks ``t0`` and yields the clocks of rounds 1, 2, ... A node halts at
+    the round its detector fires (the last sample of the window holding the
+    flip): its links go silent and its clock freezes. Once every node of
+    every run has halted nothing changes again, so the generator stops and
+    the remaining rounds repeat the last clocks it yielded. Masks are drawn a
+    round at a time; the stream is keyed by (seed, round), so stopping early
+    changes no draw. Only the last seven rounds are kept, for the filter.
     """
     topo = cfg.topology
     n = topo.node_count
     dt, det = cfg.delta_t, cfg.detector
-    halted = np.zeros(n, dtype=bool)
-    sign = np.zeros(n, np.int8)
-    times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
-    times[0] = t0
-    t = t0.copy()
+    halted = np.zeros(t0.shape, dtype=bool)
+    sign = np.zeros(t0.size, np.int8)
+    window = np.repeat(t0[None], 7, axis=0)
+    t = t0
+    to_gateway = ev >= n
+    ev_node = np.minimum(ev, n - 1)
     for rnd in range(1, cfg.n_max + 1):
         if halted.all():
-            times[rnd:] = t
-            break
+            return
         # silence every edge touching a halted node, then advance one round
-        row = sample_mask(model, topo, rnd - 1) & ~halted[eu]
-        if len(ev):
-            row &= (ev >= n) | ~halted[np.minimum(ev, n - 1)]
-        stepped = run_rounds(t, eu, ev, n, row[None, :], dt, round0=rnd - 1)
+        row = _mask_block(models, topo, rnd - 1, rnd)
+        row &= ~halted[:, eu] & (to_gateway | ~halted[:, ev_node])
+        stepped = run_rounds(t, eu, ev, n, row, dt, round0=rnd - 1)
         t = np.where(halted, t, stepped[1])
-        times[rnd] = t
+        yield t
+        window[:-1] = window[1:]
+        window[-1] = t
         if rnd >= 6:
             # the filter output at m = rnd - 3 from the window rnd-6..rnd
             r = np.arange(rnd - 6, rnd + 1, dtype=np.float64)
-            y = filter_series(np.abs(dt * r[:, None] - times[rnd - 6:rnd + 1]),
-                              det.c_f)
-            found, sign = _first_flips(y, det.k_guard, rnd - 3, sign)
-            halted |= found >= 0
-    return times
+            y = filter_series(np.abs(dt * r[:, None, None] - window), det.c_f)
+            found, sign = _first_flips(y.reshape(1, -1), det.k_guard,
+                                       rnd - 3, sign)
+            halted |= found.reshape(halted.shape) >= 0
 
 
 def run_error_recursion(cfg: SimConfig) -> np.ndarray:
@@ -238,26 +250,34 @@ def run_error_recursion(cfg: SimConfig) -> np.ndarray:
     return out
 
 
+def _fold_min(best, best_at, block, r0: int):
+    """Fold rows r0, r0+1, ... of ``block`` into a running per-column
+    minimum ``best`` and the round ``best_at`` it was reached at.
+
+    Start from ``best`` = +inf and ``best_at`` = 0. Over any split into
+    blocks, ties go to the earliest round and a NaN wins over any number,
+    as one np.argmin over all rows decides.
+    """
+    at = np.argmin(block, axis=0)
+    low = np.take_along_axis(block, at[None], axis=0)[0]
+    better = (low < best) | (np.isnan(low) & ~np.isnan(best))
+    return np.where(better, low, best), np.where(better, at + r0, best_at)
+
+
 def summarize(trace: RunTrace) -> List[NodeSummary]:
     """One NodeSummary per node from a complete trace.
 
     The per-node minimum of |e| is reduced a block of whole rounds at a time,
-    so no copy of the whole error array is made. Ties go to the earliest
-    round and a NaN wins over any number, as np.argmin decides.
+    so no copy of the whole error array is made.
     """
     errors = trace.errors
     n = trace.topology.node_count
-    cols = np.arange(n)
+    best = np.full(n, np.inf)
     best_at = np.zeros(n, dtype=np.int64)
-    best = np.abs(errors[0])
     step = max(1, _TRACE_BLOCK_ROWS // n)
-    for r0 in range(1, trace.n_max + 1, step):
-        block = np.abs(errors[r0:r0 + step])
-        at = np.argmin(block, axis=0)
-        low = block[at, cols]
-        better = (low < best) | (np.isnan(low) & ~np.isnan(best))
-        best_at = np.where(better, at + r0, best_at)
-        best = np.where(better, low, best)
+    for r0 in range(0, trace.n_max + 1, step):
+        best, best_at = _fold_min(best, best_at,
+                                  np.abs(errors[r0:r0 + step]), r0)
     detected = {e.node_id: e.target_round for e in trace.events}
     ss = np.abs(errors[-1]).tolist()
     out = []
@@ -276,47 +296,74 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
     return out
 
 
-def _sweep_point(size, seed_offset, template: SimConfig) -> float:
-    rows, cols = size
-    topo = grid_topology(rows, cols, gateway="corner")
-    cfg = replace(template, topology=topo, seed=template.seed + seed_offset)
-    trace = run(cfg)
-    mins = np.argmin(np.abs(trace.errors), axis=0)
-    return float(mins.mean())
+def _min_error_instants(cfgs: Sequence[SimConfig]) -> np.ndarray:
+    """Each node's min-|e| round in each run, as a (runs, N) int array.
+
+    The runs share everything but the seed and evolve as one (runs, N)
+    state, a block of whole rounds per run_rounds call (one round when
+    halting); each block's |e| folds into the running per-(run, node)
+    minimum, so no RunTrace is built and no detector runs unless nodes halt.
+    """
+    cfg = cfgs[0]
+    topo = cfg.topology
+    n, dt = topo.node_count, cfg.delta_t
+    eu, ev = topo.edge_arrays()
+    models = [ChannelModel(p=c.p, seed=c.seed) for c in cfgs]
+    t0 = np.stack([initial_clocks(c) for c in cfgs])
+    step = max(1, _SWEEP_BLOCK_CELLS // t0.size)
+
+    def blocks():
+        """(r0, clocks of rounds r0, r0+1, ...) over rounds 0..n_max."""
+        yield 0, t0[None]
+        t = t0
+        if cfg.halt_on_detect:
+            last = 0
+            for last, t in enumerate(_run_halting(cfg, t0, eu, ev, models), 1):
+                yield last, t[None]
+            # every node has halted: the clocks stay as they are
+            for r0 in range(last + 1, cfg.n_max + 1, step):
+                count = min(step, cfg.n_max + 1 - r0)
+                yield r0, np.broadcast_to(t, (count,) + t.shape)
+            return
+        for r0 in range(0, cfg.n_max, step):
+            masks = _mask_block(models, topo, r0, min(r0 + step, cfg.n_max))
+            out = run_rounds(t, eu, ev, n, masks, dt, round0=r0)
+            t = out[-1]
+            yield r0 + 1, out[1:]
+
+    best = np.full(t0.shape, np.inf)
+    best_at = np.zeros(t0.shape, dtype=np.int64)
+    for r0, block in blocks():
+        r = np.arange(r0, r0 + len(block), dtype=np.float64)
+        e = dt * r[:, None, None] - block
+        best, best_at = _fold_min(best, best_at, np.abs(e, out=e), r0)
+    return best_at
 
 
 def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
-                  seeds: int = 5, workers: Optional[int] = None) -> SweepResult:
+                  seeds: int = 5) -> SweepResult:
     """Mean min-error instant versus network size over grid topologies.
 
-    Each size runs ``seeds`` seeds (template.seed, template.seed+1, ...); the
-    per-run metric is the node-average min-|e| instant. Returns the per-size
-    mean/min/max plus a least-squares line over (total nodes, mean instant)
-    with its R-squared, which is None when fewer than two sizes are swept.
-    Results are independent of ``workers``.
+    Each size runs ``seeds`` seeds (template.seed, template.seed+1, ...) as
+    one batched state; the per-run metric is the node-average min-|e|
+    instant. Returns the per-size mean/min/max plus a least-squares line
+    over (total nodes, mean instant) with its R-squared. The line is None
+    unless at least two distinct node counts are swept, and R-squared is
+    None when every mean instant is the same.
     """
     if seeds < 1:
         raise ConfigInvalid("seeds must be at least 1")
-    jobs = [(si, s) for si in range(len(sizes)) for s in range(seeds)]
-    values = {}
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_sweep_point, sizes[si], s, template): (si, s)
-                    for si, s in jobs}
-            for fut, key in futs.items():
-                values[key] = fut.result()
-    else:
-        for si, s in jobs:
-            values[(si, s)] = _sweep_point(sizes[si], s, template)
-
     points = []
-    for si, (rows, cols) in enumerate(sizes):
-        vals = [values[(si, s)] for s in range(seeds)]
+    for rows, cols in sizes:
+        topo = grid_topology(rows, cols, gateway="corner")
+        cfgs = [replace(template, topology=topo, seed=template.seed + s)
+                for s in range(seeds)]
+        vals = _min_error_instants(cfgs).mean(axis=1).tolist()
         points.append(SweepPoint(node_count=rows * cols,
                                  instant_mean=float(np.mean(vals)),
                                  instant_min=float(np.min(vals)),
                                  instant_max=float(np.max(vals))))
-    if len(points) < 2:
+    if len({p.node_count for p in points}) < 2:
         return SweepResult(points=tuple(points), slope=None, intercept=None,
                            r_squared=None)
     x = np.array([p.node_count for p in points], dtype=np.float64)

@@ -1,9 +1,20 @@
 """The NumPy hot kernels: round evolution and the seven-tap filter.
 
-Every run, detector and reference path calls these two functions, so their
-floating-point results define the simulator's output bytes. Keep the
-accumulation order (all low-side contributions in edge order, then all
-high-side ones) when editing run_rounds.
+Every run, sweep, detector and reference path calls these two functions, so
+their floating-point results define the simulator's output bytes.
+
+run_rounds evolves one network or a batch of S independent runs of it (one
+per seed) as one state with a leading seed axis. Each round sums neighbor
+values with one np.bincount over flattened ``seed * N + node`` bins and
+counts them with another. The contributions are laid out as all low-side
+ones (each available edge u < v adds v's value to u), seed-major in edge
+order, then all high-side ones (v gains u's value) in the same order. A bin
+belongs to one seed, so it accumulates in edge order, low side first, exactly
+as one np.add.at pass per side over a single run did: a batch of S runs is
+bit for bit S single runs. A link that is down still has its place in that
+order, adding +0.0 to the sum and weight 0 to the count: a running sum that
+starts at +0.0 is never -0.0, so adding +0.0 changes no bit, NaN and
+infinities included. Keep that order when editing run_rounds.
 """
 from __future__ import annotations
 
@@ -13,11 +24,13 @@ import numpy as np
 def run_rounds(times0, edges_u, edges_v, n_ordinary, masks, delta_t, round0=0):
     """Evolve node clocks over len(masks) synchronous rounds.
 
-    times0: float64[n_ordinary] initial clocks.
+    times0: float64[N] initial clocks, or float64[S, N] for S runs at once.
     edges_u/edges_v: int64 edge endpoints, u < v; v == n_ordinary is the gateway.
-    masks: bool[rounds, n_edges] per-round availability.
-    round0: absolute round number of times0, for resumed single-round calls.
-    Returns float64[rounds+1, n_ordinary] with row n the clocks at round n.
+    masks: bool[rounds, E] per-round availability, or bool[rounds, S, E] with
+        one row per run when times0 has a seed axis.
+    round0: absolute round number of times0, for resumed calls.
+    Returns float64[rounds+1, N] (or [rounds+1, S, N]) with row n the clocks
+    at round n.
 
     Per round, every node with at least one available neighbor averages those
     neighbors' current values (the gateway contributes delta_t * (round0 + n));
@@ -25,27 +38,42 @@ def run_rounds(times0, edges_u, edges_v, n_ordinary, masks, delta_t, round0=0):
     """
     times0 = np.asarray(times0, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
-    n = int(n_ordinary)
-    rounds = masks.shape[0]
-    out = np.empty((rounds + 1, n), dtype=np.float64)
+    if times0.ndim == 1:
+        return run_rounds(times0[None], edges_u, edges_v, n_ordinary,
+                          masks[:, None], delta_t, round0)[:, 0]
+    s_count, n = times0.shape
+    rounds, n_edges = masks.shape[0], len(edges_u)
+    cells = s_count * n
+    # Every (seed, edge) contribution, low side then high side: its bin, its
+    # entry in ``pick`` (where its link's mask bit sits) and its value's
+    # position in ``flat``. ``flat`` holds the +0.0 a down link adds, then
+    # each seed's clocks followed by the gateway's.
+    high = np.flatnonzero(edges_v < n)
+    seed = np.arange(s_count)[:, None]
+    bins = np.concatenate([(seed * n + edges_u).ravel(),
+                           (seed * n + edges_v[high]).ravel()])
+    src = 1 + np.concatenate([(seed * (n + 1) + edges_v).ravel(),
+                              (seed * (n + 1) + edges_u[high]).ravel()])
+    pick = np.concatenate([np.arange(s_count * n_edges),
+                           (seed * n_edges + high).ravel()])
+    flat = np.zeros(1 + s_count * (n + 1))
+    text = flat[1:].reshape(s_count, n + 1)
+    t = text[:, :n]
+    t[:] = times0
+    up = np.empty(len(bins), dtype=bool)
+    at = np.empty(len(bins), dtype=np.int64)
+    vals = np.empty(len(bins))
+    out = np.empty((rounds + 1, s_count, n), dtype=np.float64)
     out[0] = times0
-    t = times0.copy()
-    text = np.empty(n + 1, dtype=np.float64)
     for rnd in range(rounds):
-        av = masks[rnd]
-        au = edges_u[av]
-        avv = edges_v[av]
-        text[:n] = t
-        text[n] = delta_t * (round0 + rnd)
-        sums = np.zeros(n, dtype=np.float64)
-        counts = np.zeros(n, dtype=np.int64)
-        np.add.at(sums, au, text[avv])
-        np.add.at(counts, au, 1)
-        w = avv < n
-        np.add.at(sums, avv[w], t[au[w]])
-        np.add.at(counts, avv[w], 1)
-        t = np.where(counts > 0, sums / np.maximum(counts, 1), t)
-        out[rnd + 1] = t
+        np.take(masks[rnd].ravel(), pick, out=up)
+        text[:, n] = delta_t * (round0 + rnd)
+        np.take(flat, np.multiply(src, up, out=at), out=vals)
+        sums = np.bincount(bins, weights=vals, minlength=cells)
+        counts = np.bincount(bins, weights=up, minlength=cells)
+        out[rnd + 1] = np.where(counts > 0, sums / np.maximum(counts, 1),
+                                t.ravel()).reshape(s_count, n)
+        t[:] = out[rnd + 1]
     return out
 
 

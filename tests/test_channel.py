@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopsync.channel import (ChannelModel, effective_matrices, sample_mask,
-                             sample_masks)
+from hopsync.channel import (ChannelModel, _mask_block, effective_matrices,
+                             sample_mask, sample_masks)
 from hopsync.model import (IsolatedNode, build_matrices, grid_topology,
                            line_topology, random_topology)
 
@@ -44,6 +44,18 @@ def test_masks_rows_match_single_queries():
     rows = sample_masks(model, GRID, 50)
     for rnd in (0, 1, 7, 49):
         assert np.array_equal(rows[rnd], sample_mask(model, GRID, rnd))
+
+
+def test_mask_block_rows_match_single_queries():
+    # one run per model, any start round, the p = 0 and p = 1 shortcuts too
+    models = [ChannelModel(p=p, seed=s)
+              for p, s in ((0.3, 9), (1.0, 2), (0.0, 5), (0.7, 9))]
+    block = _mask_block(models, GRID, 13, 40)
+    assert block.shape == (27, 4, 24)
+    for rnd in range(13, 40):
+        for j, model in enumerate(models):
+            assert np.array_equal(block[rnd - 13, j],
+                                  sample_mask(model, GRID, rnd))
 
 
 def test_mask_independent_of_horizon():

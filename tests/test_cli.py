@@ -192,6 +192,33 @@ def test_unknown_config_key_exit2(tmp_path, capsys):
     assert run_cli("simulate", "--config", str(cfg_file)) == 2
 
 
+def test_workers_removed_exit2(tmp_path, capsys):
+    # the sweep's thread pool is gone: a workers= line is an unknown key,
+    # --workers an unknown flag, and --dump-config no longer prints it
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sizes=2x2,3x3\nworkers=4\n")
+    assert run_cli("sweep", "--config", str(cfg_file)) == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--sizes", "2x2,3x3", "--workers", "4")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli("sweep", "--sizes", "2x2", "--dump-config") == 0
+    assert "workers" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sizes", ["2x2,2x2", "2x8,4x4"])
+def test_sweep_fit_undefined_for_one_node_count(tmp_path, capsys, sizes):
+    code = run_cli("sweep", "--sizes", sizes, "--rounds", "100", "--seeds",
+                   "2", "--out", str(tmp_path))
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == \
+        "fit: undefined (need at least two distinct node counts)\n"
+    assert captured.err == ""
+    assert len(read_csv(tmp_path / "sweep.csv")) == 3
+
+
 def test_topology_file_gateway_spellings(tmp_path, capsys):
     for body in ("N 2\nG gw\nE 0 gw\nE 0 1\n", "N 2\nG 2\nE 0 2\nE 0 1\n"):
         path = tmp_path / "t.topo"

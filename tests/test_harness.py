@@ -3,6 +3,8 @@ import hashlib
 import math
 import os
 import tempfile
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 from hopsync import harness
 from hopsync.detector import DetectionEvent, detect, node_filter_input
 from hopsync.dynamics import steady_state_error
-from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig,
-                             initial_clocks, run, run_error_recursion,
-                             scaling_sweep, summarize, write_summary_csv,
-                             write_sweep_csv, write_trace_csv)
+from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig, SweepPoint,
+                             SweepResult, initial_clocks, run,
+                             run_error_recursion, scaling_sweep, summarize,
+                             write_summary_csv, write_sweep_csv,
+                             write_trace_csv)
 from hopsync.model import (Topology, build_matrices, generate_topology,
                            grid_topology, line_topology)
 
@@ -205,12 +208,96 @@ def test_delta_t_doubling_keeps_instants():
                [e.target_round for e in small.events]
 
 
-def test_sweep_serial_matches_parallel():
-    template = SimConfig(topology=grid_topology(2, 2), n_max=300, seed=0)
-    sizes = [(2, 2), (3, 3), (4, 4)]
-    serial = scaling_sweep(sizes, template, seeds=3, workers=None)
-    parallel = scaling_sweep(sizes, template, seeds=3, workers=4)
-    assert serial == parallel
+def _oracle_sweep(sizes, template, seeds):
+    """The original sweep: one full run() per (size, seed), then each run's
+    node-average argmin of |e|; the line needs two distinct node counts."""
+    points = []
+    for rows, cols in sizes:
+        topo = grid_topology(rows, cols, gateway="corner")
+        vals = []
+        for s in range(seeds):
+            trace = run(replace(template, topology=topo,
+                                seed=template.seed + s))
+            vals.append(float(
+                np.argmin(np.abs(trace.errors), axis=0).mean()))
+        points.append(SweepPoint(node_count=rows * cols,
+                                 instant_mean=float(np.mean(vals)),
+                                 instant_min=float(np.min(vals)),
+                                 instant_max=float(np.max(vals))))
+    if len({p.node_count for p in points}) < 2:
+        return SweepResult(tuple(points), None, None, None)
+    x = np.array([p.node_count for p in points], dtype=np.float64)
+    y = np.array([p.instant_mean for p in points])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r2 = None if ss_tot == 0.0 else 1.0 - float((resid ** 2).sum()) / ss_tot
+    return SweepResult(tuple(points), float(slope), float(intercept), r2)
+
+
+SWEEP_TEMPLATES = {
+    "lossy": dict(n_max=300, p=0.5, seed=3),
+    "lossless": dict(n_max=300, p=1.0, seed=0, init_min=1.15, init_max=1.25),
+    "halt": dict(n_max=400, p=0.7, seed=1, halt_on_detect=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TEMPLATES))
+def test_sweep_matches_per_seed_oracle(name):
+    # all seeds of a size evolved as one batched state give the numbers
+    # of one full run() per seed
+    template = SimConfig(topology=grid_topology(2, 2),
+                         **SWEEP_TEMPLATES[name])
+    sizes = [(2, 2), (3, 3), (2, 4), (1, 5)]
+    assert scaling_sweep(sizes, template, seeds=3) == \
+        _oracle_sweep(sizes, template, 3)
+
+
+# SHA-256 of sweep.csv as written by the per-seed sweep (one run() per seed),
+# before the seeds of a size were evolved as one state.
+SWEEP_RUNS = {
+    "lossy": ([(2, 2), (3, 3), (2, 4), (4, 4)], 4,
+              "4e00dfd34fc7b2e8dadb17a6d7b587c1fad271388460c55130bf5c73eb00df0f"),
+    "halt": ([(2, 2), (3, 3), (4, 4)], 3,
+             "e8c717c052b93940ca9080d7c8daad3bbbb8a53f04b2b168b64808abaada8500"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
+def test_sweep_csv_golden_hashes(tmp_path, name):
+    sizes, seeds, digest = SWEEP_RUNS[name]
+    template = SimConfig(topology=grid_topology(2, 2),
+                         **SWEEP_TEMPLATES[name])
+    write_sweep_csv(scaling_sweep(sizes, template, seeds=seeds),
+                    tmp_path / "sweep.csv")
+    data = (tmp_path / "sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["lossy", "halt"])
+def test_sweep_independent_of_block_size(monkeypatch, name):
+    # one round per block against one block for the whole run
+    template = SimConfig(topology=grid_topology(2, 2),
+                         **SWEEP_TEMPLATES[name])
+    sizes = [(2, 2), (3, 3)]
+    results = []
+    for cells in (1, 10**9):
+        monkeypatch.setattr(harness, "_SWEEP_BLOCK_CELLS", cells)
+        results.append(scaling_sweep(sizes, template, seeds=3))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("sizes", [[(2, 2), (2, 2)], [(2, 8), (4, 4)]])
+def test_sweep_fit_undefined_without_two_node_counts(sizes):
+    # one node count gives no line: no slope, intercept or R^2, and no
+    # warning from a degenerate least-squares fit
+    template = SimConfig(topology=grid_topology(2, 2), n_max=100, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = scaling_sweep(sizes, template, seeds=2)
+    assert (result.slope, result.intercept, result.r_squared) == \
+        (None, None, None)
+    assert len(result.points) == len(sizes)
 
 
 def test_sweep_single_size_r2_undefined():

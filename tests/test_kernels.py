@@ -1,9 +1,12 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopsync import kernels
 from hopsync.channel import ChannelModel, sample_masks
 from hopsync.dynamics import ClockState, step
-from hopsync.model import build_matrices, grid_topology
+from hopsync.model import (Topology, build_matrices, grid_topology,
+                           random_topology)
 
 
 def _setup(p=0.7, rounds=120, seed=11):
@@ -79,3 +82,65 @@ def test_filter_block_matches_columns():
         for i in range(13):
             assert np.array_equal(block[:, i],
                                   kernels.filter_series(x[:, i].copy(), cf))
+
+
+def _oracle_run_rounds(times0, edges_u, edges_v, n, masks, delta_t, round0=0):
+    """The original single-run kernel: np.add.at per side, low side first."""
+    out = np.empty((masks.shape[0] + 1, n))
+    out[0] = times0
+    t = np.array(times0, dtype=np.float64)
+    text = np.empty(n + 1)
+    for rnd in range(masks.shape[0]):
+        au, avv = edges_u[masks[rnd]], edges_v[masks[rnd]]
+        text[:n] = t
+        text[n] = delta_t * (round0 + rnd)
+        sums = np.zeros(n)
+        counts = np.zeros(n, dtype=np.int64)
+        np.add.at(sums, au, text[avv])
+        np.add.at(counts, au, 1)
+        w = avv < n
+        np.add.at(sums, avv[w], t[au[w]])
+        np.add.at(counts, avv[w], 1)
+        t = np.where(counts > 0, sums / np.maximum(counts, 1), t)
+        out[rnd + 1] = t
+    return out
+
+
+def _star(k):
+    # every ordinary node's only link is to the gateway
+    return Topology(node_count=k, gateway_id=k,
+                    edges=tuple((i, k) for i in range(k)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 25), prob=st.floats(0.0, 1.0),
+       star=st.booleans(), seed=st.integers(0, 2**32),
+       runs=st.integers(1, 5), rounds=st.integers(0, 30),
+       link_p=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+       round0=st.integers(0, 10**6),
+       dt=st.sampled_from([1e-3, 1.0, 0.37, 2.0**-20]))
+@example(n=2, prob=1.0, star=False, seed=0, runs=5, rounds=3, link_p=0.0,
+         round0=0, dt=1.0)
+@example(n=9, prob=0.0, star=True, seed=1, runs=3, rounds=12, link_p=0.5,
+         round0=7, dt=1e-3)
+def test_batched_rounds_equal_single_runs(n, prob, star, seed, runs, rounds,
+                                          link_p, round0, dt):
+    # S runs with a leading seed axis are bit for bit S single runs of the
+    # old np.add.at kernel, whatever the topology, links and round offset;
+    # the (N,) / (rounds, E) call shape gives the same bits too
+    topo = _star(n - 1) if star else random_topology(n, prob, seed=seed)
+    eu, ev = topo.edge_arrays()
+    k = topo.node_count
+    rng = np.random.default_rng(seed)
+    t0 = rng.normal(scale=rng.choice([1e-3, 1.0, 1e6]), size=(runs, k))
+    t0[rng.random((runs, k)) < 0.1] = -0.0
+    masks = rng.random((rounds, runs, len(eu))) < link_p
+    got = kernels.run_rounds(t0, eu, ev, k, masks, dt, round0=round0)
+    assert got.shape == (rounds + 1, runs, k)
+    for j in range(runs):
+        want = _oracle_run_rounds(t0[j], eu, ev, k, masks[:, j], dt, round0)
+        assert got[:, j].tobytes() == want.tobytes()  # -0.0 included
+        single = kernels.run_rounds(t0[j], eu, ev, k, masks[:, j], dt,
+                                    round0=round0)
+        assert single.shape == (rounds + 1, k)
+        assert single.tobytes() == want.tobytes()
