@@ -11,6 +11,7 @@ under ``--require-connected``, 4 steady-state system not solvable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -187,6 +188,17 @@ def _print_summary(summaries) -> None:
         print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
 
 
+@contextlib.contextmanager
+def _writing(out: str):
+    """Create the output directory ``out``; an OSError there or in the
+    writes of the with-block is a usage error (exit 2), not a traceback."""
+    try:
+        os.makedirs(out, exist_ok=True)
+        yield
+    except OSError as err:
+        raise CliError(f"cannot write output in {out!r}: {err}")
+
+
 def _cmd_simulate(cfg: dict) -> int:
     topo = _build_topology(cfg)
     connected = has_spanning_path(topo)
@@ -199,9 +211,9 @@ def _cmd_simulate(cfg: dict) -> int:
         print("warning: topology is not connected; some nodes never hear "
               "the gateway", file=sys.stderr)
     summaries = summarize(trace)
-    os.makedirs(cfg["out"], exist_ok=True)
-    write_trace_csv(trace, os.path.join(cfg["out"], "trace.csv"))
-    write_summary_csv(summaries, os.path.join(cfg["out"], "summary.csv"))
+    with _writing(cfg["out"]):
+        write_trace_csv(trace, os.path.join(cfg["out"], "trace.csv"))
+        write_summary_csv(summaries, os.path.join(cfg["out"], "summary.csv"))
     _print_summary(summaries)
     return EXIT_OK
 
@@ -246,8 +258,8 @@ def _cmd_sweep(cfg: dict) -> int:
         result = scaling_sweep(sizes, template, seeds=cfg["seeds"])
     except ConfigInvalid as err:
         raise CliError(str(err))
-    os.makedirs(cfg["out"], exist_ok=True)
-    write_sweep_csv(result, os.path.join(cfg["out"], "sweep.csv"))
+    with _writing(cfg["out"]):
+        write_sweep_csv(result, os.path.join(cfg["out"], "sweep.csv"))
     if result.slope is None:
         print("fit: undefined (need at least two distinct node counts)")
     else:

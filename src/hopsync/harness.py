@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,9 +30,9 @@ _SUMMARY_HEADER = ["node", "min_error_instant", "min_error_value",
                    "ss_error_instant", "ss_error_value",
                    "detected_instant", "detected_error_value"]
 _SWEEP_HEADER = ["nodes", "instant_mean", "instant_min", "instant_max"]
-# trace.csv is formatted, and the filter and detector run, in blocks of whole
-# rounds holding about this many (round, node) cells (at least one round).
-# Larger blocks are no faster and cost peak RSS.
+# run() evolves, filters and detects, and trace.csv is formatted, in blocks of
+# whole rounds holding about this many (round, node) cells (at least one
+# round). Larger blocks are no faster and cost peak RSS.
 _TRACE_BLOCK_ROWS = 4096
 # scaling_sweep evolves all seeds of one size in blocks of whole rounds holding
 # about this many (round, seed, node) cells (at least one round), one
@@ -79,6 +80,18 @@ class SimConfig:
             raise ConfigInvalid("topology must have at least one ordinary node")
         if self.n_max < self.detector.k_guard + 7:
             raise ConfigInvalid("n_max must be at least k_guard + 7")
+        # Averaging keeps every clock in the convex hull of the initial
+        # clocks and the gateway's references delta_t*k, k < n_max, so
+        # |t| <= bound. A node's neighbour sum is then at most N*bound, |e|
+        # at most 2*bound and a filter term at most 2*(1 + c_f)*2*bound
+        # < 9*bound (c_f <= 1.05): none overflows while (N + 8)*bound does
+        # not.
+        bound = max(abs(self.init_min), abs(self.init_max),
+                    self.delta_t * self.n_max)
+        if not bound * (self.topology.node_count + 8) <= sys.float_info.max:
+            raise ConfigInvalid(
+                "delta_t * n_max and the initial clocks are too large: the "
+                "clock, error or filter arithmetic would overflow")
 
 
 @dataclass(frozen=True)
@@ -149,86 +162,82 @@ def run(cfg: SimConfig) -> RunTrace:
     """
     topo = cfg.topology
     n = topo.node_count
-    connected = has_spanning_path(topo)
-    eu, ev = topo.edge_arrays()
-    model = ChannelModel(p=cfg.p, seed=cfg.seed)
-    t0 = initial_clocks(cfg)
-    if cfg.halt_on_detect:
-        times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
-        times[0] = t0
-        last = 0
-        stream = _run_halting(cfg, t0[None], eu, ev, [model])
-        for last, t in enumerate(stream, 1):
-            times[last] = t[0]
-        times[last + 1:] = times[last]
-    else:
-        times = run_rounds(t0, eu, ev, n, sample_masks(model, topo, cfg.n_max),
-                           cfg.delta_t)
-
-    rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
-    errors = cfg.delta_t * rounds[:, None] - times
-    # The detector input |t - n*delta_t| is |errors|: the two differences are
-    # exact negatives. Filter and scan it a block of whole rounds at a time.
-    # A halted node's series is frozen after its decision round, so the
-    # offline scan finds the same first flip the halting loop acted on.
-    det = cfg.detector
+    times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
     filter_outputs = np.full((cfg.n_max + 1, n), np.nan)
     flips = np.full(n, -1)
-    sign = np.zeros(n, np.int8)
     step = max(1, _TRACE_BLOCK_ROWS // n)
-    for m0 in range(3, cfg.n_max - 2, step):
-        m1 = min(m0 + step, cfg.n_max - 2)
-        y = filter_series(np.abs(errors[m0 - 3:m1 + 3]), det.c_f)
-        filter_outputs[m0:m1] = y
-        found, sign = _first_flips(y, det.k_guard, m0, sign)
-        flips = np.where(flips < 0, found, flips)
+    for r0, clocks, m0, y, found in _rounds([cfg], step, detect=True):
+        times[r0:r0 + len(clocks)] = clocks[:, 0]
+        filter_outputs[m0:m0 + len(y)] = y[:, 0]
+        flips = np.where(flips < 0, found[0], flips)
+    rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
+    errors = cfg.delta_t * rounds[:, None] - times
     events = tuple(
         DetectionEvent(node_id=int(i), detect_round=int(m) + 3,
                        target_round=int(m), frozen_time=float(times[m + 3, i]))
         for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
-    return RunTrace(config=cfg, topology=topo, connected=connected, times=times,
+    return RunTrace(config=cfg, topology=topo,
+                    connected=has_spanning_path(topo), times=times,
                     errors=errors, filter_outputs=filter_outputs, events=events)
 
 
-def _run_halting(cfg: SimConfig, t0, eu, ev, models):
-    """Round-by-round loop where detected nodes leave the exchange.
+def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
+    """Evolve the runs ``cfgs``, alike but for the seed, as one (runs, N)
+    state over rounds 0..n_max, a block of whole rounds at a time.
 
-    Evolves one run per mask model in ``models`` at once from the (runs, N)
-    clocks ``t0`` and yields the clocks of rounds 1, 2, ... A node halts at
-    the round its detector fires (the last sample of the window holding the
-    flip): its links go silent and its clock freezes. Once every node of
-    every run has halted nothing changes again, so the generator stops and
-    the remaining rounds repeat the last clocks it yielded. Masks are drawn a
-    round at a time; the stream is keyed by (seed, round), so stopping early
-    changes no draw. Only the last seven rounds are kept, for the filter.
+    Yields (r0, clocks, m0, y, flips): the clocks of rounds r0, r0+1, ... as
+    a (rounds, runs, N) array, about ``step`` rounds a block. With
+    ``detect``, y holds the filter outputs of |e| at m = m0, m0+1, ... that
+    the block completes and flips each node's first polarity flip in y (-1
+    where none), as in detector._first_flips; without it the three are None.
+    The last six |e| rows and each column's polarity are carried between
+    blocks, so no output depends on ``step``. The detector input
+    |t - n*delta_t| is |e|: the two differences are exact negatives.
+
+    A halting run steps one round per block. A node halts at the round its
+    detector fires (the last sample of the window holding the flip): its
+    links go silent, so its clock holds. Once every node of every run has
+    halted nothing changes again: no more rounds are stepped and the frozen
+    clocks are yielded ``step`` rounds a block. Masks are keyed by (seed,
+    round), so stopping early changes no draw.
     """
-    topo = cfg.topology
-    n = topo.node_count
-    dt, det = cfg.delta_t, cfg.detector
-    halted = np.zeros(t0.shape, dtype=bool)
-    sign = np.zeros(t0.size, np.int8)
-    window = np.repeat(t0[None], 7, axis=0)
-    t = t0
-    to_gateway = ev >= n
-    ev_node = np.minimum(ev, n - 1)
-    for rnd in range(1, cfg.n_max + 1):
-        if halted.all():
+    cfg = cfgs[0]
+    topo, n_max, halting = cfg.topology, cfg.n_max, cfg.halt_on_detect
+    n, dt, det = topo.node_count, cfg.delta_t, cfg.detector
+    eu, ev = topo.edge_arrays()
+    to_gateway, ev_node = ev >= n, np.minimum(ev, n - 1)
+    models = [ChannelModel(p=c.p, seed=c.seed) for c in cfgs]
+    t = np.stack([initial_clocks(c) for c in cfgs])
+    halted = np.zeros(t.shape, dtype=bool)
+    tail = np.empty((0,) + t.shape)
+    sign = np.zeros(t.size, np.int8)
+    m0 = y = flips = None
+    r0, block = 0, t[None]
+    while True:
+        if detect:
+            r = np.arange(r0, r0 + len(block), dtype=np.float64)
+            x = np.concatenate([tail, np.abs(dt * r[:, None, None] - block)])
+            m0 = r0 - len(tail) + 3
+            y = filter_series(x, det.c_f)
+            flips, sign = _first_flips(y.reshape(len(y), t.size), det.k_guard,
+                                       m0, sign)
+            flips = flips.reshape(t.shape)
+            tail = x[-6:]
+            if halting:
+                halted |= flips >= 0
+        yield r0, block, m0, y, flips
+        r0 += len(block)
+        if r0 > n_max:
             return
-        # silence every edge touching a halted node, then advance one round
-        row = _mask_block(models, topo, rnd - 1, rnd)
-        row &= ~halted[:, eu] & (to_gateway | ~halted[:, ev_node])
-        stepped = run_rounds(t, eu, ev, n, row, dt, round0=rnd - 1)
-        t = np.where(halted, t, stepped[1])
-        yield t
-        window[:-1] = window[1:]
-        window[-1] = t
-        if rnd >= 6:
-            # the filter output at m = rnd - 3 from the window rnd-6..rnd
-            r = np.arange(rnd - 6, rnd + 1, dtype=np.float64)
-            y = filter_series(np.abs(dt * r[:, None, None] - window), det.c_f)
-            found, sign = _first_flips(y.reshape(1, -1), det.k_guard,
-                                       rnd - 3, sign)
-            halted |= found.reshape(halted.shape) >= 0
+        if halted.all():
+            block = np.broadcast_to(t, (min(step, n_max + 1 - r0),) + t.shape)
+            continue
+        masks = _mask_block(models, topo, r0 - 1,
+                            r0 if halting else min(r0 - 1 + step, n_max))
+        if halted.any():  # silence every edge touching a halted node
+            masks &= ~halted[:, eu] & (to_gateway | ~halted[:, ev_node])
+        block = run_rounds(t, eu, ev, n, masks, dt, round0=r0 - 1)[1:]
+        t = block[-1]
 
 
 def run_error_recursion(cfg: SimConfig) -> np.ndarray:
@@ -299,43 +308,19 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
 def _min_error_instants(cfgs: Sequence[SimConfig]) -> np.ndarray:
     """Each node's min-|e| round in each run, as a (runs, N) int array.
 
-    The runs share everything but the seed and evolve as one (runs, N)
-    state, a block of whole rounds per run_rounds call (one round when
-    halting); each block's |e| folds into the running per-(run, node)
-    minimum, so no RunTrace is built and no detector runs unless nodes halt.
+    The runs evolve as one state through _rounds, about _SWEEP_BLOCK_CELLS
+    (round, run, node) cells a block; each block's |e| folds into the
+    running per-(run, node) minimum, so no RunTrace is built and no detector
+    runs unless nodes halt.
     """
     cfg = cfgs[0]
-    topo = cfg.topology
-    n, dt = topo.node_count, cfg.delta_t
-    eu, ev = topo.edge_arrays()
-    models = [ChannelModel(p=c.p, seed=c.seed) for c in cfgs]
-    t0 = np.stack([initial_clocks(c) for c in cfgs])
-    step = max(1, _SWEEP_BLOCK_CELLS // t0.size)
-
-    def blocks():
-        """(r0, clocks of rounds r0, r0+1, ...) over rounds 0..n_max."""
-        yield 0, t0[None]
-        t = t0
-        if cfg.halt_on_detect:
-            last = 0
-            for last, t in enumerate(_run_halting(cfg, t0, eu, ev, models), 1):
-                yield last, t[None]
-            # every node has halted: the clocks stay as they are
-            for r0 in range(last + 1, cfg.n_max + 1, step):
-                count = min(step, cfg.n_max + 1 - r0)
-                yield r0, np.broadcast_to(t, (count,) + t.shape)
-            return
-        for r0 in range(0, cfg.n_max, step):
-            masks = _mask_block(models, topo, r0, min(r0 + step, cfg.n_max))
-            out = run_rounds(t, eu, ev, n, masks, dt, round0=r0)
-            t = out[-1]
-            yield r0 + 1, out[1:]
-
-    best = np.full(t0.shape, np.inf)
-    best_at = np.zeros(t0.shape, dtype=np.int64)
-    for r0, block in blocks():
+    shape = (len(cfgs), cfg.topology.node_count)
+    best = np.full(shape, np.inf)
+    best_at = np.zeros(shape, dtype=np.int64)
+    step = max(1, _SWEEP_BLOCK_CELLS // best.size)
+    for r0, block, *_ in _rounds(cfgs, step, detect=cfg.halt_on_detect):
         r = np.arange(r0, r0 + len(block), dtype=np.float64)
-        e = dt * r[:, None, None] - block
+        e = cfg.delta_t * r[:, None, None] - block
         best, best_at = _fold_min(best, best_at, np.abs(e, out=e), r0)
     return best_at
 

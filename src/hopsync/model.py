@@ -308,14 +308,18 @@ def load_topology(path) -> Topology:
                 continue
             parts = line.split()
             tag = parts[0].upper()
+            fields = {"N": 1, "G": 1, "E": 2}.get(tag)  # after the tag
+            if fields is None:
+                raise ValueError(f"{path}:{ln}: unknown record {parts[0]!r}")
+            if len(parts) <= fields:
+                raise ValueError(f"{path}:{ln}: {tag} record needs {fields} "
+                                 f"field{'s' if fields > 1 else ''}")
             if tag == "N":
                 n = int(parts[1])
             elif tag == "G":
                 gw_spelled = parts[1]
-            elif tag == "E":
-                raw.append((parts[1], parts[2]))
             else:
-                raise ValueError(f"{path}:{ln}: unknown record {parts[0]!r}")
+                raw.append((parts[1], parts[2]))
     if n is None:
         raise ValueError(f"{path}: missing N record")
     if gw_spelled is None:

@@ -76,18 +76,21 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def test_steady_state_large_grid_bounded_memory():
-    # a dense (I - a) for 39,999 nodes would need 11.9 GiB; the sparse solve
-    # fits in 3 GB of address space
+def _cli_process(*argv, **kwargs):
+    """Run ``python -m hopsync.cli *argv`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopsync.__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopsync.cli", "steady-state",
-         "--topology", "grid:200x200"],
-        capture_output=True, text=True, env=env,
-        preexec_fn=_limit_address_space, timeout=300)
+    return subprocess.run([sys.executable, "-m", "hopsync.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def test_steady_state_large_grid_bounded_memory():
+    # a dense (I - a) for 39,999 nodes would need 11.9 GiB; the sparse solve
+    # fits in 3 GB of address space
+    proc = _cli_process("steady-state", "--topology", "grid:200x200",
+                        preexec_fn=_limit_address_space, timeout=300)
     assert proc.returncode == 0, proc.stderr
     values = [float(v) for v in proc.stdout.strip().split(", ")]
     assert len(values) == 39_999
@@ -116,6 +119,63 @@ def test_disconnected_without_flag_warns_but_runs(tmp_path, capsys):
 def test_bad_topology_exit2(capsys):
     assert run_cli("steady-state", "--topology", "blob:9") == 2
     assert run_cli("simulate", "--topology", "grid:4") == 2
+
+
+@pytest.mark.parametrize("record", ["E 0", "N", "G"])
+@pytest.mark.parametrize("command", ["simulate", "steady-state"])
+def test_truncated_topology_record_exit2(tmp_path, capsys, command, record):
+    body = {"E 0": "N 2\nG gw\nE 0 1\nE 0\n", "N": "N\nG gw\nE 0 1\n",
+            "G": "N 2\nG\nE 0 1\n"}[record]
+    path = tmp_path / "t.topo"
+    path.write_text(body)
+    line = body.splitlines().index(record) + 1
+    assert run_cli(command, "--topology", f"file:{path}",
+                   "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert f"{path}:{line}:" in captured.err and captured.out == ""
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (("simulate", "--topology", "grid:2x2", "--rounds", "50"), "trace.csv"),
+    (("sweep", "--sizes", "2x2,3x3", "--rounds", "50"), "sweep.csv"),
+])
+def test_out_naming_a_file_exit2(tmp_path, argv, output):
+    # --out must be a directory; an existing file there is a usage error
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    proc = _cli_process(*argv, "--out", str(target), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output")
+    assert "Traceback" not in proc.stderr
+    assert target.read_text() == "keep\n"
+    assert not (tmp_path / output).exists()
+
+
+# grid:2x2 has N = 3 ordinary nodes, so SimConfig accepts a bound of
+# max(|init_min|, |init_max|, delta_t * n_max) up to DBL_MAX / (N + 8): at
+# 400 rounds that is delta_t <= 4.0857e304.
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--topology", "grid:2x2", "--delta-t", "1e306"),
+    ("simulate", "--topology", "grid:2x2", "--delta-t", "4.09e304"),
+    ("simulate", "--topology", "grid:2x2", "--init-min=-1.7e307"),
+    ("sweep", "--sizes", "2x2,3x3", "--delta-t", "4.08e304"),
+])
+def test_overflowing_config_exit2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--rounds", "400", "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err and captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_just_inside_overflow_bound_is_finite(tmp_path):
+    assert run_cli("simulate", "--topology", "grid:2x2", "--delta-t",
+                   "4.08e304", "--rounds", "400", "--out", str(tmp_path)) == 0
+    for row in read_csv(tmp_path / "summary.csv")[1:]:
+        assert all(math.isfinite(float(v)) for v in (row[2], row[4]))
+    cells = [r[2:5] for r in read_csv(tmp_path / "trace.csv")[1:]]
+    assert all(math.isfinite(float(v)) for row in cells for v in row if v)
+    assert sum(1 for row in cells if row[2]) == 3 * (401 - 6)
 
 
 def test_bad_config_values_exit2(capsys):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import os
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsync import harness
-from hopsync.detector import DetectionEvent, detect, node_filter_input
+from hopsync.detector import (DetectionEvent, detect, filter_response,
+                              node_filter_input)
 from hopsync.dynamics import steady_state_error
 from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig, SweepPoint,
                              SweepResult, initial_clocks, run,
@@ -20,7 +22,7 @@ from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig, SweepPoint,
                              write_summary_csv, write_sweep_csv,
                              write_trace_csv)
 from hopsync.model import (Topology, build_matrices, generate_topology,
-                           grid_topology, line_topology)
+                           grid_topology, line_topology, random_topology)
 
 GRID = grid_topology(4, 4)
 # a seeded clustered-start run whose metrics mirror the reference experiment:
@@ -52,6 +54,27 @@ def test_config_rejects_non_finite(field, value):
     kwargs = {"init_max": 1.0, field: value}
     with pytest.raises(ConfigInvalid):
         SimConfig(topology=GRID, **kwargs)
+
+
+def test_config_rejects_overflow():
+    # grid:2x2 has 3 ordinary nodes: max(|init_min|, |init_max|,
+    # delta_t * n_max) may reach DBL_MAX / 11 and no further
+    topo = grid_topology(2, 2)
+    limit = sys.float_info.max / 11
+    for kwargs in (dict(delta_t=1e306), dict(delta_t=limit / 400 * 1.001),
+                   dict(init_min=-limit * 1.001),
+                   dict(init_max=limit * 1.001, init_min=0.0)):
+        with pytest.raises(ConfigInvalid):
+            SimConfig(topology=topo, n_max=400, **kwargs)
+    tr = run(SimConfig(topology=topo, n_max=400, delta_t=limit / 400 * 0.999,
+                       p=0.5, halt_on_detect=True))
+    assert np.all(np.isfinite(tr.times)) and np.all(np.isfinite(tr.errors))
+    assert np.all(np.isfinite(tr.filter_outputs[3:-3]))
+    # the sweep re-checks every size: 3x3 has 8 ordinary nodes
+    template = SimConfig(topology=topo, n_max=400, delta_t=limit / 400 * 0.999)
+    assert scaling_sweep([(2, 2)], template, seeds=2).points
+    with pytest.raises(ConfigInvalid):
+        scaling_sweep([(2, 2), (3, 3)], template, seeds=2)
 
 
 def test_initial_clocks_seeded_range():
@@ -574,6 +597,43 @@ def test_run_independent_of_block_size(monkeypatch, halt, block_rows):
     assert got.events == want.events
     assert np.array_equal(got.filter_outputs, want.filter_outputs,
                           equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), prob=st.floats(0.2, 1.0),
+       p=st.floats(0.3, 1.0), halt=st.booleans(),
+       block_rows=st.integers(1, 200), n_max=st.integers(18, 160),
+       init=st.sampled_from([(0.0, 0.1), (0.43, 0.53)]),
+       seed=st.integers(0, 2**32))
+@example(n=10, prob=0.6, p=0.8, halt=True, block_rows=1, n_max=120,
+         init=(0.43, 0.53), seed=0)
+def test_stream_matches_per_column_detector(n, prob, p, halt, block_rows,
+                                            n_max, init, seed):
+    # whatever the block size, run()'s filter outputs are the filter of each
+    # node's own detector input, its events are per-column detect(), and a
+    # halted node's clock stays frozen from its decision round on
+    cfg = SimConfig(topology=random_topology(n, prob, seed=seed), p=p,
+                    n_max=n_max, seed=seed, init_min=init[0],
+                    init_max=init[1], halt_on_detect=halt)
+    saved = harness._TRACE_BLOCK_ROWS
+    harness._TRACE_BLOCK_ROWS = block_rows
+    try:
+        tr = run(cfg)
+    finally:
+        harness._TRACE_BLOCK_ROWS = saved
+    want_events = []
+    for i in range(tr.topology.node_count):
+        x = node_filter_input(tr.times[:, i], cfg.delta_t)
+        y = tr.filter_outputs[:, i]
+        assert y[3:-3].tobytes() == filter_response(x, cfg.detector).tobytes()
+        assert np.all(np.isnan(y[:3])) and np.all(np.isnan(y[-3:]))
+        event = detect(x, cfg.detector, node_id=i, clocks=tr.times[:, i])
+        if event is not None:
+            want_events.append(event)
+    assert list(tr.events) == want_events
+    if halt:
+        for e in tr.events:
+            assert np.all(tr.times[e.detect_round:, e.node_id] == e.frozen_time)
 
 
 def test_trace_csv_matches_oracle_across_blocks():

@@ -150,6 +150,19 @@ def test_file_unknown_record(tmp_path):
         load_topology(bad)
 
 
+@pytest.mark.parametrize("body, line", [
+    ("N 2\nG gw\nE 0 1\nE 0\n", 4),
+    ("# size first\nN\nG gw\nE 0 1\n", 2),
+    ("N 2\nG\nE 0 1\n", 2),
+])
+def test_file_truncated_record(tmp_path, body, line):
+    # a record missing a field names its file and line, not an IndexError
+    bad = tmp_path / "bad.topo"
+    bad.write_text(body)
+    with pytest.raises(ValueError, match=f"^{bad}:{line}: "):
+        load_topology(bad)
+
+
 def test_generate_topology_from_file(tmp_path):
     path = tmp_path / "ring.topo"
     save_topology(ring_topology(5), path)
