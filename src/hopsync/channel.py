@@ -39,14 +39,7 @@ def sample_mask(model: ChannelModel, topo: Topology, round: int) -> np.ndarray:
     serves both directions. Identical (seed, topology, round) always produce
     the identical mask.
     """
-    n_edges = len(topo.edges)
-    if model.p >= 1.0:
-        return np.ones(n_edges, dtype=bool)
-    if model.p <= 0.0:
-        return np.zeros(n_edges, dtype=bool)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(model.seed), _MASK_STREAM, int(round)]))
-    return rng.random(n_edges) < model.p
+    return _mask_block([model], topo, round, round + 1)[0, 0]
 
 
 def sample_masks(model: ChannelModel, topo: Topology, rounds: int) -> np.ndarray:
@@ -58,11 +51,14 @@ def _mask_block(models, topo: Topology, r0: int, r1: int) -> np.ndarray:
     """Masks of rounds r0..r1-1 for one run per model, as a
     (r1 - r0, runs, n_edges) bool array; row r - r0 holds sample_mask(model,
     topo, r) for each model in turn."""
-    out = np.empty((r1 - r0, len(models), len(topo.edges)), dtype=bool)
+    n_edges = len(topo.edges)
+    out = np.empty((r1 - r0, len(models), n_edges), dtype=bool)
     for j, model in enumerate(models):
         if 0.0 < model.p < 1.0:
             for r in range(r0, r1):
-                out[r - r0, j] = sample_mask(model, topo, r)
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [int(model.seed), _MASK_STREAM, r]))
+                out[r - r0, j] = rng.random(n_edges) < model.p
         else:
             out[:, j] = model.p >= 1.0
     return out

@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .detector import DetectorConfig
 from .dynamics import NotConvergent, steady_state_error
@@ -27,34 +27,6 @@ EXIT_CONFIG = 2
 EXIT_DISCONNECTED = 3
 EXIT_NOT_CONVERGENT = 4
 
-# Canonical key order for --dump-config; every behavior-affecting flag has a
-# row here so a dumped file round-trips to the same effective configuration.
-_KEYS = ["topology", "gateway", "delta-t", "rounds", "p", "seed", "init-min",
-         "init-max", "cf", "k-guard", "halt-on-detect", "require-connected",
-         "out", "sizes", "seeds"]
-
-_DEFAULTS = {
-    "topology": "grid:4x4",
-    "gateway": "corner",
-    "delta-t": 0.001,
-    "rounds": 500,
-    "p": 1.0,
-    "seed": 0,
-    "init-min": 0.0,
-    "init-max": None,       # resolved to 100 * delta-t
-    "cf": 1.002,
-    "k-guard": 11,
-    "halt-on-detect": False,
-    "require-connected": False,
-    "out": ".",
-    "sizes": None,          # sweep only; required there
-    "seeds": 5,
-}
-
-_BOOL_KEYS = {"halt-on-detect", "require-connected"}
-_INT_KEYS = {"rounds", "seed", "k-guard", "seeds"}
-_FLOAT_KEYS = {"delta-t", "p", "init-min", "init-max", "cf"}
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_CONFIG):
@@ -62,96 +34,109 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt_value(key, value) -> str:
-    if key in _BOOL_KEYS:
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _BOOL_KEYS:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+def _gateway(raw: str):
+    if raw == "corner":
         return raw
+    try:
+        return int(raw)
     except ValueError:
-        raise CliError(f"bad value for {key!r}: {raw!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected 'corner' or a node index, got {raw!r}") from None
+
+
+class _Option(NamedTuple):
+    key: str            # the flag without its dashes, and the config-file key
+    parse: Callable     # flag or config-file string -> value
+    default: object     # None: not set (init-max: 100 * delta-t)
+    metavar: Optional[str]
+    help: str
+    sweep_only: bool = False
+
+
+# One row per option, in --dump-config order. Every behavior-affecting flag
+# has a row, so a dumped file round-trips to the same effective configuration.
+_OPTIONS = (
+    _Option("topology", str, "grid:4x4", "SPEC",
+            "grid:RxC | line:N | ring:N | random:N:P | file:PATH"),
+    _Option("gateway", _gateway, "corner", "WHERE", "node index, or 'corner'"),
+    _Option("delta-t", float, 0.001, "SEC", "round period in seconds"),
+    _Option("rounds", int, 500, "N", "rounds to simulate"),
+    _Option("p", float, 1.0, "PROB", "per-edge availability probability"),
+    _Option("seed", int, 0, "U64", "master seed"),
+    _Option("init-min", float, 0.0, "SEC", "initial clock lower bound"),
+    _Option("init-max", float, None, "SEC",
+            "initial clock upper bound (default 100*delta-t)"),
+    _Option("cf", float, 1.002, "REAL", "detector comparison factor"),
+    _Option("k-guard", int, 11, "INT", "rounds before detections may fire"),
+    _Option("halt-on-detect", _bool, False, None,
+            "detected nodes stop exchanging and freeze"),
+    _Option("require-connected", _bool, False, None,
+            "refuse topologies without a gateway spanning path"),
+    _Option("out", str, ".", "DIR", "output directory for CSV files"),
+    _Option("sizes", str, None, "LIST",
+            "comma list of grid sizes, e.g. 2x2,3x3,4x4", sweep_only=True),
+    _Option("seeds", int, 5, "N", "seeds per size", sweep_only=True),
+)
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
     try:
-        fh = open(path)
-    except OSError as err:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read config file: {err}")
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, raw = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _KEYS:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, raw.strip())
+    parsers = {opt.key: opt.parse for opt in _OPTIONS}
+    values = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if not sep or key not in parsers:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = parsers[key](raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise CliError(f"bad value for {key!r}: {raw!r}")
     return values
 
 
 def _resolve(args) -> dict:
     """Layer defaults, config file, and explicit flags into one dict."""
-    cfg = dict(_DEFAULTS)
+    cfg = {opt.key: opt.default for opt in _OPTIONS}
     if args.config:
         cfg.update(_read_config_file(args.config))
-    flag_map = {
-        "topology": args.topology, "gateway": args.gateway,
-        "delta-t": args.delta_t, "rounds": args.rounds, "p": args.p,
-        "seed": args.seed, "init-min": args.init_min,
-        "init-max": args.init_max, "cf": args.cf, "k-guard": args.k_guard,
-        "halt-on-detect": args.halt_on_detect,
-        "require-connected": args.require_connected, "out": args.out,
-        "sizes": getattr(args, "sizes", None),
-        "seeds": getattr(args, "seeds", None),
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            cfg[key] = val
+    for opt in _OPTIONS:  # a flag not given, or not taken here, is None
+        if (value := getattr(args, opt.key, None)) is not None:
+            cfg[opt.key] = value
     if cfg["init-max"] is None:
         cfg["init-max"] = 100.0 * cfg["delta-t"]
     return cfg
 
+
 def _dump(cfg: dict) -> None:
-    for key in _KEYS:
-        if cfg[key] is None:
-            continue
-        print(f"{key}={_fmt_value(key, cfg[key])}")
-
-
-def _gateway_arg(cfg: dict):
-    g = cfg["gateway"]
-    if g == "corner":
-        return "corner"
-    try:
-        return int(g)
-    except (TypeError, ValueError):
-        raise CliError(f"bad --gateway value: {g!r}")
+    for opt in _OPTIONS:
+        value = cfg[opt.key]
+        if opt.parse is _bool:
+            value = "true" if value else "false"
+        if value is not None:
+            print(f"{opt.key}={value}")
 
 
 def _build_topology(cfg: dict):
     try:
-        return generate_topology(cfg["topology"], gateway=_gateway_arg(cfg),
+        return generate_topology(cfg["topology"], gateway=cfg["gateway"],
                                  seed=cfg["seed"])
-    except CliError:
-        raise
     except (ValueError, OSError) as err:
         raise CliError(f"bad topology {cfg['topology']!r}: {err}")
 
@@ -269,38 +254,18 @@ def _cmd_sweep(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="flat key=value config file; flags override it")
-    parser.add_argument("--topology", metavar="SPEC",
-                        help="grid:RxC | line:N | ring:N | random:N:P | file:PATH "
-                             "(default grid:4x4)")
-    parser.add_argument("--gateway", metavar="WHERE",
-                        help="node index, or 'corner' (default)")
-    parser.add_argument("--delta-t", type=float, metavar="SEC",
-                        help="round period in seconds (default 0.001)")
-    parser.add_argument("--rounds", type=int, metavar="N",
-                        help="rounds to simulate (default 500)")
-    parser.add_argument("--p", type=float, metavar="PROB",
-                        help="per-edge availability probability (default 1.0)")
-    parser.add_argument("--seed", type=int, metavar="U64",
-                        help="master seed (default 0)")
-    parser.add_argument("--init-min", type=float, metavar="SEC",
-                        help="initial clock lower bound (default 0)")
-    parser.add_argument("--init-max", type=float, metavar="SEC",
-                        help="initial clock upper bound (default 100*delta-t)")
-    parser.add_argument("--cf", type=float, metavar="REAL",
-                        help="detector comparison factor (default 1.002)")
-    parser.add_argument("--k-guard", type=int, metavar="INT",
-                        help="rounds before detections may fire (default 11)")
-    parser.add_argument("--halt-on-detect", action="store_const", const=True,
-                        help="detected nodes stop exchanging and freeze")
-    parser.add_argument("--require-connected", action="store_const", const=True,
-                        help="refuse topologies without a gateway spanning path")
-    parser.add_argument("--out", metavar="DIR",
-                        help="output directory for CSV files (default .)")
-    parser.add_argument("--dump-config", action="store_true",
-                        help="print the resolved configuration and exit")
+def _add_options(parser: argparse.ArgumentParser, sweep_only: bool) -> None:
+    for opt in _OPTIONS:
+        if opt.sweep_only != sweep_only:
+            continue
+        if opt.parse is _bool:
+            kind = dict(action="store_const", const=True)
+        else:
+            kind = dict(type=opt.parse, metavar=opt.metavar)
+        default = ("" if opt.default is None or opt.parse is _bool
+                   else f" (default {opt.default})")
+        parser.add_argument(f"--{opt.key}", dest=opt.key,
+                            help=opt.help + default, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,22 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hopsync",
         description="Round-based consensus clock synchronization simulator.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_sim = sub.add_parser("simulate",
-                           help="run one network and write trace/summary CSVs")
-    _add_common(p_sim)
-
-    p_sweep = sub.add_parser("sweep",
-                             help="scaling sweep over square grids")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--sizes", metavar="LIST",
-                         help="comma list of grid sizes, e.g. 2x2,3x3,4x4")
-    p_sweep.add_argument("--seeds", type=int, metavar="N",
-                         help="seeds per size (default 5)")
-
-    p_ss = sub.add_parser("steady-state",
-                          help="print the analytic per-node steady-state error")
-    _add_common(p_ss)
+    for name, help_ in [
+            ("simulate", "run one network and write trace/summary CSVs"),
+            ("sweep", "scaling sweep over square grids"),
+            ("steady-state", "print the analytic per-node steady-state error")]:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--config", metavar="PATH",
+                       help="flat key=value config file; flags override it")
+        _add_options(p, sweep_only=False)
+        p.add_argument("--dump-config", action="store_true",
+                       help="print the resolved configuration and exit")
+        if name == "sweep":
+            _add_options(p, sweep_only=True)
     return parser
 
 

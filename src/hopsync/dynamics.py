@@ -112,10 +112,10 @@ def steady_state_error(system: Union[Topology, SystemMatrices],
     chain of nonzero weights (for a topology: when has_spanning_path is
     false). When the rows of (a | b) sum to one, that is exactly when
     (I - a) is singular; an exactly zero pivot or a non-finite solution
-    raises it too. Raises ValueError when delta_t is not finite.
+    raises it too. Raises ValueError unless delta_t is positive and finite.
     """
-    if not math.isfinite(delta_t):
-        raise ValueError("delta_t must be finite")
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ValueError("delta_t must be positive and finite")
     # scipy is imported here, not at module level: it is most of the package's
     # import time and only this solve needs it
     from scipy.sparse import coo_matrix

@@ -249,12 +249,10 @@ def random_topology(n: int, edge_prob: float, seed: int, gateway="corner") -> To
         raise ValueError("edge_prob must be in [0, 1]")
     g = _resolve_gateway(gateway, n)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                edges.append((i, j))
-    return _canonicalize(n, g, edges)
+    # one draw per pair (i, j), i < j, in row-major order
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < edge_prob
+    return _canonicalize(n, g, zip(iu[keep].tolist(), ju[keep].tolist()))
 
 
 def generate_topology(kind: str, gateway="corner", seed: int = 0) -> Topology:
@@ -297,43 +295,58 @@ def load_topology(path) -> Topology:
     """Parse the plain-text topology format written by save_topology.
 
     The gateway id may be the literal ``gw`` or the reserved integer N.
+    Every malformed record raises a ValueError that starts ``path:line:``.
     """
     n = None
-    gw_spelled = None
-    raw = []
+    gw = None   # (line, spelling)
+    raw = []    # (line, end, end)
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            tag = parts[0].upper()
-            fields = {"N": 1, "G": 1, "E": 2}.get(tag)  # after the tag
-            if fields is None:
-                raise ValueError(f"{path}:{ln}: unknown record {parts[0]!r}")
-            if len(parts) <= fields:
-                raise ValueError(f"{path}:{ln}: {tag} record needs {fields} "
-                                 f"field{'s' if fields > 1 else ''}")
+            head, *parts = line.split()
+            tag = head.upper()
+            want = {"N": 1, "G": 1, "E": 2}.get(tag)  # fields after the tag
+            if want is None:
+                raise ValueError(f"{path}:{ln}: unknown record {head!r}")
+            if len(parts) != want:
+                raise ValueError(f"{path}:{ln}: {tag} record needs {want} "
+                                 f"field{'s' if want > 1 else ''}, got "
+                                 f"{len(parts)}")
             if tag == "N":
-                n = int(parts[1])
+                n = _int_field(path, ln, parts[0], "node count")
+                if n < 0:
+                    raise ValueError(f"{path}:{ln}: negative node count {n}")
             elif tag == "G":
-                gw_spelled = parts[1]
+                gw = (ln, parts[0])
             else:
-                raw.append((parts[1], parts[2]))
+                raw.append((ln, *parts))
     if n is None:
         raise ValueError(f"{path}: missing N record")
-    if gw_spelled is None:
+    if gw is None:
         raise ValueError(f"{path}: missing G record")
-    if gw_spelled != "gw" and int(gw_spelled) != n:
-        raise ValueError(f"{path}: gateway id must be 'gw' or the reserved index {n}")
+    if gw[1] != "gw" and _int_field(path, gw[0], gw[1], "gateway id") != n:
+        raise ValueError(f"{path}:{gw[0]}: gateway id must be 'gw' or the "
+                         f"reserved index {n}")
 
-    def resolve(tok: str) -> int:
-        if tok == "gw":
-            return n
-        v = int(tok)
-        if not (0 <= v <= n):
-            raise ValueError(f"{path}: node id {v} out of range")
-        return v
+    edges = set()
+    for ln, *ends in raw:
+        i, j = sorted(n if tok == "gw" else _int_field(path, ln, tok, "node id")
+                      for tok in ends)
+        if i < 0 or j > n:
+            raise ValueError(f"{path}:{ln}: node id out of range 0..{n}")
+        if i == j:
+            raise ValueError(f"{path}:{ln}: self-loop at node {i}")
+        if (i, j) in edges:
+            raise ValueError(f"{path}:{ln}: duplicate edge ({i},{j})")
+        edges.add((i, j))
+    return Topology(node_count=n, gateway_id=n, edges=tuple(edges))
 
-    edges = tuple((resolve(a), resolve(b)) for a, b in raw)
-    return Topology(node_count=n, gateway_id=n, edges=edges)
+
+def _int_field(path, ln: int, tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(
+            f"{path}:{ln}: {what} {tok!r} is not an integer") from None

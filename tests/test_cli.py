@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import hopsync
-from hopsync.cli import main
+from hopsync.cli import build_parser, main
 from hopsync.model import Topology, save_topology
 
 
@@ -198,10 +199,12 @@ def test_simulate_non_finite_exit2(tmp_path, capsys, argv):
 
 
 def test_steady_state_non_finite_exit2(capsys):
-    assert run_cli("steady-state", "--topology", "line:3",
-                   "--delta-t", "nan") == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "finite" in captured.err
+    # the same delta_t rule as simulate: positive and finite
+    for delta_t in ("nan", "0", "-1"):
+        assert run_cli("steady-state", "--topology", "line:3",
+                       "--delta-t", delta_t) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
 
 def test_sweep_smoke(tmp_path, capsys):
@@ -250,6 +253,109 @@ def test_unknown_config_key_exit2(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("velocity=9\n")
     assert run_cli("simulate", "--config", str(cfg_file)) == 2
+
+
+def test_config_file_not_utf8_exit2(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed=\xff\n")
+    assert run_cli("simulate", "--config", str(cfg_file)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read config file: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+_COMMON_FLAGS = ["-h", "--help", "--config", "--topology", "--gateway",
+                 "--delta-t", "--rounds", "--p", "--seed", "--init-min",
+                 "--init-max", "--cf", "--k-guard", "--halt-on-detect",
+                 "--require-connected", "--out", "--dump-config"]
+
+
+def test_cli_flags_pinned():
+    # every subcommand takes the common flags (perfbench appends --seed and
+    # --out to steady-state too); only sweep adds --sizes and --seeds
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [s for a in p._actions for s in a.option_strings]
+             for name, p in sub.choices.items()}
+    assert flags == {"simulate": _COMMON_FLAGS,
+                     "sweep": _COMMON_FLAGS + ["--sizes", "--seeds"],
+                     "steady-state": _COMMON_FLAGS}
+
+
+_DEFAULT_DUMP = """topology=grid:4x4
+gateway=corner
+delta-t=0.001
+rounds=500
+p=1.0
+seed=0
+init-min=0.0
+init-max=0.1
+cf=1.002
+k-guard=11
+halt-on-detect=false
+require-connected=false
+out=.
+seeds=5
+"""
+
+# a file that sets every key; the flags below override all but the
+# sweep-only keys, and turn on the two switches the file turns off
+_FILE_CONFIG = """topology=line:5
+gateway=1
+delta-t=0.5
+rounds=40
+p=0.25
+seed=3
+init-min=1
+init-max=2.0
+cf=1.5
+k-guard=7
+halt-on-detect=no
+require-connected=OFF
+out=from-file
+sizes=4x4
+seeds=2
+"""
+
+_FLAGS = ["--topology", "ring:7", "--gateway", "2", "--delta-t", "0.25",
+          "--rounds", "77", "--p", "0.5", "--seed", "12", "--init-min=-1.5",
+          "--init-max", "3", "--cf", "1.01", "--k-guard", "9",
+          "--halt-on-detect", "--require-connected", "--out", "results"]
+
+_FLAGS_DUMP = """topology=ring:7
+gateway=2
+delta-t=0.25
+rounds=77
+p=0.5
+seed=12
+init-min=-1.5
+init-max=3.0
+cf=1.01
+k-guard=9
+halt-on-detect=true
+require-connected=true
+out=results
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "steady-state"])
+def test_dump_config_every_option_round_trips(tmp_path, capsys, command):
+    assert run_cli(command, "--dump-config") == 0
+    assert capsys.readouterr().out == _DEFAULT_DUMP
+    base = tmp_path / "base.cfg"
+    base.write_text(_FILE_CONFIG)
+    flags, tail = _FLAGS, "sizes=4x4\nseeds=2\n"
+    if command == "sweep":
+        flags, tail = _FLAGS + ["--sizes", "2x2,3x3", "--seeds", "3"], \
+            "sizes=2x2,3x3\nseeds=3\n"
+    assert run_cli(command, "--config", str(base), *flags,
+                   "--dump-config") == 0
+    first = capsys.readouterr().out
+    assert first == _FLAGS_DUMP + tail
+    again = tmp_path / "again.cfg"
+    again.write_text(first)
+    assert run_cli(command, "--config", str(again), "--dump-config") == 0
+    assert capsys.readouterr().out == first
 
 
 def test_workers_removed_exit2(tmp_path, capsys):

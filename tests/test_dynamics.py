@@ -155,6 +155,13 @@ def test_steady_state_not_convergent_both_entry_points(system):
         steady_state_error(system, 1e-3)
 
 
+@pytest.mark.parametrize("delta_t", [0.0, -1.0, float("nan"), float("inf")])
+def test_steady_state_rejects_bad_delta_t(delta_t):
+    # SimConfig's rule: a non-positive period is as invalid as a NaN one
+    with pytest.raises(ValueError, match="^delta_t must be positive and finite$"):
+        steady_state_error(line_topology(3), delta_t)
+
+
 def test_steady_state_overflow_not_convergent():
     # a stochastic row that barely leaks to the gateway: x = dt / 2**-52
     # overflows, which must raise rather than print inf

@@ -70,6 +70,31 @@ def test_random_deterministic_for_seed():
     assert a.edges != c.edges
 
 
+def _random_topology_loop(n, edge_prob, seed):
+    """One rng.random() per pair (i, j), i < j, in row-major order."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                edges.append((i, j))
+    return edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40),
+       prob=st.sampled_from([0.0, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**40))
+def test_random_topology_matches_pairwise_loop(n, prob, seed):
+    # one vector draw over the upper triangle gives the per-pair loop's bits
+    edges = _random_topology_loop(n, prob, seed)
+    # relabel like the corner gateway: node 0 becomes the gateway, i -> i - 1
+    relabel = {0: n - 1, **{i: i - 1 for i in range(1, n)}}
+    expected = Topology(n - 1, n - 1,
+                        tuple((relabel[i], relabel[j]) for i, j in edges))
+    assert random_topology(n, prob, seed=seed) == expected
+
+
 def test_spanning_path_cases():
     assert has_spanning_path(line_topology(3))
     assert has_spanning_path(grid_topology(4, 4))
@@ -154,9 +179,21 @@ def test_file_unknown_record(tmp_path):
     ("N 2\nG gw\nE 0 1\nE 0\n", 4),
     ("# size first\nN\nG gw\nE 0 1\n", 2),
     ("N 2\nG\nE 0 1\n", 2),
+    ("N 2\nG gw\nE 0 1 7\n", 3),          # an extra field
+    ("N 2\nG gw\nE 0 1\nN 2 2\n", 4),
+    ("N x\nG gw\nE 0 1\n", 1),           # not an integer
+    ("N -1\nG gw\n", 1),
+    ("N 2\nG foo\nE 0 1\n", 2),
+    ("N 2\nG gw\nE 0 x\n", 3),
+    ("N 2\nG 5\nE 0 1\n", 2),            # a gateway index other than N
+    ("N 2\nG gw\nE 0 1\nE 1 0\n", 4),    # a duplicate edge
+    ("N 2\nG gw\nE 0 3\n", 3),           # a node id out of range
+    ("N 2\nG gw\nE 1 1\n", 3),           # a self-loop
+    ("G gw\nE 0 gw\nE 0 2\nN 1\n", 3),    # ids are checked against a later N
 ])
 def test_file_truncated_record(tmp_path, body, line):
-    # a record missing a field names its file and line, not an IndexError
+    # a record missing a field, or otherwise malformed, names its file and
+    # line, not an IndexError or a bare int() error
     bad = tmp_path / "bad.topo"
     bad.write_text(body)
     with pytest.raises(ValueError, match=f"^{bad}:{line}: "):
