@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import SystemMatrices, Topology, _averaging_entries
+from .model import SystemMatrices, Topology, _averaging_entries, _reaches_all
 
 
 class DimensionMismatch(ValueError):
@@ -112,14 +112,14 @@ def steady_state_error(system: Union[Topology, SystemMatrices],
     chain of nonzero weights (for a topology: when has_spanning_path is
     false). When the rows of (a | b) sum to one, that is exactly when
     (I - a) is singular; an exactly zero pivot or a non-finite solution
-    raises it too. Raises ValueError unless delta_t is positive and finite.
+    raises it too. Raises ValueError unless delta_t is positive and finite,
+    and for a network with no ordinary node.
     """
     if not (math.isfinite(delta_t) and delta_t > 0):
         raise ValueError("delta_t must be positive and finite")
     # scipy is imported here, not at module level: it is most of the package's
     # import time and only this solve needs it
     from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import breadth_first_order
     from scipy.sparse.linalg import splu
 
     if isinstance(system, Topology):
@@ -130,18 +130,14 @@ def steady_state_error(system: Union[Topology, SystemMatrices],
         n = system.n
         rows, cols = np.nonzero(system.a)
         vals, b = system.a[rows, cols], system.b
-    # node i hears node j when a[i][j] != 0 and the gateway (index n) when
-    # b[i] != 0; every node must hear the gateway through some chain. For a
-    # topology this is has_spanning_path.
-    heard = np.flatnonzero(b)
-    hears = coo_matrix((np.ones(len(rows) + heard.size),
-                        (np.concatenate([cols, np.full(heard.size, n)]),
-                         np.concatenate([rows, heard]))),
-                       shape=(n + 1, n + 1)).tocsr()
-    if breadth_first_order(hears, n, return_predecessors=False).size <= n:
-        raise NotConvergent("some node is unreachable from the gateway")
     if n == 0:
-        return SteadyStateResult(ess=np.zeros(0))
+        raise ValueError("the network has no ordinary node")
+    # node i hears node j if a[i][j] != 0, and the gateway (index n) if
+    # b[i] != 0; every node must hear the gateway through some chain
+    heard = np.flatnonzero(b)
+    if not _reaches_all(n, np.concatenate([cols, np.full(heard.size, n)]),
+                        np.concatenate([rows, heard])):
+        raise NotConvergent("some node is unreachable from the gateway")
     diag = np.arange(n)
     m = coo_matrix((np.concatenate([np.ones(n), -vals]),
                     (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),

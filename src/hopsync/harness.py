@@ -45,6 +45,16 @@ class ConfigInvalid(ValueError):
     """A SimConfig field is out of range or inconsistent."""
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int; ConfigInvalid unless it is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigInvalid(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything a run needs: topology, timing, channel, seed, detector.
@@ -74,7 +84,9 @@ class SimConfig:
             raise ConfigInvalid("init_min must not exceed init_max")
         if not (0.0 <= self.p <= 1.0):
             raise ConfigInvalid("p must be in [0, 1]")
-        if int(self.seed) != self.seed or self.seed < 0:
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        object.__setattr__(self, "n_max", _whole(self.n_max, "n_max"))
+        if self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
         if self.topology.node_count < 1:
             raise ConfigInvalid("topology must have at least one ordinary node")
@@ -336,6 +348,7 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
     unless at least two distinct node counts are swept, and R-squared is
     None when every mean instant is the same.
     """
+    seeds = _whole(seeds, "seeds")
     if seeds < 1:
         raise ConfigInvalid("seeds must be at least 1")
     points = []

@@ -6,9 +6,9 @@ files may spell the gateway as the literal ``gw`` or as that integer.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Tuple
 
 import numpy as np
 
@@ -43,41 +43,55 @@ class Topology:
             raise ValueError("node_count must be nonnegative")
         if self.gateway_id != self.node_count:
             raise ValueError("canonical form requires gateway_id == node_count")
-        canon = []
-        seen = set()
-        for e in self.edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            lo, hi = (i, j) if i < j else (j, i)
-            if not (0 <= lo and hi <= self.gateway_id):
-                raise ValueError(f"edge ({i},{j}) has an endpoint out of range")
-            if (lo, hi) in seen:
-                raise ValueError(f"duplicate edge ({lo},{hi})")
-            seen.add((lo, hi))
-            canon.append((lo, hi))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        e = _pairs(self.edges, self.gateway_id)
+        fault = _edge_fault(self.gateway_id, e[:, 0], e[:, 1])
+        if fault:
+            raise ValueError(fault[1])
+        e = np.sort(e, axis=1)[np.lexsort((e.max(axis=1), e.min(axis=1)))]
+        object.__setattr__(self, "edges", tuple(map(tuple, e.tolist())))
 
     @property
     def total_nodes(self) -> int:
         return self.node_count + 1
 
     def neighbors(self, i: int) -> list:
-        out = []
-        for u, v in self.edges:
-            if u == i:
-                out.append(v)
-            elif v == i:
-                out.append(u)
-        return out
+        eu, ev = self.edge_arrays()
+        return np.concatenate([eu[ev == i], ev[eu == i]]).tolist()
 
     def edge_arrays(self):
         """Edge endpoints as two int64 arrays (low side, high side)."""
-        if not self.edges:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        arr = np.asarray(self.edges, dtype=np.int64)
-        return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+        e = np.fromiter(chain.from_iterable(self.edges), np.int64,
+                        2 * len(self.edges))
+        return e[0::2].copy(), e[1::2].copy()
+
+
+def _pairs(edges, n: int) -> np.ndarray:
+    """``edges`` as (E, 2) int64; an id beyond int64 stays out of 0..n."""
+    try:
+        e = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        e = np.clip(np.asarray(edges, dtype=object), -1, n + 1)
+    return e.astype(np.int64, copy=False).reshape(len(edges), 2)
+
+
+def _edge_fault(n: int, u, v):
+    """The first edge (u[k], v[k]) out of range 0..n, a self-loop or a repeat
+    of an earlier edge (either orientation), as (k, reason); None if there is
+    none. An edge with several faults reports the first in that order."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    out, loop = (lo < 0) | (hi > n), lo == hi
+    order = np.lexsort((hi, lo))  # stable: equal edges keep their order
+    repeat = np.zeros(lo.size, dtype=bool)
+    repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    bad = np.flatnonzero(out | loop | repeat)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    if out[k]:
+        return k, f"node id out of range 0..{n}"
+    if loop[k]:
+        return k, f"self-loop at node {lo[k]}"
+    return k, f"duplicate edge ({lo[k]},{hi[k]})"
 
 
 @dataclass(frozen=True)
@@ -159,36 +173,31 @@ def _averaging_entries(topo: Topology, mask):
 
 def has_spanning_path(topo: Topology) -> bool:
     """True iff every ordinary node is reachable from the gateway."""
-    if topo.node_count == 0:
-        return True
-    adj = {i: [] for i in range(topo.total_nodes)}
-    for u, v in topo.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {topo.gateway_id}
-    queue = deque([topo.gateway_id])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == topo.total_nodes
+    eu, ev = topo.edge_arrays()
+    return _reaches_all(topo.gateway_id, np.concatenate([eu, ev]),
+                        np.concatenate([ev, eu]))
 
 
-def _canonicalize(total: int, gateway: int, raw_edges: Iterable[Tuple[int, int]]) -> Topology:
-    """Relabel a 0..total-1 node set with gateway at ``gateway`` into canonical form."""
-    if not (0 <= gateway < total):
-        raise InvalidPlacement(f"gateway index {gateway} out of range for {total} nodes")
-    remap = {}
-    nxt = 0
-    for i in range(total):
-        if i == gateway:
-            remap[i] = total - 1
-        else:
-            remap[i] = nxt
-            nxt += 1
-    edges = tuple((remap[u], remap[v]) for u, v in raw_edges)
+def _reaches_all(n: int, src, dst) -> bool:
+    """True iff node n reaches every node 0..n along links src[k] -> dst[k]."""
+    order = np.argsort(src)
+    ptr = np.searchsorted(src[order], np.arange(n + 2)).tolist()
+    out = dst[order].tolist()
+    seen = [False] * n + [True]
+    todo = [n]
+    while todo:
+        x = todo.pop()
+        for y in out[ptr[x]:ptr[x + 1]]:
+            if not seen[y]:
+                seen[y] = True
+                todo.append(y)
+    return all(seen)
+
+
+def _canonicalize(total: int, gateway: int, edges) -> Topology:
+    """Relabel (E, 2) edges over nodes 0..total-1 into canonical form: the
+    gateway becomes total-1 and the nodes after it move down by one."""
+    edges = np.where(edges == gateway, total - 1, edges - (edges > gateway))
     return Topology(node_count=total - 1, gateway_id=total - 1, edges=edges)
 
 
@@ -210,15 +219,11 @@ def grid_topology(rows: int, cols: int, gateway="corner") -> Topology:
         raise ValueError("grid dimensions must be >= 1")
     total = rows * cols
     g = _resolve_gateway(gateway, total)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1))
-            if r + 1 < rows:
-                edges.append((i, i + cols))
-    return _canonicalize(total, g, edges)
+    idx = np.arange(total).reshape(rows, cols)
+    # each cell's link to its right-hand and to its lower neighbour
+    right = np.stack([idx[:, :-1], idx[:, 1:]], axis=-1).reshape(-1, 2)
+    down = np.stack([idx[:-1], idx[1:]], axis=-1).reshape(-1, 2)
+    return _canonicalize(total, g, np.concatenate([right, down]))
 
 
 def line_topology(n: int, gateway="corner") -> Topology:
@@ -226,15 +231,14 @@ def line_topology(n: int, gateway="corner") -> Topology:
     if n < 2:
         raise ValueError("a line needs at least 2 total nodes")
     g = _resolve_gateway(gateway, n)
-    return _canonicalize(n, g, [(i, i + 1) for i in range(n - 1)])
+    return _canonicalize(n, g, np.arange(n - 1)[:, None] + [0, 1])
 
 
 def ring_topology(n: int, gateway="corner") -> Topology:
     if n < 3:
         raise ValueError("a ring needs at least 3 total nodes")
     g = _resolve_gateway(gateway, n)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return _canonicalize(n, g, edges)
+    return _canonicalize(n, g, (np.arange(n)[:, None] + [0, 1]) % n)
 
 
 def random_topology(n: int, edge_prob: float, seed: int, gateway="corner") -> Topology:
@@ -250,9 +254,9 @@ def random_topology(n: int, edge_prob: float, seed: int, gateway="corner") -> To
     g = _resolve_gateway(gateway, n)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
     # one draw per pair (i, j), i < j, in row-major order
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < edge_prob
-    return _canonicalize(n, g, zip(iu[keep].tolist(), ju[keep].tolist()))
+    pairs = np.transpose(np.triu_indices(n, 1))
+    keep = rng.random(len(pairs)) < edge_prob
+    return _canonicalize(n, g, pairs[keep])
 
 
 def generate_topology(kind: str, gateway="corner", seed: int = 0) -> Topology:
@@ -295,11 +299,13 @@ def load_topology(path) -> Topology:
     """Parse the plain-text topology format written by save_topology.
 
     The gateway id may be the literal ``gw`` or the reserved integer N.
-    Every malformed record raises a ValueError that starts ``path:line:``.
+    Every malformed record raises a ValueError that starts ``path:line:``,
+    at the first bad record or integer field, else at the first bad edge.
     """
     n = None
-    gw = None   # (line, spelling)
-    raw = []    # (line, end, end)
+    gw = None   # (line, id); id None for the literal gw
+    lines = []  # the line of each E record
+    ends = []   # its two ids; None for the literal gw
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -319,29 +325,26 @@ def load_topology(path) -> Topology:
                 if n < 0:
                     raise ValueError(f"{path}:{ln}: negative node count {n}")
             elif tag == "G":
-                gw = (ln, parts[0])
+                gw = (ln, None if parts[0] == "gw"
+                      else _int_field(path, ln, parts[0], "gateway id"))
             else:
-                raw.append((ln, *parts))
+                lines.append(ln)
+                ends.append([None if tok == "gw"
+                             else _int_field(path, ln, tok, "node id")
+                             for tok in parts])
     if n is None:
         raise ValueError(f"{path}: missing N record")
     if gw is None:
         raise ValueError(f"{path}: missing G record")
-    if gw[1] != "gw" and _int_field(path, gw[0], gw[1], "gateway id") != n:
+    if gw[1] not in (None, n):
         raise ValueError(f"{path}:{gw[0]}: gateway id must be 'gw' or the "
                          f"reserved index {n}")
-
-    edges = set()
-    for ln, *ends in raw:
-        i, j = sorted(n if tok == "gw" else _int_field(path, ln, tok, "node id")
-                      for tok in ends)
-        if i < 0 or j > n:
-            raise ValueError(f"{path}:{ln}: node id out of range 0..{n}")
-        if i == j:
-            raise ValueError(f"{path}:{ln}: self-loop at node {i}")
-        if (i, j) in edges:
-            raise ValueError(f"{path}:{ln}: duplicate edge ({i},{j})")
-        edges.add((i, j))
-    return Topology(node_count=n, gateway_id=n, edges=tuple(edges))
+    # the literal gw is the index n, known only once the N record is read
+    pairs = _pairs([[n if x is None else x for x in e] for e in ends], n)
+    fault = _edge_fault(n, pairs[:, 0], pairs[:, 1])
+    if fault:
+        raise ValueError(f"{path}:{lines[fault[0]]}: {fault[1]}")
+    return Topology(node_count=n, gateway_id=n, edges=pairs)
 
 
 def _int_field(path, ln: int, tok: str, what: str) -> int:

@@ -207,6 +207,13 @@ def test_steady_state_non_finite_exit2(capsys):
         assert captured.out == "" and "finite" in captured.err
 
 
+def test_steady_state_no_ordinary_node_exit2(capsys):
+    # grid:1x1 is the gateway alone; simulate and sweep reject it too
+    assert run_cli("steady-state", "--topology", "grid:1x1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no ordinary node" in captured.err
+
+
 def test_sweep_smoke(tmp_path, capsys):
     code = run_cli("sweep", "--sizes", "2x2,3x3,4x4", "--rounds", "300",
                    "--out", str(tmp_path))

@@ -162,6 +162,15 @@ def test_steady_state_rejects_bad_delta_t(delta_t):
         steady_state_error(line_topology(3), delta_t)
 
 
+@pytest.mark.parametrize("system", [
+    grid_topology(1, 1), SystemMatrices(np.zeros((0, 0)), np.zeros(0))],
+    ids=["topology", "matrices"])
+def test_steady_state_rejects_empty_network(system):
+    # no ordinary node has no steady state to report
+    with pytest.raises(ValueError, match="no ordinary node"):
+        steady_state_error(system, 1e-3)
+
+
 def test_steady_state_overflow_not_convergent():
     # a stochastic row that barely leaks to the gateway: x = dt / 2**-52
     # overflows, which must raise rather than print inf

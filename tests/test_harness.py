@@ -45,11 +45,28 @@ def test_config_defaults_and_validation():
         SimConfig(topology=GRID, init_min=0.2, init_max=0.1)
     with pytest.raises(ConfigInvalid):
         SimConfig(topology=GRID, seed=-1)
+    # round and seed counts must be whole numbers; integral floats are
+    # stored as int
+    for kwargs in (dict(n_max=100.5), dict(n_max="500"), dict(n_max=None),
+                   dict(seed=2.5)):
+        with pytest.raises(ConfigInvalid):
+            SimConfig(topology=GRID, **kwargs)
+    cfg = SimConfig(topology=GRID, n_max=100.0, seed=np.float64(3.0))
+    assert (type(cfg.n_max), type(cfg.seed)) == (int, int)
+    assert run(cfg).n_max == 100
+    template = SimConfig(topology=grid_topology(2, 2), n_max=100)
+    for seeds in (2.5, math.nan, "2"):
+        with pytest.raises(ConfigInvalid):
+            scaling_sweep([(2, 2)], template, seeds=seeds)
+    assert (scaling_sweep([(2, 2)], template, seeds=2.0)
+            == scaling_sweep([(2, 2)], template, seeds=2))
 
 
 @pytest.mark.parametrize("field, value", [
     ("delta_t", math.nan), ("delta_t", math.inf), ("init_min", math.nan),
-    ("init_min", -math.inf), ("init_max", math.nan), ("init_max", math.inf)])
+    ("init_min", -math.inf), ("init_max", math.nan), ("init_max", math.inf),
+    ("n_max", math.nan), ("n_max", math.inf), ("seed", math.nan),
+    ("seed", math.inf)])
 def test_config_rejects_non_finite(field, value):
     kwargs = {"init_max": 1.0, field: value}
     with pytest.raises(ConfigInvalid):

@@ -1,8 +1,12 @@
+import re
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hopsync.dynamics import NotConvergent, steady_state_error
 from hopsync.model import (InvalidPlacement, IsolatedNode, Topology,
                            build_matrices, generate_topology, grid_topology,
                            has_spanning_path, line_topology, load_topology,
@@ -190,6 +194,17 @@ def test_file_unknown_record(tmp_path):
     ("N 2\nG gw\nE 0 3\n", 3),           # a node id out of range
     ("N 2\nG gw\nE 1 1\n", 3),           # a self-loop
     ("G gw\nE 0 gw\nE 0 2\nN 1\n", 3),    # ids are checked against a later N
+    # an integer-field error is raised as the file is read, before any
+    # edge-set error, even one on an earlier line, and before a missing N
+    ("N 2\nG gw\nE 0 1\nE 1 0\nE 0 x\n", 5),
+    ("N 2\nG gw\nE 1 1\nN x\n", 4),
+    ("N 2\nE 0 5\nG foo\n", 3),
+    ("G gw\nE 0 x\n", 2),
+    # among edge-set errors, the first bad edge, whatever its fault
+    ("N 2\nG gw\nE 1 1\nE 0 9\n", 3),
+    ("N 2\nG gw\nE 0 9\nE 1 1\n", 3),
+    ("N 2\nG gw\nE 0 1\nE 1 0\nE 2 2\n", 4),
+    ("N 2\nG gw\nE 0 99999999999999999999\n", 3),  # beyond 64 bits
 ])
 def test_file_truncated_record(tmp_path, body, line):
     # a record missing a field, or otherwise malformed, names its file and
@@ -241,3 +256,166 @@ def test_row_sums_property(n, prob, seed):
         for j in range(topo.node_count):
             assert (mats.a[i, j] > 0) == (j in nbrs)
         assert (mats.b[i] > 0) == (topo.gateway_id in nbrs)
+
+
+# References for the graph layer: the per-edge loops the array code replaced.
+
+def _edge_loop(n, edges):
+    """Check and canonicalize edges one at a time. Returns (edges, None) or
+    (None, (position, reason)) for the first bad edge; an edge with several
+    faults reports its range first, then a self-loop, then a repeat."""
+    canon, seen = [], set()
+    for k, (i, j) in enumerate(edges):
+        lo, hi = min(i, j), max(i, j)
+        if lo < 0 or hi > n:
+            return None, (k, f"node id out of range 0..{n}")
+        if lo == hi:
+            return None, (k, f"self-loop at node {lo}")
+        if (lo, hi) in seen:
+            return None, (k, f"duplicate edge ({lo},{hi})")
+        seen.add((lo, hi))
+        canon.append((lo, hi))
+    return tuple(sorted(canon)), None
+
+
+def _dict_bfs(topo):
+    """True iff the gateway reaches every node, by a BFS over a dict."""
+    adj = {i: [] for i in range(topo.total_nodes)}
+    for u, v in topo.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {topo.gateway_id}
+    queue = deque([topo.gateway_id])
+    while queue:
+        for y in adj[queue.popleft()]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == topo.total_nodes
+
+
+def _relabel_loop(total, gateway, raw):
+    """Canonical (node_count, edges) of raw edges over 0..total-1: the
+    gateway becomes total-1 and the nodes after it move down by one."""
+    remap, nxt = {}, 0
+    for i in range(total):
+        if i == gateway:
+            remap[i] = total - 1
+        else:
+            remap[i] = nxt
+            nxt += 1
+    edges, fault = _edge_loop(total - 1,
+                              [(remap[u], remap[v]) for u, v in raw])
+    assert fault is None
+    return total - 1, edges
+
+
+def _grid_loop(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            if c + 1 < cols:
+                edges.append((i, i + 1))
+            if r + 1 < rows:
+                edges.append((i, i + cols))
+    return edges
+
+
+def _neighbors_loop(topo, i):
+    out = []
+    for u, v in topo.edges:
+        if u == i:
+            out.append(v)
+        elif v == i:
+            out.append(u)
+    return out
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(0, 6))
+    ids = (st.integers(0, n) | st.integers(-3, n + 3)
+           | st.sampled_from([2**63, -2**64, 10**30]))
+    return n, draw(st.lists(st.tuples(ids, ids), max_size=12))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_edge_lists())
+def test_edge_check_matches_loop(tmp_path, case):
+    # reversed pairs, self-loops, repeats and out-of-range ids, ids beyond
+    # 64 bits included: Topology and load_topology report the loop's first
+    # bad edge and reason, or keep its canonical edges
+    n, edges = case
+    want, fault = _edge_loop(n, edges)
+    path = tmp_path / "edges.topo"
+    path.write_text(f"N {n}\nG gw\n"
+                    + "".join(f"E {i} {j}\n" for i, j in edges))
+    if fault is None:
+        assert Topology(n, n, tuple(edges)).edges == want
+        assert load_topology(path) == Topology(n, n, want)
+    else:
+        k, reason = fault
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            Topology(n, n, tuple(edges))
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}:{k + 3}: {re.escape(reason)}$")):
+            load_topology(path)
+
+
+@st.composite
+def _topologies(draw):
+    n = draw(st.integers(0, 10))
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    edges = (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs
+             else [])
+    return Topology(n, n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(topo=_topologies())
+def test_spanning_path_matches_dict_bfs(topo):
+    # sparse draws are often disconnected; the steady-state solve shares
+    # the reachability rule
+    reached = _dict_bfs(topo)
+    assert has_spanning_path(topo) == reached
+    if topo.node_count:
+        if reached:
+            assert np.all(np.isfinite(steady_state_error(topo, 1.0).ess))
+        else:
+            with pytest.raises(NotConvergent):
+                steady_state_error(topo, 1.0)
+
+
+def _check_generated(topo, total, gateway, raw):
+    assert (topo.node_count, topo.edges) == _relabel_loop(total, gateway, raw)
+    assert topo.gateway_id == total - 1
+    for i in range(topo.total_nodes):
+        assert topo.neighbors(i) == _neighbors_loop(topo, i)
+
+
+def test_grid_line_ring_match_loops():
+    # every shape in range at every gateway
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for g in range(rows * cols):
+                _check_generated(grid_topology(rows, cols, g), rows * cols, g,
+                                 _grid_loop(rows, cols))
+    for n in range(2, 12):
+        for g in range(n):
+            _check_generated(line_topology(n, g), n, g,
+                             [(i, i + 1) for i in range(n - 1)])
+            if n >= 3:
+                _check_generated(ring_topology(n, g), n, g,
+                                 [(i, (i + 1) % n) for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 11),
+       prob=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**40))
+def test_random_topology_matches_loop_at_every_gateway(data, n, prob, seed):
+    g = data.draw(st.integers(0, n - 1))
+    _check_generated(random_topology(n, prob, seed, g), n, g,
+                     _random_topology_loop(n, prob, seed))
