@@ -28,8 +28,19 @@ class ChannelModel:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must be in [0, 1]")
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+
+
+def _whole(value, name: str, error=ValueError) -> int:
+    """``value`` as an int; ``error`` unless it is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer")
 
 
 def sample_mask(model: ChannelModel, topo: Topology, round: int) -> np.ndarray:

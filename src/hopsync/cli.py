@@ -186,13 +186,12 @@ def _writing(out: str):
 
 def _cmd_simulate(cfg: dict) -> int:
     topo = _build_topology(cfg)
-    connected = has_spanning_path(topo)
-    if cfg["require-connected"] and not connected:
+    if cfg["require-connected"] and not has_spanning_path(topo):
         print("topology has no spanning path from the gateway", file=sys.stderr)
         return EXIT_DISCONNECTED
     sim = _sim_config(cfg, topo)
     trace = run(sim)
-    if not connected:
+    if not trace.connected:
         print("warning: topology is not connected; some nodes never hear "
               "the gateway", file=sys.stderr)
     summaries = summarize(trace)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelModel, _mask_block, sample_masks
+from .channel import ChannelModel, _mask_block, _whole, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import filter_series, run_rounds
 from .model import Topology, effective_matrices, grid_topology, has_spanning_path
@@ -43,16 +43,6 @@ _SWEEP_BLOCK_CELLS = 1 << 18
 
 class ConfigInvalid(ValueError):
     """A SimConfig field is out of range or inconsistent."""
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int; ConfigInvalid unless it is a whole number."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigInvalid(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -84,8 +74,9 @@ class SimConfig:
             raise ConfigInvalid("init_min must not exceed init_max")
         if not (0.0 <= self.p <= 1.0):
             raise ConfigInvalid("p must be in [0, 1]")
-        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
-        object.__setattr__(self, "n_max", _whole(self.n_max, "n_max"))
+        for name in ("seed", "n_max"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name,
+                                                  ConfigInvalid))
         if self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
         if self.topology.node_count < 1:
@@ -174,6 +165,7 @@ def run(cfg: SimConfig) -> RunTrace:
     """
     topo = cfg.topology
     n = topo.node_count
+    connected = has_spanning_path(topo)
     times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
     filter_outputs = np.full((cfg.n_max + 1, n), np.nan)
     flips = np.full(n, -1)
@@ -189,7 +181,7 @@ def run(cfg: SimConfig) -> RunTrace:
                        target_round=int(m), frozen_time=float(times[m + 3, i]))
         for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
     return RunTrace(config=cfg, topology=topo,
-                    connected=has_spanning_path(topo), times=times,
+                    connected=connected, times=times,
                     errors=errors, filter_outputs=filter_outputs, events=events)
 
 
@@ -348,7 +340,7 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
     unless at least two distinct node counts are swept, and R-squared is
     None when every mean instant is the same.
     """
-    seeds = _whole(seeds, "seeds")
+    seeds = _whole(seeds, "seeds", ConfigInvalid)
     if seeds < 1:
         raise ConfigInvalid("seeds must be at least 1")
     points = []

@@ -174,24 +174,29 @@ def _averaging_entries(topo: Topology, mask):
 def has_spanning_path(topo: Topology) -> bool:
     """True iff every ordinary node is reachable from the gateway."""
     eu, ev = topo.edge_arrays()
-    return _reaches_all(topo.gateway_id, np.concatenate([eu, ev]),
-                        np.concatenate([ev, eu]))
+    return bool(_hop_levels(topo.gateway_id, np.concatenate([eu, ev]),
+                            np.concatenate([ev, eu])).min() >= 0)
 
 
-def _reaches_all(n: int, src, dst) -> bool:
-    """True iff node n reaches every node 0..n along links src[k] -> dst[k]."""
+def _hop_levels(n: int, src, dst) -> np.ndarray:
+    """Breadth-first hop count from node n to each node 0..n along links
+    src[k] -> dst[k]: node n is level 0, and an unreachable node is -1."""
     order = np.argsort(src)
     ptr = np.searchsorted(src[order], np.arange(n + 2)).tolist()
     out = dst[order].tolist()
-    seen = [False] * n + [True]
-    todo = [n]
-    while todo:
-        x = todo.pop()
-        for y in out[ptr[x]:ptr[x + 1]]:
-            if not seen[y]:
-                seen[y] = True
-                todo.append(y)
-    return all(seen)
+    level = [-1] * n + [0]
+    frontier = [n]
+    hops = 0
+    while frontier:
+        hops += 1
+        reached = []
+        for x in frontier:
+            for y in out[ptr[x]:ptr[x + 1]]:
+                if level[y] < 0:
+                    level[y] = hops
+                    reached.append(y)
+        frontier = reached
+    return np.array(level)
 
 
 def _canonicalize(total: int, gateway: int, edges) -> Topology:

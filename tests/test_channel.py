@@ -95,6 +95,22 @@ def test_model_validation():
         ChannelModel(p=0.5, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, float("nan"), float("inf"), "3", None])
+def test_model_rejects_non_integral_seed(seed):
+    # SimConfig's rule: a seed must be a whole number, not silently truncated
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ChannelModel(p=0.5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.0, np.uint64(3), np.int32(2**31 - 1), True])
+def test_model_integral_seed_draws_like_int(seed):
+    model = ChannelModel(p=0.5, seed=seed)
+    assert type(model.seed) is int and model.seed == seed
+    assert np.array_equal(sample_masks(model, GRID, 5),
+                          sample_masks(ChannelModel(p=0.5, seed=int(seed)),
+                                       GRID, 5))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), rnd=st.integers(0, 1000),
        p=st.floats(0.05, 0.95))

@@ -11,7 +11,7 @@ import pytest
 
 import hopsync
 from hopsync.cli import build_parser, main
-from hopsync.model import Topology, save_topology
+from hopsync.model import Topology, has_spanning_path, save_topology
 
 
 def run_cli(*argv):
@@ -77,13 +77,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _cli_process(*argv, **kwargs):
-    """Run ``python -m hopsync.cli *argv`` in a fresh interpreter."""
+def _cli_process(*argv, code=None, **kwargs):
+    """Run ``python -m hopsync.cli *argv``, or ``python -c code``, in a fresh
+    interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopsync.__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "hopsync.cli", *argv],
+    command = ["-m", "hopsync.cli", *argv] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command],
                           capture_output=True, text=True, env=env, **kwargs)
 
 
@@ -96,6 +98,17 @@ def test_steady_state_large_grid_bounded_memory():
     values = [float(v) for v in proc.stdout.strip().split(", ")]
     assert len(values) == 39_999
     assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+def test_steady_state_does_not_import_scipy():
+    # the solve is NumPy only; importing scipy would cost more than the
+    # solve of most networks
+    code = ("import sys; from hopsync.cli import main; "
+            "code = main(['steady-state', '--topology', 'grid:4x4']); "
+            "print(code, 'scipy' in sys.modules)")
+    proc = _cli_process(code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_require_connected_exit3(tmp_path, capsys):
@@ -115,6 +128,35 @@ def test_disconnected_without_flag_warns_but_runs(tmp_path, capsys):
                    "--out", str(tmp_path))
     assert code == 0
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("require", [False, True])
+@pytest.mark.parametrize("split", [False, True])
+def test_simulate_searches_reachability_once(tmp_path, monkeypatch, capsys,
+                                             require, split):
+    # the run's own search flags the warning; the CLI searches before the
+    # run only to refuse a disconnected network under --require-connected
+    import hopsync.cli as cli
+    import hopsync.harness as harness
+    calls = []
+
+    def counted(topo):
+        calls.append(topo)
+        return has_spanning_path(topo)
+
+    monkeypatch.setattr(cli, "has_spanning_path", counted)
+    monkeypatch.setattr(harness, "has_spanning_path", counted)
+    edges = ((0, 3), (1, 2)) if split else ((0, 3), (0, 1), (1, 2))
+    path = tmp_path / "t.topo"
+    save_topology(Topology(node_count=3, gateway_id=3, edges=edges), path)
+    flags = ["--require-connected"] if require else []
+    code = run_cli("simulate", "--topology", f"file:{path}",
+                   "--out", str(tmp_path), *flags)
+    err = capsys.readouterr().err
+    assert code == (3 if require and split else 0)
+    assert len(calls) == (2 if require and not split else 1)
+    assert ("warning" in err) == (split and not require)
+    assert ("no spanning path" in err) == (split and require)
 
 
 def test_bad_topology_exit2(capsys):

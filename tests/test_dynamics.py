@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,9 +9,10 @@ from hopsync.dynamics import (ClockState, DimensionMismatch, ErrorState,
                               NotConvergent, error_of, error_step,
                               steady_state_error, step)
 from hopsync.harness import SimConfig, run
-from hopsync.model import (SystemMatrices, Topology, build_matrices,
-                           effective_matrices, grid_topology,
-                           has_spanning_path, line_topology, random_topology)
+from hopsync.model import (SystemMatrices, Topology, _averaging_entries,
+                           _hop_levels, build_matrices, effective_matrices,
+                           generate_topology, grid_topology, has_spanning_path,
+                           line_topology, random_topology)
 
 LINE = build_matrices(line_topology(3))
 SINGLE = build_matrices(line_topology(2))
@@ -128,6 +131,84 @@ def test_steady_state_entry_points_bit_identical(topo):
                           steady_state_error(mats, 1e-3).ess)
 
 
+def test_steady_state_one_way_link_skipping_a_level():
+    # a one-way cycle gw -> 0 -> 1 -> ... -> 5 -> 0: along the links node 5
+    # is 6 hops out, yet node 0 hears it, so hop levels taken one way would
+    # not make (I - a) block tridiagonal
+    n = 6
+    a = np.zeros((n, n))
+    a[np.arange(1, n), np.arange(n - 1)] = 1.0
+    a[0, n - 1] = 0.25
+    b = np.zeros(n)
+    b[0] = 0.75
+    mats = SystemMatrices(a, b)
+    rows, cols = np.nonzero(a)
+    src = np.concatenate([cols, [n]])
+    dst = np.concatenate([rows, [0]])
+    one_way = _hop_levels(n, src, dst)
+    assert one_way[n - 1] - one_way[0] == n - 1
+    want = _dense_steady_state(mats, 1e-3)
+    got = steady_state_error(mats, 1e-3).ess
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@pytest.mark.parametrize("n", [3, 50])
+def test_steady_state_one_level_wheel(n):
+    # every node hears the gateway, so all of them form one level: a wheel
+    # (a ring of n nodes around the gateway) is one dense block
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
+    topo = Topology(node_count=n, gateway_id=n, edges=tuple(edges))
+    mats = build_matrices(topo)
+    got = steady_state_error(topo, 1e-3).ess
+    want = _dense_steady_state(mats, 1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def test_steady_state_sparse_random_residual():
+    # 2999 nodes in a few wide levels; a dense reference would be slow, so
+    # check the residual of (I - a) x = delta_t * 1 from the sparse entries
+    topo = generate_topology("random:3000:0.003")
+    assert has_spanning_path(topo)
+    dt = 1e-3
+    x = steady_state_error(topo, dt).ess
+    rows, cols, vals, _ = _averaging_entries(
+        topo, np.ones(len(topo.edges), dtype=bool))
+    ax = np.bincount(rows, weights=vals * x[cols], minlength=x.size)
+    assert np.all(x >= dt)
+    assert np.max(np.abs(x - ax - dt)) <= 1e-9 * dt
+
+
+@st.composite
+def _one_way_systems(draw):
+    """Random SystemMatrices with one-way links and stochastic rows."""
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.05, 0.6))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, (n, n + 1)) * (rng.random((n, n + 1)) < density)
+    w[:, :n][np.eye(n, dtype=bool)] = 0.0
+    w[w.sum(axis=1) == 0, n] = 1.0  # a node hearing nothing hears the gateway
+    w /= w.sum(axis=1, keepdims=True)
+    return SystemMatrices(w[:, :n], w[:, n])
+
+
+@settings(max_examples=80, deadline=None)
+@given(mats=_one_way_systems())
+def test_steady_state_one_way_links_match_dense(mats):
+    n = mats.n
+    rows, cols = np.nonzero(mats.a)
+    heard = np.flatnonzero(mats.b)
+    levels = _hop_levels(n, np.concatenate([cols, np.full(heard.size, n)]),
+                         np.concatenate([rows, heard]))
+    if levels.min() < 0:
+        with pytest.raises(NotConvergent):
+            steady_state_error(mats, 1.0)
+        return
+    want = _dense_steady_state(mats, 1.0)
+    got = steady_state_error(mats, 1.0).ess
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 SPLIT = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
 # nodes 1..6 form a 2x3 grid that cannot hear the gateway; the LU of this
 # singular (I - a) meets no exactly zero pivot, so only the reachability rule
@@ -179,6 +260,15 @@ def test_steady_state_overflow_not_convergent():
     assert steady_state_error(mats, 1.0).ess[0] == 2.0 ** 52
     with pytest.raises(NotConvergent):
         steady_state_error(mats, 1e300)
+
+
+def test_steady_state_overflow_across_levels_not_convergent():
+    # line:3 has two levels and x = (3, 4) * delta_t: the elimination
+    # overflows between levels, which raises without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConvergent):
+            steady_state_error(line_topology(3), 1e308)
 
 
 def _evolve_clocks(mats, times0, delta_t, k):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from hopsync.dynamics import NotConvergent, steady_state_error
 from hopsync.model import (InvalidPlacement, IsolatedNode, Topology,
-                           build_matrices, generate_topology, grid_topology,
-                           has_spanning_path, line_topology, load_topology,
-                           random_topology, ring_topology, save_topology)
+                           _hop_levels, build_matrices, generate_topology,
+                           grid_topology, has_spanning_path, line_topology,
+                           load_topology, random_topology, ring_topology,
+                           save_topology)
 
 
 def test_line3_matrices_pinned():
@@ -386,6 +387,21 @@ def test_spanning_path_matches_dict_bfs(topo):
         else:
             with pytest.raises(NotConvergent):
                 steady_state_error(topo, 1.0)
+
+
+def test_hop_levels_grid_is_manhattan_distance():
+    # from the corner gateway, a grid cell is row + col hops out
+    topo = grid_topology(5, 7)
+    eu, ev = topo.edge_arrays()
+    level = _hop_levels(topo.gateway_id, np.concatenate([eu, ev]),
+                        np.concatenate([ev, eu]))
+    cell = np.arange(1, 35)  # row-major cells; cell 0 is the gateway
+    assert level[-1] == 0
+    assert np.array_equal(level[:-1], cell // 7 + cell % 7)
+    # one-way links: node 2 is reached only through node 1
+    assert _hop_levels(3, np.array([3, 0, 1]), np.array([0, 1, 2])).tolist() \
+        == [1, 2, 3, 0]
+    assert _hop_levels(2, np.array([2]), np.array([0])).tolist() == [1, -1, 0]
 
 
 def _check_generated(topo, total, gateway, raw):
