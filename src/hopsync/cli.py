@@ -203,6 +203,9 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_steady_state(cfg: dict) -> int:
+    if cfg["p"] != 1.0:
+        raise CliError("steady-state solves the p = 1 system; "
+                       f"--p {cfg['p']} is not supported")
     topo = _build_topology(cfg)
     try:
         result = steady_state_error(topo, cfg["delta-t"])

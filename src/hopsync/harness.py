@@ -203,7 +203,10 @@ def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
     links go silent, so its clock holds. Once every node of every run has
     halted nothing changes again: no more rounds are stepped and the frozen
     clocks are yielded ``step`` rounds a block. Masks are keyed by (seed,
-    round), so stopping early changes no draw.
+    round) and do not depend on halting, so every run draws them ``step``
+    rounds at a time, a halting run ahead of the round it steps, and
+    stopping early changes no draw. A mask draw has a fixed cost per call
+    that a draw per round would pay on every round.
     """
     cfg = cfgs[0]
     topo, n_max, halting = cfg.topology, cfg.n_max, cfg.halt_on_detect
@@ -217,6 +220,7 @@ def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
     sign = np.zeros(t.size, np.int8)
     m0 = y = flips = None
     r0, block = 0, t[None]
+    a0, ahead = 0, np.empty((0, len(cfgs), len(eu)), dtype=bool)
     while True:
         if detect:
             r = np.arange(r0, r0 + len(block), dtype=np.float64)
@@ -236,10 +240,13 @@ def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
         if halted.all():
             block = np.broadcast_to(t, (min(step, n_max + 1 - r0),) + t.shape)
             continue
-        masks = _mask_block(models, topo, r0 - 1,
-                            r0 if halting else min(r0 - 1 + step, n_max))
+        if r0 - 1 == a0 + len(ahead):  # every mask drawn so far is used
+            a0, ahead = r0 - 1, _mask_block(models, topo, r0 - 1,
+                                            min(r0 - 1 + step, n_max))
+        masks = ahead[r0 - 1 - a0:r0 - a0 if halting else None]
         if halted.any():  # silence every edge touching a halted node
-            masks &= ~halted[:, eu] & (to_gateway | ~halted[:, ev_node])
+            masks = masks & (~halted[:, eu]
+                             & (to_gateway | ~halted[:, ev_node]))
         block = run_rounds(t, eu, ev, n, masks, dt, round0=r0 - 1)[1:]
         t = block[-1]
 

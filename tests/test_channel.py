@@ -58,6 +58,55 @@ def test_mask_block_rows_match_single_queries():
                                   sample_mask(model, GRID, rnd))
 
 
+def _raw_mask(seed, rnd, p, n_edges):
+    """A round's mask built the slow way, one SeedSequence and Generator per
+    round: the definition the mask stream must reproduce bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, rnd]))
+    return rng.random(n_edges) < p
+
+
+# seeds of one, two, three and more uint32 words, and their boundaries
+SEEDS = st.one_of(st.integers(0, 10**6), st.integers(2**32 - 3, 2**32 + 3),
+                  st.integers(2**64 - 3, 2**64 + 3), st.integers(2**64, 2**160))
+# rounds of one, two and three words; blocks crossing 2**32 and 2**64, and
+# one whose low word wraps into the next
+START_ROUNDS = st.one_of(st.integers(0, 10**6),
+                         *(st.integers(b - 12, b + 3)
+                           for b in (2**32, 2**33, 2**64)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None)
+@given(runs=st.lists(st.tuples(SEEDS, st.sampled_from([0.0, 1.0, 0.5])
+                               | st.floats(0.01, 0.99)),
+                     min_size=1, max_size=5),
+       r0=START_ROUNDS, length=st.integers(1, 12))
+def test_mask_block_matches_raw_construction(runs, r0, length):
+    # several runs in one block, mixing entropy word counts and p = 0, 1
+    # and lossy; the lane arithmetic emits no warning
+    models = [ChannelModel(p=p, seed=seed) for seed, p in runs]
+    block = _mask_block(models, GRID, r0, r0 + length)
+    assert block.shape == (length, len(models), 24)
+    for rnd in range(r0, r0 + length):
+        for j, model in enumerate(models):
+            assert np.array_equal(block[rnd - r0, j],
+                                  _raw_mask(model.seed, rnd, model.p, 24))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, rnd=st.integers(2**32 - 4, 2**32 + 4),
+       p=st.floats(0.01, 0.99))
+def test_sample_mask_near_round_word_boundary(seed, rnd, p):
+    assert np.array_equal(sample_mask(ChannelModel(p=p, seed=seed), GRID, rnd),
+                          _raw_mask(seed, rnd, p, 24))
+
+
+def test_negative_round_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_mask(ChannelModel(p=0.5, seed=0), GRID, -1)
+
+
 def test_mask_independent_of_horizon():
     model = ChannelModel(p=0.6, seed=4)
     short = sample_masks(model, GRID, 20)

@@ -249,6 +249,23 @@ def test_steady_state_non_finite_exit2(capsys):
         assert captured.out == "" and "finite" in captured.err
 
 
+def test_steady_state_lossy_p_exit2(tmp_path, capsys):
+    # the solve is the p = 1 system; a lossy p, from a flag or a config
+    # file, is refused rather than silently answered for p = 1
+    config = tmp_path / "lossy.cfg"
+    config.write_text("p=0.3\n")
+    for argv in (["--p", "0.3"], ["--config", str(config)]):
+        assert run_cli("steady-state", "--topology", "line:3",
+                       "--delta-t", "1", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: steady-state solves the p = 1 "
+                                "system; --p 0.3 is not supported\n")
+    assert run_cli("steady-state", "--topology", "line:3", "--delta-t", "1",
+                   "--p", "1") == 0
+    assert capsys.readouterr().out.strip() == "3, 4"
+
+
 def test_steady_state_no_ordinary_node_exit2(capsys):
     # grid:1x1 is the gateway alone; simulate and sweep reject it too
     assert run_cli("steady-state", "--topology", "grid:1x1") == 2

@@ -509,6 +509,43 @@ def test_long_halting_golden_hashes(tmp_path, monkeypatch, name):
         assert hashlib.sha256(data).hexdigest() == digest, fname
 
 
+def test_halting_run_draws_masks_ahead(monkeypatch):
+    # a halting run steps one round a block but draws its masks a block of
+    # rounds at a time, not a round at a time
+    kwargs = HALT_RUNS["line6_some_halt"][0]
+    cfg = SimConfig(**kwargs, seed=0, n_max=3000, halt_on_detect=True)
+    calls = []
+    draw = harness._mask_block
+    monkeypatch.setattr(harness, "_mask_block",
+                        lambda *a: calls.append(1) or draw(*a))
+    run(cfg)
+    step = max(1, harness._TRACE_BLOCK_ROWS // cfg.topology.node_count)
+    assert len(calls) <= math.ceil(3000 / step) + 1
+
+
+def _stream(cfg, step):
+    """_rounds' clocks, filter outputs and each node's first flip, joined
+    over its blocks."""
+    clocks, ys, flips = [], [], -1
+    for _, block, _, y, found in harness._rounds([cfg], step, detect=True):
+        clocks.append(block)
+        ys.append(y)
+        flips = np.where(flips < 0, found, flips)
+    return np.concatenate(clocks), np.concatenate(ys), flips
+
+
+def test_halting_stream_independent_of_mask_lookahead():
+    # masks drawn a round at a time or run()'s block of rounds ahead
+    cfg = SimConfig(**HALT_RUNS["line6_some_halt"][0], seed=0, n_max=1500,
+                    halt_on_detect=True)
+    step = max(1, harness._TRACE_BLOCK_ROWS // cfg.topology.node_count)
+    one, ahead = _stream(cfg, 1), _stream(cfg, step)
+    assert np.array_equal(one[0], ahead[0])
+    assert np.array_equal(one[1], ahead[1], equal_nan=True)
+    assert np.array_equal(one[2], ahead[2])
+    assert (one[2] >= 0).any()
+
+
 @pytest.mark.parametrize("kwargs", [
     REFERENCE,
     {**REFERENCE, "p": 0.6, "n_max": 900},
