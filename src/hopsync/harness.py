@@ -8,9 +8,15 @@ links go silent), which changes the dynamics its neighbors see.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import shutil
+import signal
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,8 +38,11 @@ _SUMMARY_HEADER = ["node", "min_error_instant", "min_error_value",
 _SWEEP_HEADER = ["nodes", "instant_mean", "instant_min", "instant_max"]
 # run() evolves, filters and detects, and trace.csv is formatted, in blocks of
 # whole rounds holding about this many (round, node) cells (at least one
-# round). Larger blocks are no faster and cost peak RSS.
+# round). Larger blocks are no faster and cost peak RSS. trace.csv's rounds
+# split between its workers in whole blocks, at least _BLOCKS_PER_WORKER
+# blocks to a worker, so a short trace is formatted in one process.
 _TRACE_BLOCK_ROWS = 4096
+_BLOCKS_PER_WORKER = 8
 # scaling_sweep evolves all seeds of one size in blocks of whole rounds holding
 # about this many (round, seed, node) cells (at least one round), one
 # run_rounds call per block: fewer, larger blocks save per-call work and cost
@@ -382,13 +391,15 @@ def _fmt(v) -> str:
     return repr(f)
 
 
-def _trace_block(times, errors, filter_outputs, flagged, r0, r1) -> str:
+def _trace_block(times, errors, filter_outputs, flagged, nodes, r0,
+                 r1) -> str:
     """trace.csv rows for rounds r0..r1-1, exactly as ``csv.writer`` wrote
     them: ``repr`` floats, empty ``filter_out`` for NaN, CRLF endings.
-    ``flagged`` holds ``target_round * N + node_id`` for every event."""
+    ``flagged`` holds ``target_round * N + node_id`` for every event and
+    ``nodes`` the N strings ``f"{node_id},"``."""
     n = times.shape[1]
     base = r0 * n
-    keys = [f"{r},{i}," for r in range(r0, r1) for i in range(n)]
+    keys = [k + s for k in [f"{r}," for r in range(r0, r1)] for s in nodes]
     detected = [",0"] * len(keys)
     for k in flagged:
         if base <= k < r1 * n:
@@ -401,22 +412,89 @@ def _trace_block(times, errors, filter_outputs, flagged, r0, r1) -> str:
             map(repr, errors[r0:r1].ravel().tolist()), filt, detected)])
 
 
+def _trace_workers(blocks: int) -> int:
+    """How many processes format a trace of ``blocks`` blocks: one per CPU
+    this process may run on, but no more than leaves each at least
+    _BLOCKS_PER_WORKER blocks, and one where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)),
+                      blocks // _BLOCKS_PER_WORKER))
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork in a process with threads (OpenBLAS
+        # starts some). The child is safe: it only formats strings from
+        # arrays it reads, takes no lock, calls no BLAS, writes no stdout and
+        # always leaves through os._exit.
+        warnings.filterwarnings(
+            "ignore", message=r".*use of fork\(\) may lead to deadlocks",
+            category=DeprecationWarning)
+        return os.fork()
+
+
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Rows are (round, node) pairs, round-major. ``filter_out`` is empty
     where the filter window is undefined; ``detected`` is 1 exactly at a
     node's flagged instant.
 
     Whole rounds are formatted and written a block at a time, so memory
-    beyond the trace arrays stays near one block whatever the run length."""
+    beyond the trace arrays stays near one block per process whatever the
+    run length. The rounds split into one contiguous span of whole blocks
+    per worker (see _trace_workers). This process writes span 0 to ``path``;
+    a forked child formats each later span into an unlinked temporary file
+    in ``path``'s directory, which is appended in span order once the child
+    exits. Every row is formatted on its own, so the bytes are the same for
+    any number of workers. A child that fails raises OSError here."""
     n = trace.topology.node_count
     flagged = {e.target_round * n + e.node_id for e in trace.events}
+    nodes = [f"{i}," for i in range(n)]
+    rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_TRACE_HEADER) + "\r\n")
-        for r0 in range(0, trace.n_max + 1, step):
+    blocks = -(-rounds // step)
+    workers = _trace_workers(blocks)
+    ends = [min(rounds, w * blocks // workers * step)
+            for w in range(workers + 1)]
+
+    def span(fh, w):
+        for r0 in range(ends[w], ends[w + 1], step):
             fh.write(_trace_block(trace.times, trace.errors,
-                                  trace.filter_outputs, flagged, r0,
-                                  min(r0 + step, trace.n_max + 1)))
+                                  trace.filter_outputs, flagged, nodes, r0,
+                                  min(r0 + step, rounds)).encode("ascii"))
+
+    children = []  # (pid, temporary file) of each child not yet reaped
+    with open(path, "wb") as fh, contextlib.ExitStack() as parts:
+        fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
+        fh.flush()  # a child must not inherit unwritten bytes
+        try:
+            for w in range(1, workers):
+                part = parts.enter_context(tempfile.TemporaryFile(
+                    dir=os.path.dirname(os.path.abspath(path))))
+                pid = _fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        span(part, w)
+                        part.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children.append((pid, part))
+            span(fh, 0)
+            while children:
+                pid, part = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code != 0:
+                    raise OSError(f"trace.csv worker {pid} exited with "
+                                  f"status {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+        finally:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def write_summary_csv(summaries: Sequence[NodeSummary], path) -> None:

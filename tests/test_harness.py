@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsync import harness
+from hopsync.cli import main
 from hopsync.detector import (DetectionEvent, detect, filter_response,
                               node_filter_input)
 from hopsync.dynamics import steady_state_error
@@ -694,6 +695,111 @@ def test_trace_csv_matches_oracle_across_blocks():
     # 15 nodes and 600 rounds span several blocks, with a partial last one
     tr = run(SimConfig(**{**REFERENCE, "n_max": 600, "p": 0.7}))
     assert _same_bytes_as_oracle(tr)
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_trace_workers", lambda blocks: workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_trace_csv_same_bytes_for_any_worker_count(monkeypatch, workers):
+    # 32 cells a block: the hand traces hold 6, 5 and 1 blocks (8 workers
+    # is more than any of them) and the run 251, so spans of several
+    # blocks, single blocks and no block at all are each formatted
+    monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 32)
+    _force_workers(monkeypatch, workers)
+    traces = [_hand_trace(2048, 5, _AWKWARD, 5, [(1, 2047), (2, 0), (5, 5)]),
+              _hand_trace(3, 40, _AWKWARD, 6, [(39, 1), (0, 2)]),
+              _hand_trace(1, 30, _AWKWARD, 7, [(30, 0)]),
+              run(SimConfig(**{**REFERENCE, "p": 0.7}))]
+    for tr in traces:
+        assert _same_bytes_as_oracle(tr)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_trace_workers_bounded_by_cpus_and_blocks(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    counts = [harness._trace_workers(b) for b in range(2000)]
+    assert counts[0] == counts[1] == 1
+    assert all(1 <= w <= min(cpus, max(1, b)) for b, w in enumerate(counts))
+    assert counts == sorted(counts) and counts[-1] == cpus
+
+
+def test_trace_workers_bounded_by_affinity():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert all(1 <= harness._trace_workers(b) <= cpus for b in (1, 8, 10**6))
+
+
+def test_trace_workers_one_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert harness._trace_workers(10**6) == 1
+
+
+def test_short_trace_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a short trace")
+    monkeypatch.setattr(harness, "_fork", no_fork)
+    assert _same_bytes_as_oracle(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
+    assert _same_bytes_as_oracle(run(SimConfig(**REFERENCE)))
+
+
+def _fail_blocks_from(monkeypatch, first_round, exc):
+    """Two workers, 10 rounds a block on 15 nodes, and a _trace_block that
+    raises ``exc`` for blocks from ``first_round`` on; returns the list
+    the pid of every child forked is appended to."""
+    monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
+    _force_workers(monkeypatch, 2)
+    real_block, real_fork, pids = harness._trace_block, harness._fork, []
+
+    def block(times, errors, filter_outputs, flagged, nodes, r0, r1):
+        if r0 >= first_round:
+            raise exc
+        return real_block(times, errors, filter_outputs, flagged, nodes, r0,
+                          r1)
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness, "_trace_block", block)
+    monkeypatch.setattr(harness, "_fork", fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_failing_child_raises_oserror_and_is_reaped(monkeypatch, tmp_path):
+    # 501 rounds in 51 blocks: the child formats rounds 250..500
+    tr = run(SimConfig(**REFERENCE))
+    pids = _fail_blocks_from(monkeypatch, 250, RuntimeError("child fails"))
+    with pytest.raises(OSError, match="worker"):
+        write_trace_csv(tr, tmp_path / "trace.csv")
+    _assert_reaped(pids)
+
+
+def test_failing_parent_kills_and_reaps_children(monkeypatch, tmp_path):
+    tr = run(SimConfig(**REFERENCE))
+    pids = _fail_blocks_from(monkeypatch, 0, KeyError("parent fails"))
+    with pytest.raises(KeyError, match="parent fails"):
+        write_trace_csv(tr, tmp_path / "trace.csv")
+    _assert_reaped(pids)
+
+
+def test_cli_failing_child_exits_2(monkeypatch, tmp_path, capsys):
+    pids = _fail_blocks_from(monkeypatch, 250, RuntimeError("child fails"))
+    code = main(["simulate", "--topology", "grid:4x4", "--rounds", "500",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: cannot write output")
+    assert "Traceback" not in err
+    _assert_reaped(pids)
 
 
 def _oracle_summarize(trace):
