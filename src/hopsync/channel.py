@@ -10,19 +10,23 @@ horizon or on the order in which rounds are sampled. A round's coins are
 
 bit for bit. That construction costs tens of microseconds a round, nearly all
 of it in building the SeedSequence and the PCG64 generator, so _mask_block
-does the same arithmetic for a whole block of (run, round) lanes at once:
-SeedSequence's entropy hashing and pool mixing as uint32 array operations
-over the lanes, then PCG64's seeding of its 128-bit state from the pool's
-four uint64 words in Python ints. Each lane's coins are then drawn from that
-state by one reused Generator.
+does the same arithmetic for a whole block of (round, run) lanes at once.
+The lanes' entropy words go into one zero-padded uint32 array, with each
+lane's word count beside it; SeedSequence's entropy hashing and pool mixing
+run as uint32 array operations over the lanes, then PCG64's seeding of its
+128-bit state from the pool's four uint64 words runs in Python ints. Each
+lane's coins are then drawn from that state by one reused Generator.
 
 The bits are unchanged because nothing but the bookkeeping moved: the hash
 constants never depend on the data, a wrapping uint32 step gives the same
 word on an array as on one value, and each lane's PCG64 state is set whole
 (state, increment, no buffered half-word), as PCG64's constructor leaves
-it, so Generator.random draws what default_rng would. NumPy keeps
-SeedSequence and PCG64 stable across releases; the tests compare the block
-against the construction above for seeds and rounds of every word count.
+it, so Generator.random draws what default_rng would. Lanes of different
+word counts share one array because SeedSequence hashes a pool word it has
+no entropy for as the word 0, and a lane skips the mixing pass of each word
+past the pool that it does not have. NumPy keeps SeedSequence and PCG64
+stable across releases; the tests compare the block against the
+construction above for seeds and rounds of every word count.
 """
 from __future__ import annotations
 
@@ -82,55 +86,59 @@ def sample_mask(model: ChannelModel, topo: Topology, round: int) -> np.ndarray:
     serves both directions. Identical (seed, topology, round) always produce
     the identical mask.
     """
-    return _mask_block([model], topo, round, round + 1)[0, 0]
+    return _mask_block(model.p, [model.seed], len(topo.edges),
+                       round, round + 1)[0, 0]
 
 
 def sample_masks(model: ChannelModel, topo: Topology, rounds: int) -> np.ndarray:
     """Masks for rounds 0..rounds-1 as a (rounds, n_edges) bool array."""
-    return _mask_block([model], topo, 0, rounds)[:, 0]
+    return _mask_block(model.p, [model.seed], len(topo.edges), 0, rounds)[:, 0]
 
 
-def _mask_block(models, topo: Topology, r0: int, r1: int) -> np.ndarray:
-    """Masks of rounds r0..r1-1 for one run per model, as a
-    (r1 - r0, runs, n_edges) bool array; row r - r0 holds sample_mask(model,
-    topo, r) for each model in turn.
+def _mask_block(p: float, seeds, n_edges: int, r0: int, r1: int) -> np.ndarray:
+    """Masks of rounds r0..r1-1 over ``n_edges`` edges for one run per seed,
+    all at availability ``p``, as a (r1 - r0, runs, n_edges) bool array; row
+    r - r0 holds sample_mask(ChannelModel(p, seed), topo, r) for each seed in
+    turn.
 
-    Every lossy (run, round) pair is a lane whose SeedSequence entropy is
-    the uint32 words of [seed, 1, round]. Lanes are grouped by word count
-    (seeds from 2**32 and rounds from 2**32 have more words), each group is
-    seeded at once by _pcg64_states, and each lane's coins are drawn by one
-    PCG64 set to the lane's state: the same state default_rng would build
-    from the lane's SeedSequence, so the same bits.
+    Each (round, seed) pair is a lane, and lane k fills row k of
+    ``out.reshape(lanes, n_edges)``. Its SeedSequence entropy is the uint32
+    words of [seed, 1, round], written into one zero-padded (lanes, words)
+    array with each lane's word count beside it; _pcg64_states seeds every
+    lane from it at once, and each lane's coins are drawn by one PCG64 set
+    to the lane's state: the state default_rng would build from the lane's
+    SeedSequence, so the same bits.
     """
     if r0 < 0:  # as SeedSequence refuses negative entropy
         raise ValueError("rounds must be nonnegative")
-    n_edges = len(topo.edges)
-    out = np.empty((r1 - r0, len(models), n_edges), dtype=bool)
-    groups = {}  # entropy word count -> [(entropy, rows, model index)]
-    for j, model in enumerate(models):
-        if not 0.0 < model.p < 1.0:
-            out[:, j] = model.p >= 1.0
-            continue
-        head = _int_words(model.seed) + [_MASK_STREAM]
-        for a, b in _same_width_spans(r0, r1):
-            entropy = _lane_entropy(head, a, b)
-            groups.setdefault(entropy.shape[1], []).append(
-                (entropy, range(a - r0, b - r0), j))
-    if not groups:  # no lossy run, nothing to draw
+    shape = (r1 - r0, len(seeds), n_edges)
+    if not 0.0 < p < 1.0:
+        return np.full(shape, p >= 1.0)
+    out = np.empty(shape, dtype=bool)
+    if out.size == 0:
         return out
+    heads = [_int_words(seed) + [_MASK_STREAM] for seed in seeds]
+    tails = [_int_words(r) for r in range(r0, r1)]
+    longest = max(map(len, tails))
+    rounds = np.array([tail + [0] * (longest - len(tail)) for tail in tails],
+                      np.uint32)
+    width = np.add.outer(list(map(len, tails)), list(map(len, heads)))
+    entropy = np.zeros(width.shape + (max(_POOL, width.max()),), np.uint32)
+    for j, head in enumerate(heads):
+        entropy[:, j, :len(head)] = head
+        entropy[:, j, len(head):len(head) + longest] = rounds
+    lanes = out.reshape(-1, n_edges)
+    states = _pcg64_states(entropy.reshape(len(lanes), -1), width.ravel())
     bitgen = np.random.PCG64(0)  # any seed: each lane sets the whole state
     gen = np.random.Generator(bitgen)
     draws = np.empty(n_edges)
     state = {"bit_generator": "PCG64", "state": None,
              "has_uint32": 0, "uinteger": 0}
-    for parts in groups.values():
-        states = _pcg64_states(np.concatenate([e for e, _, _ in parts]))
-        lanes = ((row, j) for _, rows, j in parts for row in rows)
-        for (row, j), lane in zip(lanes, states):
-            state["state"] = lane
-            bitgen.state = state
-            gen.random(out=draws)
-            np.less(draws, models[j].p, out=out[row, j])
+    for row, lane in zip(lanes, states):
+        state["state"] = lane
+        bitgen.state = state
+        gen.random(out=draws)
+        np.less(draws, p, out=row)
     return out
 
 
@@ -141,29 +149,6 @@ def _int_words(value: int) -> list:
     while value := value >> 32:
         words.append(value & _MASK32)
     return words
-
-
-def _same_width_spans(r0: int, r1: int):
-    """Split rounds r0..r1-1 into runs of rounds with the same word count."""
-    while r0 < r1:
-        top = 1 << (32 * len(_int_words(r0)))
-        yield r0, min(r1, top)
-        r0 = top
-
-
-def _lane_entropy(head: list, a: int, b: int) -> np.ndarray:
-    """SeedSequence entropy of [*head, r] for rounds r = a..b-1, which share
-    a word count, as a (b - a, words) uint32 array. The rounds' words are
-    0..b-a-1 added to a's words with carry."""
-    words = _int_words(a)
-    out = np.empty((b - a, len(head) + len(words)), np.uint32)
-    out[:, :len(head)] = head
-    carry = np.arange(b - a, dtype=np.uint64)
-    for i, word in enumerate(words, len(head)):
-        carry += np.uint64(word)
-        out[:, i] = carry & np.uint64(_MASK32)
-        carry >>= np.uint64(32)
-    return out
 
 
 def _hash(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -191,10 +176,6 @@ def _chain(init: int, mult: int, steps: int) -> tuple:
     return consts[:-1], consts[1:]
 
 
-# mix_entropy hashes each pool word once, then each pool word into the
-# other three: 16 steps for up to 4 entropy words. Each word past the pool
-# (seeds from 2**64, or from 2**32 with rounds from 2**32) adds 4 steps.
-_ENTROPY_CHAIN = _chain(_INIT_A, _MULT_A, _POOL * _POOL)
 _OTHERS = [[d for d in range(_POOL) if d != s] for s in range(_POOL)]
 # generate_state(4, np.uint64) hashes 8 uint32 words out of the pool, its
 # words in turn twice over.
@@ -202,25 +183,28 @@ _OUTPUT_CHAIN = _chain(_INIT_B, _MULT_B, 2 * _POOL)
 _OUTPUT_WORDS = np.arange(2 * _POOL) % _POOL
 
 
-def _pcg64_states(entropy: np.ndarray):
+def _pcg64_states(entropy: np.ndarray, width: np.ndarray):
     """Yield PCG64 ``{"state", "inc"}`` dicts, one per row of the
-    (lanes, words) uint32 array ``entropy``: the state of
-    PCG64(SeedSequence(row)).
+    (lanes, words) uint32 array ``entropy``, words >= 4: the state of
+    PCG64(SeedSequence(row[:w])) for the row's word count w in ``width``.
+    Each row's words past its count are zeros.
 
     SeedSequence hashes the entropy into a 4-word pool (mix_entropy), then
     hashes the pool out into 4 uint64 words (generate_state); PCG64 takes
     words 0-1 as its initial state and 2-3 as its stream, and steps its LCG
-    twice (pcg_setseq_128_srandom_r). The uint32 arithmetic runs on arrays,
-    which wrap without a warning; the 128-bit steps run on Python ints, one
-    lane at a time, so no list of states is held.
+    twice (pcg_setseq_128_srandom_r). A pool word without entropy is
+    hashed as the word 0, so the zero padding is exact in the pool; each
+    word past the pool adds a pass that a row without that word skips. Every
+    row takes the same hash steps before any pass it skips, so the hash
+    constants are the same for all rows. The uint32 arithmetic runs on
+    arrays, which wrap without a warning; the 128-bit steps run on Python
+    ints, one lane at a time, so no list of states is held.
     """
-    lanes, words = entropy.shape
-    xor, mul = _ENTROPY_CHAIN
-    if words > _POOL:
-        xor, mul = _chain(_INIT_A, _MULT_A, _POOL * words)
-    pool = np.zeros((lanes, _POOL), np.uint32)
-    pool[:, :words] = entropy[:, :_POOL]
-    pool = _hash(pool, xor[:_POOL], mul[:_POOL])
+    words = entropy.shape[1]
+    # mix_entropy hashes each pool word once, then each into the other
+    # three (16 steps), then each word past the pool into all four
+    xor, mul = _chain(_INIT_A, _MULT_A, _POOL * words)
+    pool = _hash(entropy[:, :_POOL], xor[:_POOL], mul[:_POOL])
     k = _POOL
     for src, dsts in enumerate(_OTHERS):
         hashed = _hash(pool[:, src, None], xor[k:k + 3], mul[k:k + 3])
@@ -229,7 +213,7 @@ def _pcg64_states(entropy: np.ndarray):
     for src in range(_POOL, words):
         hashed = _hash(entropy[:, src, None], xor[k:k + _POOL],
                        mul[k:k + _POOL])
-        pool = _mix(pool, hashed)
+        pool = np.where((width > src)[:, None], _mix(pool, hashed), pool)
         k += _POOL
     out = _hash(pool[:, _OUTPUT_WORDS], *_OUTPUT_CHAIN)
     # little-endian pairs of uint32 words are the uint64 words, as in

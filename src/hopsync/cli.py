@@ -5,8 +5,9 @@ file of flat ``key=value`` lines (keys match the flag names), then explicit
 flags. ``--dump-config`` prints the resolved configuration and exits; feeding
 that output back as a config file reproduces the same effective run.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 topology not connected
-under ``--require-connected``, 4 steady-state system not solvable.
+Exit codes: 0 success, 2 configuration/usage error or out of memory, 3
+topology not connected under ``--require-connected``, 4 steady-state system
+not solvable.
 """
 from __future__ import annotations
 
@@ -238,6 +239,10 @@ def _parse_sizes(raw: Optional[str]) -> List[Tuple[int, int]]:
 
 
 def _cmd_sweep(cfg: dict) -> int:
+    for opt in _OPTIONS:  # the sweep builds its own grids
+        if opt.key in ("topology", "gateway") and cfg[opt.key] != opt.default:
+            raise CliError(f"sweep runs corner-gateway grids of --sizes; "
+                           f"--{opt.key} {cfg[opt.key]} is not supported")
     sizes = _parse_sizes(cfg["sizes"])
     rows, cols = sizes[0]
     template = _sim_config(cfg, generate_topology(f"grid:{rows}x{cols}"))
@@ -306,6 +311,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import ChannelModel, _mask_block, _whole, sample_masks
-from .detector import DetectionEvent, DetectorConfig, _first_flips
+from .detector import _LOOKAHEAD, DetectionEvent, DetectorConfig, _first_flips
 from .kernels import filter_series, run_rounds
 from .model import Topology, effective_matrices, grid_topology, has_spanning_path
 
@@ -186,8 +186,9 @@ def run(cfg: SimConfig) -> RunTrace:
     rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
     errors = cfg.delta_t * rounds[:, None] - times
     events = tuple(
-        DetectionEvent(node_id=int(i), detect_round=int(m) + 3,
-                       target_round=int(m), frozen_time=float(times[m + 3, i]))
+        DetectionEvent(node_id=int(i), detect_round=int(m) + _LOOKAHEAD,
+                       target_round=int(m),
+                       frozen_time=float(times[m + _LOOKAHEAD, i]))
         for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
     return RunTrace(config=cfg, topology=topo,
                     connected=connected, times=times,
@@ -222,7 +223,7 @@ def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
     n, dt, det = topo.node_count, cfg.delta_t, cfg.detector
     eu, ev = topo.edge_arrays()
     to_gateway, ev_node = ev >= n, np.minimum(ev, n - 1)
-    models = [ChannelModel(p=c.p, seed=c.seed) for c in cfgs]
+    seeds = [c.seed for c in cfgs]
     t = np.stack([initial_clocks(c) for c in cfgs])
     halted = np.zeros(t.shape, dtype=bool)
     tail = np.empty((0,) + t.shape)
@@ -234,7 +235,7 @@ def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
         if detect:
             r = np.arange(r0, r0 + len(block), dtype=np.float64)
             x = np.concatenate([tail, np.abs(dt * r[:, None, None] - block)])
-            m0 = r0 - len(tail) + 3
+            m0 = r0 - len(tail) + _LOOKAHEAD
             y = filter_series(x, det.c_f)
             flips, sign = _first_flips(y.reshape(len(y), t.size), det.k_guard,
                                        m0, sign)
@@ -250,7 +251,7 @@ def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
             block = np.broadcast_to(t, (min(step, n_max + 1 - r0),) + t.shape)
             continue
         if r0 - 1 == a0 + len(ahead):  # every mask drawn so far is used
-            a0, ahead = r0 - 1, _mask_block(models, topo, r0 - 1,
+            a0, ahead = r0 - 1, _mask_block(cfg.p, seeds, len(eu), r0 - 1,
                                             min(r0 - 1 + step, n_max))
         masks = ahead[r0 - 1 - a0:r0 - a0 if halting else None]
         if halted.any():  # silence every edge touching a halted node

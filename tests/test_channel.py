@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsync.channel import (ChannelModel, _mask_block, effective_matrices,
                              sample_mask, sample_masks)
-from hopsync.model import (IsolatedNode, build_matrices, grid_topology,
-                           line_topology, random_topology)
+from hopsync.model import (IsolatedNode, Topology, build_matrices,
+                           grid_topology, line_topology, random_topology)
 
 GRID = grid_topology(4, 4)
 
@@ -47,15 +47,27 @@ def test_masks_rows_match_single_queries():
 
 
 def test_mask_block_rows_match_single_queries():
-    # one run per model, any start round, the p = 0 and p = 1 shortcuts too
-    models = [ChannelModel(p=p, seed=s)
-              for p, s in ((0.3, 9), (1.0, 2), (0.0, 5), (0.7, 9))]
-    block = _mask_block(models, GRID, 13, 40)
-    assert block.shape == (27, 4, 24)
-    for rnd in range(13, 40):
-        for j, model in enumerate(models):
-            assert np.array_equal(block[rnd - 13, j],
-                                  sample_mask(model, GRID, rnd))
+    # one run per seed, seeds of mixed word counts, any start round, the
+    # p = 0 and p = 1 shortcuts too
+    seeds = [9, 2**32 + 1, 5, 2**64 + 7]
+    for p in (0.3, 1.0, 0.0):
+        block = _mask_block(p, seeds, 24, 13, 40)
+        assert block.shape == (27, 4, 24)
+        for rnd in range(13, 40):
+            for j, seed in enumerate(seeds):
+                assert np.array_equal(
+                    block[rnd - 13, j],
+                    sample_mask(ChannelModel(p=p, seed=seed), GRID, rnd))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_empty_mask_blocks_keep_their_shape(p):
+    model = ChannelModel(p=p, seed=3)
+    assert sample_masks(model, GRID, 0).shape == (0, 24)
+    assert _mask_block(p, [3, 4], 24, 7, 7).shape == (0, 2, 24)
+    edgeless = Topology(node_count=1, gateway_id=1, edges=())
+    assert sample_masks(model, edgeless, 6).shape == (6, 0)
+    assert sample_mask(model, edgeless, 2**70).shape == (0,)
 
 
 def _raw_mask(seed, rnd, p, n_edges):
@@ -75,22 +87,29 @@ START_ROUNDS = st.one_of(st.integers(0, 10**6),
                            for b in (2**32, 2**33, 2**64)))
 
 
+# seeds whose [seed, 1] heads are 2, 3, 4 and 6 words: with rounds of one
+# and two words, or two and three, one block holds lanes of 3, 4, 5 and more
+# words
+MIXED_SEEDS = [5, 2**32 + 7, 2**64 + 1, 2**130]
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None)
-@given(runs=st.lists(st.tuples(SEEDS, st.sampled_from([0.0, 1.0, 0.5])
-                               | st.floats(0.01, 0.99)),
-                     min_size=1, max_size=5),
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=5),
+       p=st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.01, 0.99),
        r0=START_ROUNDS, length=st.integers(1, 12))
-def test_mask_block_matches_raw_construction(runs, r0, length):
-    # several runs in one block, mixing entropy word counts and p = 0, 1
-    # and lossy; the lane arithmetic emits no warning
-    models = [ChannelModel(p=p, seed=seed) for seed, p in runs]
-    block = _mask_block(models, GRID, r0, r0 + length)
-    assert block.shape == (length, len(models), 24)
+@example(seeds=MIXED_SEEDS, p=0.5, r0=2**32 - 3, length=6)
+@example(seeds=MIXED_SEEDS, p=0.4, r0=2**64 - 3, length=6)
+@example(seeds=MIXED_SEEDS[::-1], p=0.6, r0=2**96 - 2, length=4)
+def test_mask_block_matches_raw_construction(seeds, p, r0, length):
+    # several seeds of mixed entropy word counts in one block; the lane
+    # arithmetic emits no warning
+    block = _mask_block(p, seeds, 24, r0, r0 + length)
+    assert block.shape == (length, len(seeds), 24)
     for rnd in range(r0, r0 + length):
-        for j, model in enumerate(models):
+        for j, seed in enumerate(seeds):
             assert np.array_equal(block[rnd - r0, j],
-                                  _raw_mask(model.seed, rnd, model.p, 24))
+                                  _raw_mask(seed, rnd, p, 24))
 
 
 @pytest.mark.filterwarnings("error")

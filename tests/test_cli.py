@@ -100,6 +100,21 @@ def test_steady_state_large_grid_bounded_memory():
     assert all(math.isfinite(v) and v > 0 for v in values)
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--topology", "grid:4x4", "--rounds", "100000000"),
+    ("simulate", "--topology", "file:huge.topo"),
+    ("steady-state", "--topology", "file:huge.topo"),
+])
+def test_out_of_memory_exit2(tmp_path, argv):
+    # an allocation past the address space is an error line, not a traceback
+    (tmp_path / "huge.topo").write_text("N 100000000000\nG gw\nE 0 gw\n")
+    proc = _cli_process(*argv, "--out", str(tmp_path / "out"), cwd=tmp_path,
+                        preexec_fn=_limit_address_space, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_steady_state_does_not_import_scipy():
     # the solve is NumPy only; importing scipy would cost more than the
     # solve of most networks
@@ -293,6 +308,28 @@ def test_sweep_empty_and_malformed_sizes(capsys):
     assert run_cli("sweep", "--sizes", "2x2,0x3") == 2
     assert run_cli("sweep", "--sizes", "2x2,1x1") == 2
     assert run_cli("sweep", "--sizes=2x2,-1x-3") == 2
+
+
+def test_sweep_refuses_topology_and_gateway(tmp_path, capsys):
+    # the sweep builds corner-gateway grids of --sizes; a --topology or
+    # --gateway other than the default, from a flag or a config file, is
+    # refused rather than silently ignored
+    config = tmp_path / "ring.cfg"
+    config.write_text("topology=ring:5\ngateway=0\n")
+    for argv, shown in ((["--topology", "ring:5"], "--topology ring:5"),
+                        (["--gateway", "0"], "--gateway 0"),
+                        (["--config", str(config)], "--topology ring:5")):
+        assert run_cli("sweep", "--sizes", "2x2,3x3", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sweep runs corner-gateway grids of "
+                                f"--sizes; {shown} is not supported\n")
+    assert run_cli("sweep", "--sizes", "2x2,3x3", "--config", str(config),
+                   "--dump-config") == 0
+    assert "topology=ring:5\ngateway=0\n" in capsys.readouterr().out
+    assert run_cli("sweep", "--sizes", "2x2,3x3", "--topology", "grid:4x4",
+                   "--gateway", "corner", "--rounds", "100",
+                   "--out", str(tmp_path)) == 0
 
 
 def test_dump_config_round_trip(tmp_path, capsys):
