@@ -8,28 +8,25 @@ horizon or on the order in which rounds are sampled. A round's coins are
     np.random.default_rng(np.random.SeedSequence([seed, 1, round]))
         .random(n_edges) < p
 
-bit for bit. That construction costs tens of microseconds a round, nearly all
-of it in building the SeedSequence and the PCG64 generator, so _mask_block
-does the same arithmetic for a whole block of (round, run) lanes at once.
-The lanes' entropy words go into one zero-padded uint32 array, with each
-lane's word count beside it; SeedSequence's entropy hashing and pool mixing
-run as uint32 array operations over the lanes, then PCG64's seeding of its
-128-bit state from the pool's four uint64 words runs in Python ints. Each
-lane's coins are then drawn from that state by one reused Generator.
+bit for bit. Nearly all of the tens of microseconds that construction costs a
+round go into SeedSequence's hashing, so _mask_block hashes a whole block of
+(round, run) lanes at once: the entropy hashing, pool mixing and output
+hashing run as uint32 array operations over one zero-padded array of the
+lanes' entropy words, with each lane's word count beside it. Each lane's
+hashed words then go to default_rng in place of its SeedSequence.
 
 The bits are unchanged because nothing but the bookkeeping moved: the hash
-constants never depend on the data, a wrapping uint32 step gives the same
-word on an array as on one value, and each lane's PCG64 state is set whole
-(state, increment, no buffered half-word), as PCG64's constructor leaves
-it, so Generator.random draws what default_rng would. Lanes of different
-word counts share one array because SeedSequence hashes a pool word it has
-no entropy for as the word 0, and a lane skips the mixing pass of each word
-past the pool that it does not have. NumPy keeps SeedSequence and PCG64
-stable across releases; the tests compare the block against the
-construction above for seeds and rounds of every word count.
+constants never depend on the data, and a wrapping uint32 step gives the same
+word on an array as on one value. Lanes of different word counts share one
+array because SeedSequence hashes a pool word it has no entropy for as the
+word 0, and a lane skips the mixing pass of each word past the pool that it
+does not have. NumPy keeps SeedSequence and PCG64 stable across releases; the
+tests compare the block against the construction above for seeds and rounds
+of every word count.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +46,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -104,12 +98,11 @@ def _mask_block(p: float, seeds, n_edges: int, r0: int, r1: int) -> np.ndarray:
     Each (round, seed) pair is a lane, and lane k fills row k of
     ``out.reshape(lanes, n_edges)``. Its SeedSequence entropy is the uint32
     words of [seed, 1, round], written into one zero-padded (lanes, words)
-    array with each lane's word count beside it; _pcg64_states seeds every
-    lane from it at once, and each lane's coins are drawn by one PCG64 set
-    to the lane's state: the state default_rng would build from the lane's
-    SeedSequence, so the same bits.
+    array with each lane's word count beside it; _seed_words hashes every
+    lane from it at once into the words its SeedSequence would give, and
+    default_rng draws the lane's coins from them: the same bits.
     """
-    if r0 < 0:  # as SeedSequence refuses negative entropy
+    if r0 < 0 or r1 < r0:  # SeedSequence refuses a negative round
         raise ValueError("rounds must be nonnegative")
     shape = (r1 - r0, len(seeds), n_edges)
     if not 0.0 < p < 1.0:
@@ -128,18 +121,28 @@ def _mask_block(p: float, seeds, n_edges: int, r0: int, r1: int) -> np.ndarray:
         entropy[:, j, :len(head)] = head
         entropy[:, j, len(head):len(head) + longest] = rounds
     lanes = out.reshape(-1, n_edges)
-    states = _pcg64_states(entropy.reshape(len(lanes), -1), width.ravel())
-    bitgen = np.random.PCG64(0)  # any seed: each lane sets the whole state
-    gen = np.random.Generator(bitgen)
-    draws = np.empty(n_edges)
-    state = {"bit_generator": "PCG64", "state": None,
-             "has_uint32": 0, "uinteger": 0}
-    for row, lane in zip(lanes, states):
-        state["state"] = lane
-        bitgen.state = state
-        gen.random(out=draws)
+    words = _seed_words(entropy.reshape(len(lanes), -1), width.ravel())
+    draws, seed = np.empty(n_edges), _words_class()
+    for row, lane in zip(lanes, words):
+        np.random.default_rng(seed(lane)).random(out=draws)
         np.less(draws, p, out=row)
     return out
+
+
+@functools.cache
+def _words_class():
+    """An ISeedSequence whose generate_state returns the words it was given;
+    made on first use, so importing hopsync does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words
 
 
 def _int_words(value: int) -> list:
@@ -183,22 +186,20 @@ _OUTPUT_CHAIN = _chain(_INIT_B, _MULT_B, 2 * _POOL)
 _OUTPUT_WORDS = np.arange(2 * _POOL) % _POOL
 
 
-def _pcg64_states(entropy: np.ndarray, width: np.ndarray):
-    """Yield PCG64 ``{"state", "inc"}`` dicts, one per row of the
-    (lanes, words) uint32 array ``entropy``, words >= 4: the state of
-    PCG64(SeedSequence(row[:w])) for the row's word count w in ``width``.
-    Each row's words past its count are zeros.
+def _seed_words(entropy: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row[:w]).generate_state(4, np.uint64)`` for each row of
+    the (lanes, words) uint32 array ``entropy``, words >= 4, and the row's
+    word count w in ``width``, as one (lanes, 4) C-contiguous native uint64
+    array. Each row's words past its count are zeros. PCG64 reads a row's
+    raw memory, so a strided or byte-swapped row would draw other coins.
 
     SeedSequence hashes the entropy into a 4-word pool (mix_entropy), then
-    hashes the pool out into 4 uint64 words (generate_state); PCG64 takes
-    words 0-1 as its initial state and 2-3 as its stream, and steps its LCG
-    twice (pcg_setseq_128_srandom_r). A pool word without entropy is
-    hashed as the word 0, so the zero padding is exact in the pool; each
-    word past the pool adds a pass that a row without that word skips. Every
-    row takes the same hash steps before any pass it skips, so the hash
-    constants are the same for all rows. The uint32 arithmetic runs on
-    arrays, which wrap without a warning; the 128-bit steps run on Python
-    ints, one lane at a time, so no list of states is held.
+    hashes the pool out into 8 uint32 words (generate_state). A pool word
+    without entropy is hashed as the word 0, so the zero padding is exact in
+    the pool; each word past the pool adds a pass that a row without that
+    word skips. Every row takes the same hash steps before any pass it
+    skips, so the hash constants are the same for all rows. The uint32
+    arithmetic runs on arrays, which wrap without a warning.
     """
     words = entropy.shape[1]
     # mix_entropy hashes each pool word once, then each into the other
@@ -218,7 +219,5 @@ def _pcg64_states(entropy: np.ndarray, width: np.ndarray):
     out = _hash(pool[:, _OUTPUT_WORDS], *_OUTPUT_CHAIN)
     # little-endian pairs of uint32 words are the uint64 words, as in
     # generate_state
-    for hi, lo, seq_hi, seq_lo in out.astype("<u4", order="C").view("<u8"):
-        inc = ((int(seq_hi) << 65) | (int(seq_lo) << 1) | 1) & _MASK128
-        yield {"state": ((inc + ((int(hi) << 64) | int(lo))) * _PCG_MULT + inc)
-               & _MASK128, "inc": inc}
+    return out.astype("<u4", order="C").view("<u8").astype(np.uint64,
+                                                            copy=False)

@@ -142,6 +142,15 @@ def _build_topology(cfg: dict):
         raise CliError(f"bad topology {cfg['topology']!r}: {err}")
 
 
+def _refuse_disconnected(cfg: dict, topo) -> bool:
+    """True, after saying why, when ``--require-connected`` is set and the
+    gateway reaches some node of ``topo`` by no path."""
+    if cfg["require-connected"] and not has_spanning_path(topo):
+        print("topology has no spanning path from the gateway", file=sys.stderr)
+        return True
+    return False
+
+
 def _sim_config(cfg: dict, topo) -> SimConfig:
     try:
         det = DetectorConfig(c_f=cfg["cf"], k_guard=cfg["k-guard"])
@@ -187,8 +196,7 @@ def _writing(out: str):
 
 def _cmd_simulate(cfg: dict) -> int:
     topo = _build_topology(cfg)
-    if cfg["require-connected"] and not has_spanning_path(topo):
-        print("topology has no spanning path from the gateway", file=sys.stderr)
+    if _refuse_disconnected(cfg, topo):
         return EXIT_DISCONNECTED
     sim = _sim_config(cfg, topo)
     trace = run(sim)
@@ -208,6 +216,8 @@ def _cmd_steady_state(cfg: dict) -> int:
         raise CliError("steady-state solves the p = 1 system; "
                        f"--p {cfg['p']} is not supported")
     topo = _build_topology(cfg)
+    if _refuse_disconnected(cfg, topo):
+        return EXIT_DISCONNECTED
     try:
         result = steady_state_error(topo, cfg["delta-t"])
     except NotConvergent as err:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopsync.channel import (ChannelModel, _mask_block, effective_matrices,
-                             sample_mask, sample_masks)
+from hopsync.channel import (ChannelModel, _mask_block, _seed_words,
+                             effective_matrices, sample_mask, sample_masks)
 from hopsync.model import (IsolatedNode, Topology, build_matrices,
                            grid_topology, line_topology, random_topology)
 
@@ -122,8 +122,31 @@ def test_sample_mask_near_round_word_boundary(seed, rnd, p):
 
 
 def test_negative_round_rejected():
-    with pytest.raises(ValueError, match="nonnegative"):
-        sample_mask(ChannelModel(p=0.5, seed=0), GRID, -1)
+    # a negative round, or a block that ends before it starts, at every p
+    for p in (0.0, 0.5, 1.0):
+        model = ChannelModel(p=p, seed=0)
+        for draw in (lambda: sample_mask(model, GRID, -1),
+                     lambda: sample_masks(model, GRID, -1),
+                     lambda: _mask_block(p, [0], 24, 5, 4)):
+            with pytest.raises(ValueError, match="rounds must be nonnegative"):
+                draw()
+
+
+def test_seed_words_match_seed_sequence():
+    # lanes of 3 to 8 words in one call, each row the words SeedSequence
+    # hands PCG64, laid out as PCG64 reads them: contiguous native uint64
+    rng = np.random.default_rng(5)
+    width = np.repeat(np.arange(3, 9), 4)
+    entropy = rng.integers(0, 2**32, (len(width), 8), dtype=np.uint32)
+    entropy[1::4] = [0, 2**32 - 1] * 4  # words at the ends of their range
+    entropy[np.arange(8) >= width[:, None]] = 0
+    words = _seed_words(entropy, width)
+    assert words.shape == (len(width), 4)
+    for row, w, lane in zip(entropy, width, words):
+        seq = np.random.SeedSequence([int(x) for x in row[:w]])
+        assert np.array_equal(lane, seq.generate_state(4, np.uint64))
+        assert lane.dtype == np.uint64 and lane.dtype.isnative
+        assert lane.flags.c_contiguous
 
 
 def test_mask_independent_of_horizon():

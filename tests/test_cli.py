@@ -72,6 +72,31 @@ def test_steady_state_disconnected_exit4(tmp_path, capsys):
     assert "not solvable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_steady_state_require_connected_exit3(tmp_path, capsys, how, split):
+    # the flag or its config key refuses a disconnected network with simulate's
+    # message before the solve; a connected one still solves
+    edges = ((0, 3), (1, 2)) if split else ((0, 3), (0, 1), (1, 2))
+    path = tmp_path / "t.topo"
+    save_topology(Topology(node_count=3, gateway_id=3, edges=edges), path)
+    config = tmp_path / "c.cfg"
+    config.write_text("require-connected=true\n")
+    extra = (["--require-connected"] if how == "flag"
+             else ["--config", str(config)])
+    code = run_cli("steady-state", "--topology", f"file:{path}",
+                   "--delta-t", "1", *extra)
+    captured = capsys.readouterr()
+    if split:
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("topology has no spanning path from the "
+                                "gateway\n")
+    else:
+        assert code == 0
+        values = [float(v) for v in captured.out.split(", ")]
+        assert values == pytest.approx([5.0, 8.0, 9.0])
+
+
 def _limit_address_space():
     limit = 3 * 10**9
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -124,6 +149,17 @@ def test_steady_state_does_not_import_scipy():
     proc = _cli_process(code=code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # the mask stream imports numpy.random on first use, so a command that
+    # draws no mask does not pay for it (NumPy 1.x imports it with numpy)
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+            "import hopsync.cli; print(eager, 'numpy.random' in sys.modules)")
+    proc = _cli_process(code=code)
+    assert proc.returncode == 0, proc.stderr
+    eager, loaded = proc.stdout.split()
+    assert loaded == eager
 
 
 def test_require_connected_exit3(tmp_path, capsys):
