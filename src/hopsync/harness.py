@@ -396,21 +396,39 @@ def _trace_block(times, errors, filter_outputs, flagged, nodes, r0,
                  r1) -> str:
     """trace.csv rows for rounds r0..r1-1, exactly as ``csv.writer`` wrote
     them: ``repr`` floats, empty ``filter_out`` for NaN, CRLF endings.
-    ``flagged`` holds ``target_round * N + node_id`` for every event and
-    ``nodes`` the N strings ``f"{node_id},"``."""
+    ``flagged`` holds ``target_round * N + node_id`` for every event, sorted,
+    and ``nodes`` the N strings ``f"{node_id},"``.
+
+    A block whose clocks mostly hold (a halted node's clock is frozen, and
+    one whose links all failed is unchanged) repeats its values, so each
+    distinct float of its three columns is formatted once, keyed by its
+    bits so that -0.0 and 0.0 stay apart. Only ``filter_out``'s NaN cells
+    are then blanked: a NaN clock or error still prints ``nan``. Any other
+    block formats every cell. The bytes are the same either way."""
     n = times.shape[1]
     base = r0 * n
     keys = [k + s for k in [f"{r}," for r in range(r0, r1)] for s in nodes]
     detected = [",0"] * len(keys)
-    for k in flagged:
-        if base <= k < r1 * n:
-            detected[k - base] = ",1"
-    filt = ["" if v != v else repr(v)
-            for v in filter_outputs[r0:r1].ravel().tolist()]
-    return "".join([
-        f"{k}{c},{e},{f}{d}\r\n" for k, c, e, f, d in zip(
-            keys, map(repr, times[r0:r1].ravel().tolist()),
-            map(repr, errors[r0:r1].ravel().tolist()), filt, detected)])
+    lo, hi = np.searchsorted(flagged, (base, r1 * n))
+    for k in flagged[lo:hi].tolist():
+        detected[k - base] = ",1"
+    t, e, f = times[r0:r1], errors[r0:r1], filter_outputs[r0:r1]
+    prev = times[max(r0 - 1, 0):r1 - 1].view(np.int64)
+    held = np.count_nonzero(t[len(t) - len(prev):].view(np.int64) == prev)
+    if 2 * held >= t.size:  # at least half the clocks equal the round before
+        uniq, inv = np.unique(np.stack([t, e, f]).view(np.int64),
+                              return_inverse=True)
+        strs = np.array(list(map(repr, uniq.view(np.float64).tolist())),
+                        dtype=object)
+        cells = strs[inv.ravel()].reshape(3, -1)
+        cells[2, np.isnan(f).ravel()] = ""
+        clock, err, filt = cells.tolist()
+    else:
+        clock = map(repr, t.ravel().tolist())
+        err = map(repr, e.ravel().tolist())
+        filt = ["" if v != v else repr(v) for v in f.ravel().tolist()]
+    return "".join([f"{k}{c},{x},{y}{d}\r\n" for k, c, x, y, d in zip(
+        keys, clock, err, filt, detected)])
 
 
 def _trace_workers(blocks: int) -> int:
@@ -446,10 +464,14 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     per worker (see _trace_workers). This process writes span 0 to ``path``;
     a forked child formats each later span into an unlinked temporary file
     in ``path``'s directory, which is appended in span order once the child
-    exits. Every row is formatted on its own, so the bytes are the same for
+    exits. A block whose clocks mostly hold formats each distinct float once
+    (see _trace_block); every other block formats each cell. Either way a
+    cell's text depends on its value alone, so the bytes are the same for
     any number of workers. A child that fails raises OSError here."""
     n = trace.topology.node_count
-    flagged = {e.target_round * n + e.node_id for e in trace.events}
+    flagged = np.sort(np.array(
+        [e.target_round * n + e.node_id for e in trace.events],
+        dtype=np.int64))
     nodes = [f"{i}," for i in range(n)]
     rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)

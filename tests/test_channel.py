@@ -93,7 +93,7 @@ START_ROUNDS = st.one_of(st.integers(0, 10**6),
 MIXED_SEEDS = [5, 2**32 + 7, 2**64 + 1, 2**130]
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(seeds=st.lists(SEEDS, min_size=1, max_size=5),
        p=st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.01, 0.99),
@@ -112,7 +112,7 @@ def test_mask_block_matches_raw_construction(seeds, p, r0, length):
                                   _raw_mask(seed, rnd, p, 24))
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(seed=SEEDS, rnd=st.integers(2**32 - 4, 2**32 + 4),
        p=st.floats(0.01, 0.99))

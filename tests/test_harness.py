@@ -595,19 +595,36 @@ _AWKWARD = [math.nan, -0.0, 0.0, 5e-324, 1.5e-310, 1e-05, 1e-04, 1e16, 1e15,
             -1e16, 1.7976931348623157e308, math.inf, -math.inf, 0.1, -2.5]
 
 
-def _hand_trace(n, n_max, pool, seed, events):
-    """A RunTrace over n nodes and n_max + 1 rounds whose cells are drawn
-    from ``pool``; the writer reads only the arrays, topology and events."""
-    rng = np.random.default_rng(seed)
-    pool = np.array(pool, dtype=np.float64)
-    cells = lambda: pool[rng.integers(len(pool), size=(n_max + 1, n))]
+def _trace_of(times, errors, filter_outputs, events=()):
+    """A RunTrace of the (rounds, N) arrays given and an event at each
+    (target_round, node_id) of ``events``; the writer reads only the arrays,
+    topology and events."""
+    n = times.shape[1]
     return RunTrace(
         config=None, topology=Topology(node_count=n, gateway_id=n, edges=()),
-        connected=False, times=cells(), errors=cells(),
-        filter_outputs=cells(),
+        connected=False, times=times, errors=errors,
+        filter_outputs=filter_outputs,
         events=tuple(DetectionEvent(node_id=i, detect_round=r + 3,
                                     target_round=r, frozen_time=0.0)
                      for r, i in sorted(events, key=lambda e: e[1])))
+
+
+def _hand_trace(n, n_max, pool, seed, events):
+    """A RunTrace over n nodes and n_max + 1 rounds whose cells are drawn
+    from ``pool``."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool, dtype=np.float64)
+    cells = lambda: pool[rng.integers(len(pool), size=(n_max + 1, n))]
+    return _trace_of(cells(), cells(), cells(), events)
+
+
+def _hold_clocks(trace, held):
+    """``trace`` with each clock where ``held`` is True replaced by the same
+    node's clock in the round before, as a halted node's clock holds."""
+    times = trace.times.copy()
+    for r in range(1, len(times)):
+        times[r, held[r]] = times[r - 1, held[r]]
+    return replace(trace, times=times)
 
 
 def _same_bytes_as_oracle(trace):
@@ -629,13 +646,36 @@ def hand_traces(draw):
     return _hand_trace(n, n_max, pool, draw(st.integers(0, 2**32)), events)
 
 
-@settings(max_examples=40, deadline=None)
-@given(hand_traces())
+@st.composite
+def held_hand_traces(draw):
+    # at least half the clocks repeat the round before in most blocks, so
+    # _trace_block formats them through its memo of distinct values
+    trace = draw(hand_traces())
+    hold = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return _hold_clocks(trace, rng.random(trace.times.shape) < hold)
+
+
+# node 0's clock is NaN in every round: a clock or error prints nan, and
+# only an empty filter output prints as an empty cell
+_NAN_CLOCK = np.array([[math.nan, 0.5]] * 9)
+_NAN_FILTER = np.array([[math.nan, math.nan]] * 3 + [[0.25, math.nan]] * 6)
+# a column of -0.0 beside one of 0.0 in each of the three float columns
+_ZEROS = np.array([[-0.0, 0.0]] * 9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hand_traces() | held_hand_traces())
 @example(_hand_trace(1, 0, _AWKWARD, 0, [(0, 0)]))
 @example(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
 @example(_hand_trace(4097, 2, _AWKWARD, 2, [(0, 0), (2, 4096), (1, 17)]))
 @example(_hand_trace(4096, 2, _AWKWARD, 3, [(0, 4095), (2, 0)]))
 @example(_hand_trace(2048, 5, _AWKWARD, 4, [(1, 2047), (2, 0), (5, 5)]))
+@example(_trace_of(_NAN_CLOCK, 1e-3 * np.arange(9.0)[:, None] - _NAN_CLOCK,
+                   _NAN_FILTER, [(4, 0), (8, 1)]))
+@example(_trace_of(_ZEROS, -_ZEROS, _ZEROS, [(0, 1)]))
+@example(_hold_clocks(_hand_trace(2048, 5, _AWKWARD, 8, [(1, 2047)]),
+                      np.ones((6, 2048), dtype=bool)))
 def test_trace_csv_matches_csv_writer_oracle(trace):
     assert _same_bytes_as_oracle(trace)
 
@@ -704,16 +744,54 @@ def _force_workers(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_trace_csv_same_bytes_for_any_worker_count(monkeypatch, workers):
     # 32 cells a block: the hand traces hold 6, 5 and 1 blocks (8 workers
-    # is more than any of them) and the run 251, so spans of several
-    # blocks, single blocks and no block at all are each formatted
+    # is more than any of them) and the runs 251 each, so spans of several
+    # blocks, single blocks and no block at all are each formatted. Most
+    # blocks of the halting run take the memo, but not those before its
+    # nodes halt (see test_memo_only_where_clocks_hold)
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 32)
     _force_workers(monkeypatch, workers)
     traces = [_hand_trace(2048, 5, _AWKWARD, 5, [(1, 2047), (2, 0), (5, 5)]),
               _hand_trace(3, 40, _AWKWARD, 6, [(39, 1), (0, 2)]),
               _hand_trace(1, 30, _AWKWARD, 7, [(30, 0)]),
-              run(SimConfig(**{**REFERENCE, "p": 0.7}))]
+              run(SimConfig(**{**REFERENCE, "p": 0.7})),
+              run(SimConfig(**{**REFERENCE, "p": 0.5,
+                               "halt_on_detect": True}))]
     for tr in traces:
         assert _same_bytes_as_oracle(tr)
+
+
+def _memo_blocks(monkeypatch, trace, block_rows):
+    """(blocks that _trace_block formats through its memo, all blocks) of
+    ``trace`` in blocks of ``block_rows`` cells: the memo is the one caller
+    of np.unique, once a block. One worker, since a child's calls are not
+    counted here."""
+    monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", block_rows)
+    _force_workers(monkeypatch, 1)
+    calls, unique = [], np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    with tempfile.TemporaryDirectory() as d:
+        write_trace_csv(trace, os.path.join(d, "trace.csv"))
+    monkeypatch.setattr(np, "unique", unique)
+    step = max(1, block_rows // trace.topology.node_count)
+    return len(calls), -(-(trace.n_max + 1) // step)
+
+
+def test_memo_only_where_clocks_hold(monkeypatch):
+    # halted nodes hold their clocks, so a halting run's blocks take the
+    # memo, but in blocks of 32 cells not those before its nodes halt; at
+    # p = 0.7 no node halts, few clocks hold and no block takes it
+    halting = run(SimConfig(**{**REFERENCE, "p": 0.5, "halt_on_detect": True}))
+    lossy = run(SimConfig(**{**REFERENCE, "p": 0.7}))
+    assert _memo_blocks(monkeypatch, halting, 4096) == (2, 2)
+    memo, blocks = _memo_blocks(monkeypatch, halting, 32)
+    assert 0 < memo < blocks == 251
+    assert _memo_blocks(monkeypatch, lossy, 4096) == (0, 2)
+    assert _memo_blocks(monkeypatch, lossy, 32) == (0, 251)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
