@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .channel import _whole
 from .kernels import filter_series
 
 # Number of look-ahead samples the filter consumes past its output index.
@@ -34,9 +35,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not (0.95 <= self.c_f <= 1.05):
             raise ValueError("c_f must lie in [0.95, 1.05]")
-        if int(self.k_guard) != self.k_guard or self.k_guard < 0:
+        object.__setattr__(self, "k_guard", _whole(self.k_guard, "k_guard"))
+        if self.k_guard < 0:
             raise ValueError("k_guard must be a nonnegative integer")
-        object.__setattr__(self, "k_guard", int(self.k_guard))
 
     @property
     def taps(self) -> np.ndarray:
@@ -113,6 +114,8 @@ def scan_polarity(y, k_guard: int, first_m: int = _LOOKAHEAD) -> Optional[int]:
     rule.
     """
     y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError("filter outputs must be one-dimensional")
     m, _ = _first_flips(y[:, None], k_guard, first_m, np.zeros(1, np.int8))
     return None if m[0] < 0 else int(m[0])
 
@@ -124,11 +127,12 @@ def detect(series, cfg: DetectorConfig, node_id: int = 0,
     Returns the event for the first accepted polarity change, or None when
     the rule never fires (including series too short to produce any output).
     frozen_time is taken from ``clocks`` at the decision round when given.
+    A series that is not one-dimensional raises ValueError.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.shape[0] < 7:
+    try:
+        y = filter_response(series, cfg)
+    except SeriesTooShort:
         return None
-    y = filter_series(x, float(cfg.c_f))
     m = scan_polarity(y, cfg.k_guard)
     if m is None:
         return None

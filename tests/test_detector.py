@@ -33,8 +33,9 @@ def test_config_validation():
         DetectorConfig(c_f=0.9)
     with pytest.raises(ValueError):
         DetectorConfig(c_f=1.06)
-    with pytest.raises(ValueError):
-        DetectorConfig(k_guard=-1)
+    for k in (-1, math.inf, math.nan, 1.5):
+        with pytest.raises(ValueError):
+            DetectorConfig(k_guard=k)
 
 
 def test_event_validation():
@@ -142,6 +143,16 @@ def test_steep_crossing_affine_detects_at_default_cf():
 
 def test_short_series_no_detection():
     assert detect(np.arange(5, dtype=float), CF1) is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: detect(np.ones((30, 2)), CF1),
+    lambda: detect(np.float64(3.0), CF1),
+    lambda: scan_polarity(np.ones((30, 2)), 11),
+], ids=["detect_2d", "detect_0d", "scan_polarity_2d"])
+def test_not_one_dimensional_rejected(call):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        call()
 
 
 def test_scan_first_flip():

@@ -648,8 +648,8 @@ def hand_traces(draw):
 
 @st.composite
 def held_hand_traces(draw):
-    # at least half the clocks repeat the round before in most blocks, so
-    # _trace_block formats them through its memo of distinct values
+    # clocks that repeat the round before, as a halted node's do, so a
+    # block holds few distinct clocks and each is formatted once for many cells
     trace = draw(hand_traces())
     hold = draw(st.sampled_from([0.5, 0.9, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -662,6 +662,11 @@ _NAN_CLOCK = np.array([[math.nan, 0.5]] * 9)
 _NAN_FILTER = np.array([[math.nan, math.nan]] * 3 + [[0.25, math.nan]] * 6)
 # a column of -0.0 beside one of 0.0 in each of the three float columns
 _ZEROS = np.array([[-0.0, 0.0]] * 9)
+# NaNs of distinct bit patterns (quiet, negative, signalling, with a
+# payload): distinct keys to the formatter, each still nan or an empty cell
+_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                  0x7FF8DEAD00000000], dtype=np.uint64).view(np.float64)
+_NAN_BITS = np.stack([_NANS, np.roll(_NANS, 1), np.roll(_NANS, 2)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -676,6 +681,8 @@ _ZEROS = np.array([[-0.0, 0.0]] * 9)
 @example(_trace_of(_ZEROS, -_ZEROS, _ZEROS, [(0, 1)]))
 @example(_hold_clocks(_hand_trace(2048, 5, _AWKWARD, 8, [(1, 2047)]),
                       np.ones((6, 2048), dtype=bool)))
+@example(_trace_of(_NAN_BITS, _NAN_BITS[::-1], np.roll(_NAN_BITS, 1, axis=1),
+                   [(1, 3)]))
 def test_trace_csv_matches_csv_writer_oracle(trace):
     assert _same_bytes_as_oracle(trace)
 
@@ -745,9 +752,8 @@ def _force_workers(monkeypatch, workers):
 def test_trace_csv_same_bytes_for_any_worker_count(monkeypatch, workers):
     # 32 cells a block: the hand traces hold 6, 5 and 1 blocks (8 workers
     # is more than any of them) and the runs 251 each, so spans of several
-    # blocks, single blocks and no block at all are each formatted. Most
-    # blocks of the halting run take the memo, but not those before its
-    # nodes halt (see test_memo_only_where_clocks_hold)
+    # blocks, single blocks and no block at all are each formatted. The
+    # halting run's blocks repeat most values, the p = 0.7 run's few
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 32)
     _force_workers(monkeypatch, workers)
     traces = [_hand_trace(2048, 5, _AWKWARD, 5, [(1, 2047), (2, 0), (5, 5)]),
@@ -758,40 +764,6 @@ def test_trace_csv_same_bytes_for_any_worker_count(monkeypatch, workers):
                                "halt_on_detect": True}))]
     for tr in traces:
         assert _same_bytes_as_oracle(tr)
-
-
-def _memo_blocks(monkeypatch, trace, block_rows):
-    """(blocks that _trace_block formats through its memo, all blocks) of
-    ``trace`` in blocks of ``block_rows`` cells: the memo is the one caller
-    of np.unique, once a block. One worker, since a child's calls are not
-    counted here."""
-    monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", block_rows)
-    _force_workers(monkeypatch, 1)
-    calls, unique = [], np.unique
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", spy)
-    with tempfile.TemporaryDirectory() as d:
-        write_trace_csv(trace, os.path.join(d, "trace.csv"))
-    monkeypatch.setattr(np, "unique", unique)
-    step = max(1, block_rows // trace.topology.node_count)
-    return len(calls), -(-(trace.n_max + 1) // step)
-
-
-def test_memo_only_where_clocks_hold(monkeypatch):
-    # halted nodes hold their clocks, so a halting run's blocks take the
-    # memo, but in blocks of 32 cells not those before its nodes halt; at
-    # p = 0.7 no node halts, few clocks hold and no block takes it
-    halting = run(SimConfig(**{**REFERENCE, "p": 0.5, "halt_on_detect": True}))
-    lossy = run(SimConfig(**{**REFERENCE, "p": 0.7}))
-    assert _memo_blocks(monkeypatch, halting, 4096) == (2, 2)
-    memo, blocks = _memo_blocks(monkeypatch, halting, 32)
-    assert 0 < memo < blocks == 251
-    assert _memo_blocks(monkeypatch, lossy, 4096) == (0, 2)
-    assert _memo_blocks(monkeypatch, lossy, 32) == (0, 251)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
