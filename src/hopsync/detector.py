@@ -15,10 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import _whole
-from .kernels import filter_series
-
-# Number of look-ahead samples the filter consumes past its output index.
-_LOOKAHEAD = 3
+from .kernels import _LOOKAHEAD, _WINDOW, filter_series
 
 
 class SeriesTooShort(ValueError):
@@ -27,7 +24,7 @@ class SeriesTooShort(ValueError):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Filter gain, guard length, and the implied 7-point impulse response."""
+    """Filter gain and guard length."""
 
     c_f: float = 1.002
     k_guard: int = 11
@@ -38,13 +35,6 @@ class DetectorConfig:
         object.__setattr__(self, "k_guard", _whole(self.k_guard, "k_guard"))
         if self.k_guard < 0:
             raise ValueError("k_guard must be a nonnegative integer")
-
-    @property
-    def taps(self) -> np.ndarray:
-        """Impulse response h(-3)..h(+3) in convolution form
-        y(m) = sum_k h(k) x(m - k)."""
-        cf = self.c_f
-        return np.array([0.2 * cf, 0.5 * cf, 0.2 * cf, 0.0, -0.2, -0.5, -0.2])
 
 
 @dataclass(frozen=True)
@@ -78,8 +68,8 @@ def filter_response(series, cfg: DetectorConfig) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    if x.shape[0] < 7:
-        raise SeriesTooShort(f"need at least 7 samples, got {x.shape[0]}")
+    if x.shape[0] < _WINDOW:
+        raise SeriesTooShort(f"need at least {_WINDOW} samples, got {x.shape[0]}")
     return filter_series(x, float(cfg.c_f))
 
 
@@ -127,10 +117,15 @@ def detect(series, cfg: DetectorConfig, node_id: int = 0,
     Returns the event for the first accepted polarity change, or None when
     the rule never fires (including series too short to produce any output).
     frozen_time is taken from ``clocks`` at the decision round when given.
-    A series that is not one-dimensional raises ValueError.
+    A series that is not one-dimensional, or ``clocks`` that are not one
+    value per sample, raise ValueError.
     """
+    x = np.asarray(series, dtype=np.float64)
+    if clocks is not None and np.shape(clocks) != x.shape[:1]:
+        raise ValueError(
+            "clocks must be one-dimensional with one value per sample")
     try:
-        y = filter_response(series, cfg)
+        y = filter_response(x, cfg)
     except SeriesTooShort:
         return None
     m = scan_polarity(y, cfg.k_guard)
@@ -152,6 +147,8 @@ def node_filter_input(clock_series, delta_t: float) -> np.ndarray:
     produce a reversal.
     """
     t = np.asarray(clock_series, dtype=np.float64)
+    if t.ndim != 1:
+        raise ValueError("clock series must be one-dimensional")
     n = np.arange(t.shape[0], dtype=np.float64)
     return np.abs(t - n * delta_t)
 
@@ -176,10 +173,10 @@ class OnlineDetector:
         if self._fired:
             return None
         self._window.append(float(sample))
-        if len(self._window) > 7:
+        if len(self._window) > _WINDOW:
             self._window.pop(0)
         self._count += 1
-        if self._count < 7:
+        if self._count < _WINDOW:
             return None
         y = filter_series(np.array(self._window)[:, None], self.cfg.c_f)
         m = self._count - 1 - _LOOKAHEAD

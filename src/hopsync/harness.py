@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import ChannelModel, _mask_block, _whole, sample_masks
-from .detector import _LOOKAHEAD, DetectionEvent, DetectorConfig, _first_flips
-from .kernels import filter_series, run_rounds
+from .detector import DetectionEvent, DetectorConfig, _first_flips
+from .kernels import _LOOKAHEAD, _WINDOW, filter_series, run_rounds
 from .model import Topology, effective_matrices, grid_topology, has_spanning_path
 
 # Uniform initial clocks are drawn from stream 0 of the run seed; channel
@@ -90,7 +90,7 @@ class SimConfig:
             raise ConfigInvalid("seed must be a nonnegative integer")
         if self.topology.node_count < 1:
             raise ConfigInvalid("topology must have at least one ordinary node")
-        if self.n_max < self.detector.k_guard + 7:
+        if self.n_max < self.detector.k_guard + _WINDOW:
             raise ConfigInvalid("n_max must be at least k_guard + 7")
         # Averaging keeps every clock in the convex hull of the initial
         # clocks and the gateway's references delta_t*k, k < n_max, so
@@ -177,12 +177,12 @@ def run(cfg: SimConfig) -> RunTrace:
     connected = has_spanning_path(topo)
     times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
     filter_outputs = np.full((cfg.n_max + 1, n), np.nan)
-    flips = np.full(n, -1)
     step = max(1, _TRACE_BLOCK_ROWS // n)
-    for r0, clocks, m0, y, found in _rounds([cfg], step, detect=True):
+    for r0, clocks, _, m0, y, first in _rounds(cfg, [cfg.seed], step,
+                                               detect=True):
         times[r0:r0 + len(clocks)] = clocks[:, 0]
         filter_outputs[m0:m0 + len(y)] = y[:, 0]
-        flips = np.where(flips < 0, found[0], flips)
+    flips = first[0]
     rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
     errors = cfg.delta_t * rounds[:, None] - times
     events = tuple(
@@ -195,58 +195,58 @@ def run(cfg: SimConfig) -> RunTrace:
                     errors=errors, filter_outputs=filter_outputs, events=events)
 
 
-def _rounds(cfgs: Sequence[SimConfig], step: int, detect: bool):
-    """Evolve the runs ``cfgs``, alike but for the seed, as one (runs, N)
-    state over rounds 0..n_max, a block of whole rounds at a time.
+def _rounds(cfg: SimConfig, seeds: Sequence[int], step: int, detect: bool):
+    """Evolve ``cfg`` once per seed in ``seeds`` as one (runs, N) state over
+    rounds 0..n_max, a block of whole rounds at a time.
 
-    Yields (r0, clocks, m0, y, flips): the clocks of rounds r0, r0+1, ... as
-    a (rounds, runs, N) array, about ``step`` rounds a block. With
-    ``detect``, y holds the filter outputs of |e| at m = m0, m0+1, ... that
-    the block completes and flips each node's first polarity flip in y (-1
-    where none), as in detector._first_flips; without it the three are None.
+    Yields (r0, clocks, err, m0, y, first): the clocks of rounds r0, r0+1,
+    ... as a (rounds, runs, N) array, about ``step`` rounds a block, and err
+    their |e| = |delta_t*r - t|. With ``detect``, y holds the filter outputs
+    of |e| at m = m0, m0+1, ... that the block completes, and first each
+    node's first polarity flip so far (-1 where none), as in
+    detector._first_flips; without it m0 and y are None and first stays -1.
     The last six |e| rows and each column's polarity are carried between
     blocks, so no output depends on ``step``. The detector input
     |t - n*delta_t| is |e|: the two differences are exact negatives.
 
-    A halting run steps one round per block. A node halts at the round its
-    detector fires (the last sample of the window holding the flip): its
-    links go silent, so its clock holds. Once every node of every run has
-    halted nothing changes again: no more rounds are stepped and the frozen
-    clocks are yielded ``step`` rounds a block. Masks are keyed by (seed,
-    round) and do not depend on halting, so every run draws them ``step``
-    rounds at a time, a halting run ahead of the round it steps, and
-    stopping early changes no draw. A mask draw has a fixed cost per call
-    that a draw per round would pay on every round.
+    A halting run (it needs ``detect``) steps one round per block. A node
+    halts at the round its detector fires (the last sample of the window
+    holding its first flip): its links go silent, so its clock holds. Once
+    every node of every run has halted nothing changes again: no more rounds
+    are stepped and the frozen clocks are yielded ``step`` rounds a block.
+    Masks are keyed by (seed, round) and do not depend on halting, so every
+    run draws them ``step`` rounds at a time, a halting run ahead of the
+    round it steps, and stopping early changes no draw. A mask draw has a
+    fixed cost per call that a draw per round would pay on every round.
     """
-    cfg = cfgs[0]
     topo, n_max, halting = cfg.topology, cfg.n_max, cfg.halt_on_detect
     n, dt, det = topo.node_count, cfg.delta_t, cfg.detector
     eu, ev = topo.edge_arrays()
     to_gateway, ev_node = ev >= n, np.minimum(ev, n - 1)
-    seeds = [c.seed for c in cfgs]
-    t = np.stack([initial_clocks(c) for c in cfgs])
-    halted = np.zeros(t.shape, dtype=bool)
+    t = np.stack([initial_clocks(replace(cfg, seed=s)) for s in seeds])
+    first = np.full(t.shape, -1)
     tail = np.empty((0,) + t.shape)
     sign = np.zeros(t.size, np.int8)
-    m0 = y = flips = None
+    m0 = y = None
     r0, block = 0, t[None]
-    a0, ahead = 0, np.empty((0, len(cfgs), len(eu)), dtype=bool)
+    a0, ahead = 0, np.empty((0, len(seeds), len(eu)), dtype=bool)
     while True:
+        r = np.arange(r0, r0 + len(block), dtype=np.float64)
+        err = dt * r[:, None, None] - block
+        np.abs(err, out=err)
         if detect:
-            r = np.arange(r0, r0 + len(block), dtype=np.float64)
-            x = np.concatenate([tail, np.abs(dt * r[:, None, None] - block)])
+            x = np.concatenate([tail, err])
             m0 = r0 - len(tail) + _LOOKAHEAD
             y = filter_series(x, det.c_f)
-            flips, sign = _first_flips(y.reshape(len(y), t.size), det.k_guard,
-                                       m0, sign)
-            flips = flips.reshape(t.shape)
-            tail = x[-6:]
-            if halting:
-                halted |= flips >= 0
-        yield r0, block, m0, y, flips
+            found, sign = _first_flips(y.reshape(len(y), t.size),
+                                       det.k_guard, m0, sign)
+            first = np.where(first < 0, found.reshape(t.shape), first)
+            tail = x[1 - _WINDOW:]
+        yield r0, block, err, m0, y, first
         r0 += len(block)
         if r0 > n_max:
             return
+        halted = halting & (first >= 0)
         if halted.all():
             block = np.broadcast_to(t, (min(step, n_max + 1 - r0),) + t.shape)
             continue
@@ -280,18 +280,23 @@ def run_error_recursion(cfg: SimConfig) -> np.ndarray:
     return out
 
 
-def _fold_min(best, best_at, block, r0: int):
-    """Fold rows r0, r0+1, ... of ``block`` into a running per-column
-    minimum ``best`` and the round ``best_at`` it was reached at.
+def _min_rounds(blocks):
+    """Each column's minimum over (r0, block) pairs, whose rows are rounds
+    r0, r0+1, ..., and the round it is reached at.
 
-    Start from ``best`` = +inf and ``best_at`` = 0. Over any split into
-    blocks, ties go to the earliest round and a NaN wins over any number,
-    as one np.argmin over all rows decides.
+    Over any split into blocks, ties go to the earliest round and a NaN wins
+    over any number, as one np.argmin over all rows decides.
     """
-    at = np.argmin(block, axis=0)
-    low = np.take_along_axis(block, at[None], axis=0)[0]
-    better = (low < best) | (np.isnan(low) & ~np.isnan(best))
-    return np.where(better, low, best), np.where(better, at + r0, best_at)
+    best = best_at = None
+    for r0, block in blocks:
+        at = np.argmin(block, axis=0)
+        low = np.take_along_axis(block, at[None], axis=0)[0]
+        at += r0
+        if best is not None:
+            better = (low < best) | (np.isnan(low) & ~np.isnan(best))
+            low, at = np.where(better, low, best), np.where(better, at, best_at)
+        best, best_at = low, at
+    return best, best_at
 
 
 def summarize(trace: RunTrace) -> List[NodeSummary]:
@@ -301,13 +306,9 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
     so no copy of the whole error array is made.
     """
     errors = trace.errors
-    n = trace.topology.node_count
-    best = np.full(n, np.inf)
-    best_at = np.zeros(n, dtype=np.int64)
-    step = max(1, _TRACE_BLOCK_ROWS // n)
-    for r0 in range(0, trace.n_max + 1, step):
-        best, best_at = _fold_min(best, best_at,
-                                  np.abs(errors[r0:r0 + step]), r0)
+    step = max(1, _TRACE_BLOCK_ROWS // trace.topology.node_count)
+    best, best_at = _min_rounds((r0, np.abs(errors[r0:r0 + step]))
+                                for r0 in range(0, trace.n_max + 1, step))
     detected = {e.node_id: e.target_round for e in trace.events}
     ss = np.abs(errors[-1]).tolist()
     out = []
@@ -326,24 +327,17 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
     return out
 
 
-def _min_error_instants(cfgs: Sequence[SimConfig]) -> np.ndarray:
+def _min_error_instants(cfg: SimConfig, seeds: Sequence[int]) -> np.ndarray:
     """Each node's min-|e| round in each run, as a (runs, N) int array.
 
     The runs evolve as one state through _rounds, about _SWEEP_BLOCK_CELLS
-    (round, run, node) cells a block; each block's |e| folds into the
+    (round, run, node) cells a block, and each block's |e| folds into the
     running per-(run, node) minimum, so no RunTrace is built and no detector
     runs unless nodes halt.
     """
-    cfg = cfgs[0]
-    shape = (len(cfgs), cfg.topology.node_count)
-    best = np.full(shape, np.inf)
-    best_at = np.zeros(shape, dtype=np.int64)
-    step = max(1, _SWEEP_BLOCK_CELLS // best.size)
-    for r0, block, *_ in _rounds(cfgs, step, detect=cfg.halt_on_detect):
-        r = np.arange(r0, r0 + len(block), dtype=np.float64)
-        e = cfg.delta_t * r[:, None, None] - block
-        best, best_at = _fold_min(best, best_at, np.abs(e, out=e), r0)
-    return best_at
+    step = max(1, _SWEEP_BLOCK_CELLS // (len(seeds) * cfg.topology.node_count))
+    return _min_rounds((r0, err) for r0, _, err, *_ in _rounds(
+        cfg, seeds, step, detect=cfg.halt_on_detect))[1]
 
 
 def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
@@ -363,9 +357,8 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
     points = []
     for rows, cols in sizes:
         topo = grid_topology(rows, cols, gateway="corner")
-        cfgs = [replace(template, topology=topo, seed=template.seed + s)
-                for s in range(seeds)]
-        vals = _min_error_instants(cfgs).mean(axis=1).tolist()
+        vals = _min_error_instants(replace(template, topology=topo), range(
+            template.seed, template.seed + seeds)).mean(axis=1).tolist()
         points.append(SweepPoint(node_count=rows * cols,
                                  instant_mean=float(np.mean(vals)),
                                  instant_min=float(np.min(vals)),

@@ -20,6 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# filter_series' slices fix its window: output j reads samples j..j+6 and
+# refers to sample j+3, so it looks _LOOKAHEAD samples ahead.
+_WINDOW = 7
+_LOOKAHEAD = 3
+
 
 def run_rounds(times0, edges_u, edges_v, n_ordinary, masks, delta_t, round0=0):
     """Evolve node clocks over len(masks) synchronous rounds.

@@ -7,7 +7,6 @@ files may spell the gateway as the literal ``gw`` or as that integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Tuple
 
 import numpy as np
@@ -31,7 +30,8 @@ class Topology:
 
     ``edges`` is kept sorted and canonical (each pair ordered low-high), which
     fixes the accumulation order everywhere downstream and makes runs
-    reproducible byte for byte.
+    reproducible byte for byte. ``edge_arrays()`` gives the same edges as two
+    read-only arrays, built once here.
     """
 
     node_count: int
@@ -49,6 +49,9 @@ class Topology:
             raise ValueError(fault[1])
         e = np.sort(e, axis=1)[np.lexsort((e.max(axis=1), e.min(axis=1)))]
         object.__setattr__(self, "edges", tuple(map(tuple, e.tolist())))
+        ends = e.T.copy()
+        ends.flags.writeable = False
+        object.__setattr__(self, "_ends", (ends[0], ends[1]))
 
     @property
     def total_nodes(self) -> int:
@@ -59,10 +62,9 @@ class Topology:
         return np.concatenate([eu[ev == i], ev[eu == i]]).tolist()
 
     def edge_arrays(self):
-        """Edge endpoints as two int64 arrays (low side, high side)."""
-        e = np.fromiter(chain.from_iterable(self.edges), np.int64,
-                        2 * len(self.edges))
-        return e[0::2].copy(), e[1::2].copy()
+        """Edge endpoints as two read-only int64 arrays (low side, high
+        side), the same two on every call."""
+        return self._ends
 
 
 def _pairs(edges, n: int) -> np.ndarray:

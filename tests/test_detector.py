@@ -17,17 +17,6 @@ CF1 = DetectorConfig(c_f=1.0)
 DEFAULT = DetectorConfig()
 
 
-def test_taps_layout():
-    taps = DetectorConfig(c_f=1.0).taps
-    assert list(taps) == [0.2, 0.5, 0.2, 0.0, -0.2, -0.5, -0.2]
-    taps2 = DetectorConfig(c_f=1.002).taps
-    assert taps2[0] == 0.2 * 1.002 and taps2[5] == -0.5
-
-
-def test_taps_sum_zero_at_cf1():
-    assert math.fsum(DetectorConfig(c_f=1.0).taps) == 0.0
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(c_f=0.9)
@@ -149,7 +138,16 @@ def test_short_series_no_detection():
     lambda: detect(np.ones((30, 2)), CF1),
     lambda: detect(np.float64(3.0), CF1),
     lambda: scan_polarity(np.ones((30, 2)), 11),
-], ids=["detect_2d", "detect_0d", "scan_polarity_2d"])
+    lambda: node_filter_input(np.ones((5, 2)), 0.001),
+    # clocks are checked before filtering, so a too-short series or one
+    # whose rule fires still rejects them
+    lambda: detect(np.abs(np.linspace(-1, 1, 60)), CF1, clocks=np.zeros(5)),
+    lambda: detect(np.ones(5), CF1, clocks=np.zeros(4)),
+    lambda: detect(np.abs(np.linspace(-1, 1, 60)), CF1,
+                   clocks=np.zeros((60, 2))),
+], ids=["detect_2d", "detect_0d", "scan_polarity_2d", "node_filter_input_2d",
+        "detect_short_clocks", "detect_too_short_series_clocks",
+        "detect_2d_clocks"])
 def test_not_one_dimensional_rejected(call):
     with pytest.raises(ValueError, match="one-dimensional"):
         call()

@@ -525,14 +525,14 @@ def test_halting_run_draws_masks_ahead(monkeypatch):
 
 
 def _stream(cfg, step):
-    """_rounds' clocks, filter outputs and each node's first flip, joined
-    over its blocks."""
-    clocks, ys, flips = [], [], -1
-    for _, block, _, y, found in harness._rounds([cfg], step, detect=True):
+    """_rounds' clocks and filter outputs, joined over its blocks, and each
+    node's first flip."""
+    clocks, ys = [], []
+    for _, block, _, _, y, first in harness._rounds(cfg, [cfg.seed], step,
+                                                    detect=True):
         clocks.append(block)
         ys.append(y)
-        flips = np.where(flips < 0, found, flips)
-    return np.concatenate(clocks), np.concatenate(ys), flips
+    return np.concatenate(clocks), np.concatenate(ys), first
 
 
 def test_halting_stream_independent_of_mask_lookahead():

@@ -234,6 +234,16 @@ def test_edge_arrays_orientation():
     assert np.all(eu < ev)
 
 
+def test_edge_arrays_kept_read_only():
+    topo = grid_topology(3, 3)
+    eu, ev = topo.edge_arrays()
+    assert np.array_equal(eu, [u for u, _ in topo.edges])
+    assert np.array_equal(ev, [v for _, v in topo.edges])
+    assert not eu.flags.writeable and not ev.flags.writeable
+    again = topo.edge_arrays()
+    assert again[0] is eu and again[1] is ev
+
+
 def test_build_matrices_pure():
     topo = grid_topology(3, 3)
     m1, m2 = build_matrices(topo), build_matrices(topo)
