@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Topology, effective_matrices  # noqa: F401 (re-exported)
+from .model import Topology, _count, _whole
+from .model import effective_matrices  # noqa: F401 (re-exported)
 
 # Mask draws use stream 1 of the seed; initial clocks use stream 0 (see
 # harness.py), so the two never collide.
@@ -58,19 +59,7 @@ class ChannelModel:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must be in [0, 1]")
-        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-
-def _whole(value, name: str, error=ValueError) -> int:
-    """``value`` as an int; ``error`` unless it is a whole number."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{name} must be an integer")
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
 
 
 def sample_mask(model: ChannelModel, topo: Topology, round: int) -> np.ndarray:
@@ -80,13 +69,15 @@ def sample_mask(model: ChannelModel, topo: Topology, round: int) -> np.ndarray:
     serves both directions. Identical (seed, topology, round) always produce
     the identical mask.
     """
+    round = _whole(round, "round")
     return _mask_block(model.p, [model.seed], len(topo.edges),
                        round, round + 1)[0, 0]
 
 
 def sample_masks(model: ChannelModel, topo: Topology, rounds: int) -> np.ndarray:
     """Masks for rounds 0..rounds-1 as a (rounds, n_edges) bool array."""
-    return _mask_block(model.p, [model.seed], len(topo.edges), 0, rounds)[:, 0]
+    return _mask_block(model.p, [model.seed], len(topo.edges), 0,
+                       _whole(rounds, "rounds"))[:, 0]
 
 
 def _mask_block(p: float, seeds, n_edges: int, r0: int, r1: int) -> np.ndarray:

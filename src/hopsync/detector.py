@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import _whole
 from .kernels import _LOOKAHEAD, _WINDOW, filter_series
+from .model import _check_period, _count
 
 
 class SeriesTooShort(ValueError):
@@ -32,9 +32,7 @@ class DetectorConfig:
     def __post_init__(self):
         if not (0.95 <= self.c_f <= 1.05):
             raise ValueError("c_f must lie in [0.95, 1.05]")
-        object.__setattr__(self, "k_guard", _whole(self.k_guard, "k_guard"))
-        if self.k_guard < 0:
-            raise ValueError("k_guard must be a nonnegative integer")
+        object.__setattr__(self, "k_guard", _count(self.k_guard, "k_guard"))
 
 
 @dataclass(frozen=True)
@@ -47,15 +45,17 @@ class DetectionEvent:
     """
 
     node_id: int
-    detect_round: int
     target_round: int
     frozen_time: float
 
     def __post_init__(self):
-        if self.detect_round != self.target_round + _LOOKAHEAD:
-            raise ValueError("detect_round must equal target_round + 3")
         if self.target_round < 0:
             raise ValueError("target_round must be nonnegative")
+
+    @property
+    def detect_round(self) -> int:
+        """The round the node acts: target_round + 3."""
+        return self.target_round + _LOOKAHEAD
 
 
 def filter_response(series, cfg: DetectorConfig) -> np.ndarray:
@@ -101,11 +101,12 @@ def scan_polarity(y, k_guard: int, first_m: int = _LOOKAHEAD) -> Optional[int]:
     """Index m of the first polarity change with m >= k_guard, else None.
 
     y[j] is the filter output at m = first_m + j; see _first_flips for the
-    rule.
+    rule. k_guard and first_m must be nonnegative integers.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("filter outputs must be one-dimensional")
+    k_guard, first_m = _count(k_guard, "k_guard"), _count(first_m, "first_m")
     m, _ = _first_flips(y[:, None], k_guard, first_m, np.zeros(1, np.int8))
     return None if m[0] < 0 else int(m[0])
 
@@ -131,10 +132,8 @@ def detect(series, cfg: DetectorConfig, node_id: int = 0,
     m = scan_polarity(y, cfg.k_guard)
     if m is None:
         return None
-    decision = m + _LOOKAHEAD
-    frozen = float(clocks[decision]) if clocks is not None else math.nan
-    return DetectionEvent(node_id=node_id, detect_round=decision,
-                          target_round=m, frozen_time=frozen)
+    frozen = float(clocks[m + _LOOKAHEAD]) if clocks is not None else math.nan
+    return DetectionEvent(node_id=node_id, target_round=m, frozen_time=frozen)
 
 
 def node_filter_input(clock_series, delta_t: float) -> np.ndarray:
@@ -144,11 +143,12 @@ def node_filter_input(clock_series, delta_t: float) -> np.ndarray:
     round counter. The error dip becomes a V-shaped extremum here, so the
     smoothed slope the filter estimates reverses sign right at the dip; the
     signed detrended series is monotone through the dip and would never
-    produce a reversal.
+    produce a reversal. delta_t must be positive and finite.
     """
     t = np.asarray(clock_series, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("clock series must be one-dimensional")
+    _check_period(delta_t)
     n = np.arange(t.shape[0], dtype=np.float64)
     return np.abs(t - n * delta_t)
 
@@ -185,5 +185,5 @@ class OnlineDetector:
         if found[0] < 0:
             return None
         self._fired = True
-        return DetectionEvent(node_id=self.node_id, detect_round=m + _LOOKAHEAD,
-                              target_round=m, frozen_time=float(clock))
+        return DetectionEvent(node_id=self.node_id, target_round=m,
+                              frozen_time=float(clock))

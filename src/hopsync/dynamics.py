@@ -11,13 +11,13 @@ levels, and it is solved level by level with one dense block per level.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .model import SystemMatrices, Topology, _averaging_entries, _hop_levels
+from .model import (SystemMatrices, Topology, _averaging_entries,
+                    _check_period, _count, _hop_levels)
 
 
 class DimensionMismatch(ValueError):
@@ -42,10 +42,8 @@ class ClockState:
         t = np.asarray(self.times, dtype=np.float64)
         if t.ndim != 1:
             raise ValueError("times must be a vector")
-        if self.delta_t <= 0:
-            raise ValueError("delta_t must be positive")
-        if self.round < 0:
-            raise ValueError("round must be nonnegative")
+        _check_period(self.delta_t)
+        object.__setattr__(self, "round", _count(self.round, "round"))
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -93,7 +91,9 @@ def error_of(state: ClockState) -> ErrorState:
 
 
 def error_step(err: ErrorState, mats: SystemMatrices, delta_t: float) -> ErrorState:
-    """One application of the error recursion E' = a @ E + delta_t * 1."""
+    """One application of the error recursion E' = a @ E + delta_t * 1;
+    delta_t must be positive and finite."""
+    _check_period(delta_t)
     if mats.n != err.errors.shape[0]:
         raise DimensionMismatch(
             f"matrices are {mats.n}x{mats.n} but error vector has {err.errors.shape[0]} entries")
@@ -116,8 +116,7 @@ def steady_state_error(system: Union[Topology, SystemMatrices],
     raises it too. Raises ValueError unless delta_t is positive and finite,
     and for a network with no ordinary node.
     """
-    if not (math.isfinite(delta_t) and delta_t > 0):
-        raise ValueError("delta_t must be positive and finite")
+    _check_period(delta_t)
     if isinstance(system, Topology):
         n = system.node_count
         rows, cols, vals, b = _averaging_entries(

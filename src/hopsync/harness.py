@@ -22,10 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelModel, _mask_block, _whole, sample_masks
+from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import _LOOKAHEAD, _WINDOW, filter_series, run_rounds
-from .model import Topology, effective_matrices, grid_topology, has_spanning_path
+from .model import (Topology, _check_period, _count, _whole,
+                    effective_matrices, grid_topology, has_spanning_path)
 
 # Uniform initial clocks are drawn from stream 0 of the run seed; channel
 # masks use stream 1 (see channel.py), so the two never collide.
@@ -73,8 +74,7 @@ class SimConfig:
     halt_on_detect: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta_t) and self.delta_t > 0):
-            raise ConfigInvalid("delta_t must be positive and finite")
+        _check_period(self.delta_t, ConfigInvalid)
         if self.init_max is None:
             object.__setattr__(self, "init_max", 100.0 * self.delta_t)
         if not (math.isfinite(self.init_min) and math.isfinite(self.init_max)):
@@ -83,11 +83,10 @@ class SimConfig:
             raise ConfigInvalid("init_min must not exceed init_max")
         if not (0.0 <= self.p <= 1.0):
             raise ConfigInvalid("p must be in [0, 1]")
-        for name in ("seed", "n_max"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name,
-                                                  ConfigInvalid))
-        if self.seed < 0:
-            raise ConfigInvalid("seed must be a nonnegative integer")
+        object.__setattr__(self, "seed", _count(self.seed, "seed",
+                                                ConfigInvalid))
+        object.__setattr__(self, "n_max", _whole(self.n_max, "n_max",
+                                                 ConfigInvalid))
         if self.topology.node_count < 1:
             raise ConfigInvalid("topology must have at least one ordinary node")
         if self.n_max < self.detector.k_guard + _WINDOW:
@@ -186,8 +185,7 @@ def run(cfg: SimConfig) -> RunTrace:
     rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
     errors = cfg.delta_t * rounds[:, None] - times
     events = tuple(
-        DetectionEvent(node_id=int(i), detect_round=int(m) + _LOOKAHEAD,
-                       target_round=int(m),
+        DetectionEvent(node_id=int(i), target_round=int(m),
                        frozen_time=float(times[m + _LOOKAHEAD, i]))
         for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
     return RunTrace(config=cfg, topology=topo,
@@ -257,7 +255,7 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], step: int, detect: bool):
         if halted.any():  # silence every edge touching a halted node
             masks = masks & (~halted[:, eu]
                              & (to_gateway | ~halted[:, ev_node]))
-        block = run_rounds(t, eu, ev, n, masks, dt, round0=r0 - 1)[1:]
+        block = run_rounds(t, eu, ev, masks, dt, round0=r0 - 1)[1:]
         t = block[-1]
 
 
@@ -265,8 +263,11 @@ def run_error_recursion(cfg: SimConfig) -> np.ndarray:
     """Reference error path: iterate E' = a_eff @ E + delta_t directly.
 
     Used for cross-checks against the trace errors; shares the exact same
-    mask stream as run().
+    mask stream as run(). The recursion has no halting, so a config with
+    halt_on_detect raises ValueError.
     """
+    if cfg.halt_on_detect:
+        raise ValueError("run_error_recursion does not model halt_on_detect")
     topo = cfg.topology
     masks = sample_masks(ChannelModel(p=cfg.p, seed=cfg.seed), topo, cfg.n_max)
     t0 = initial_clocks(cfg)
@@ -306,7 +307,7 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
     so no copy of the whole error array is made.
     """
     errors = trace.errors
-    step = max(1, _TRACE_BLOCK_ROWS // trace.topology.node_count)
+    step = max(1, _TRACE_BLOCK_ROWS // errors.shape[1])
     best, best_at = _min_rounds((r0, np.abs(errors[r0:r0 + step]))
                                 for r0 in range(0, trace.n_max + 1, step))
     detected = {e.node_id: e.target_round for e in trace.events}
@@ -450,7 +451,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     exits. A cell's text depends on its value alone (see _trace_block), so
     the bytes are the same for any number of workers. A child that fails
     raises OSError here."""
-    n = trace.topology.node_count
+    n = trace.times.shape[1]
     flagged = np.sort(np.array(
         [e.target_round * n + e.node_id for e in trace.events],
         dtype=np.int64))

@@ -1,7 +1,9 @@
 """The NumPy hot kernels: round evolution and the seven-tap filter.
 
-Every run, sweep, detector and reference path calls these two functions, so
-their floating-point results define the simulator's output bytes.
+Every run, sweep and detector calls these two functions, so their
+floating-point results define the simulator's output bytes. The reference
+paths (dynamics.step, dynamics.error_step, harness.run_error_recursion)
+evolve the dense matrices instead, and the tests compare them against these.
 
 run_rounds evolves one network or a batch of S independent runs of it (one
 per seed) as one state with a leading seed axis. Each round sums neighbor
@@ -26,11 +28,11 @@ _WINDOW = 7
 _LOOKAHEAD = 3
 
 
-def run_rounds(times0, edges_u, edges_v, n_ordinary, masks, delta_t, round0=0):
+def run_rounds(times0, edges_u, edges_v, masks, delta_t, *, round0=0):
     """Evolve node clocks over len(masks) synchronous rounds.
 
     times0: float64[N] initial clocks, or float64[S, N] for S runs at once.
-    edges_u/edges_v: int64 edge endpoints, u < v; v == n_ordinary is the gateway.
+    edges_u/edges_v: int64 edge endpoints, u < v; v == N is the gateway.
     masks: bool[rounds, E] per-round availability, or bool[rounds, S, E] with
         one row per run when times0 has a seed axis.
     round0: absolute round number of times0, for resumed calls.
@@ -44,8 +46,8 @@ def run_rounds(times0, edges_u, edges_v, n_ordinary, masks, delta_t, round0=0):
     times0 = np.asarray(times0, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
     if times0.ndim == 1:
-        return run_rounds(times0[None], edges_u, edges_v, n_ordinary,
-                          masks[:, None], delta_t, round0)[:, 0]
+        return run_rounds(times0[None], edges_u, edges_v, masks[:, None],
+                          delta_t, round0=round0)[:, 0]
     s_count, n = times0.shape
     rounds, n_edges = masks.shape[0], len(edges_u)
     cells = s_count * n

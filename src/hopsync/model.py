@@ -6,10 +6,37 @@ files may spell the gateway as the literal ``gw`` or as that integer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+
+
+def _whole(value, name: str, error=ValueError) -> int:
+    """``value`` as an int; ``error`` unless it is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer")
+
+
+def _count(value, name: str, error=ValueError) -> int:
+    """``value`` as an int; ``error`` unless it is a nonnegative whole
+    number."""
+    n = _whole(value, name, error)
+    if n < 0:
+        raise error(f"{name} must be a nonnegative integer")
+    return n
+
+
+def _check_period(delta_t, error=ValueError) -> None:
+    """``error`` unless the round period ``delta_t`` is positive and
+    finite."""
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise error("delta_t must be positive and finite")
 
 
 class InvalidPlacement(ValueError):
@@ -35,16 +62,13 @@ class Topology:
     """
 
     node_count: int
-    gateway_id: int
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.node_count < 0:
-            raise ValueError("node_count must be nonnegative")
-        if self.gateway_id != self.node_count:
-            raise ValueError("canonical form requires gateway_id == node_count")
-        e = _pairs(self.edges, self.gateway_id)
-        fault = _edge_fault(self.gateway_id, e[:, 0], e[:, 1])
+        n = _count(self.node_count, "node_count")
+        object.__setattr__(self, "node_count", n)
+        e = _pairs(self.edges, n)
+        fault = _edge_fault(n, e[:, 0], e[:, 1])
         if fault:
             raise ValueError(fault[1])
         e = np.sort(e, axis=1)[np.lexsort((e.max(axis=1), e.min(axis=1)))]
@@ -52,6 +76,11 @@ class Topology:
         ends = e.T.copy()
         ends.flags.writeable = False
         object.__setattr__(self, "_ends", (ends[0], ends[1]))
+
+    @property
+    def gateway_id(self) -> int:
+        """The gateway's index, always node_count."""
+        return self.node_count
 
     @property
     def total_nodes(self) -> int:
@@ -205,7 +234,7 @@ def _canonicalize(total: int, gateway: int, edges) -> Topology:
     """Relabel (E, 2) edges over nodes 0..total-1 into canonical form: the
     gateway becomes total-1 and the nodes after it move down by one."""
     edges = np.where(edges == gateway, total - 1, edges - (edges > gateway))
-    return Topology(node_count=total - 1, gateway_id=total - 1, edges=edges)
+    return Topology(node_count=total - 1, edges=edges)
 
 
 def _resolve_gateway(gateway, total: int) -> int:
@@ -351,7 +380,7 @@ def load_topology(path) -> Topology:
     fault = _edge_fault(n, pairs[:, 0], pairs[:, 1])
     if fault:
         raise ValueError(f"{path}:{lines[fault[0]]}: {fault[1]}")
-    return Topology(node_count=n, gateway_id=n, edges=pairs)
+    return Topology(node_count=n, edges=pairs)
 
 
 def _int_field(path, ln: int, tok: str, what: str) -> int:

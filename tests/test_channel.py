@@ -65,7 +65,7 @@ def test_empty_mask_blocks_keep_their_shape(p):
     model = ChannelModel(p=p, seed=3)
     assert sample_masks(model, GRID, 0).shape == (0, 24)
     assert _mask_block(p, [3, 4], 24, 7, 7).shape == (0, 2, 24)
-    edgeless = Topology(node_count=1, gateway_id=1, edges=())
+    edgeless = Topology(node_count=1, edges=())
     assert sample_masks(model, edgeless, 6).shape == (6, 0)
     assert sample_mask(model, edgeless, 2**70).shape == (0,)
 
@@ -130,6 +130,19 @@ def test_negative_round_rejected():
                      lambda: _mask_block(p, [0], 24, 5, 4)):
             with pytest.raises(ValueError, match="rounds must be nonnegative"):
                 draw()
+
+
+@pytest.mark.parametrize("rounds", [2.5, float("nan"), float("inf"), "3"])
+def test_non_integral_round_rejected(rounds):
+    model = ChannelModel(p=0.5, seed=0)
+    with pytest.raises(ValueError, match="^rounds must be an integer$"):
+        sample_masks(model, GRID, rounds)
+    with pytest.raises(ValueError, match="^round must be an integer$"):
+        sample_mask(model, GRID, rounds)
+    assert np.array_equal(sample_masks(model, GRID, 3.0),
+                          sample_masks(model, GRID, 3))
+    assert np.array_equal(sample_mask(model, GRID, 2.0),
+                          sample_mask(model, GRID, 2))
 
 
 def test_seed_words_match_seed_sequence():

@@ -64,7 +64,7 @@ def test_steady_state_delta_t_halving_exact(capsys):
 
 
 def test_steady_state_disconnected_exit4(tmp_path, capsys):
-    topo = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+    topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     path = tmp_path / "split.topo"
     save_topology(topo, path)
     code = run_cli("steady-state", "--topology", f"file:{path}")
@@ -79,7 +79,7 @@ def test_steady_state_require_connected_exit3(tmp_path, capsys, how, split):
     # message before the solve; a connected one still solves
     edges = ((0, 3), (1, 2)) if split else ((0, 3), (0, 1), (1, 2))
     path = tmp_path / "t.topo"
-    save_topology(Topology(node_count=3, gateway_id=3, edges=edges), path)
+    save_topology(Topology(node_count=3, edges=edges), path)
     config = tmp_path / "c.cfg"
     config.write_text("require-connected=true\n")
     extra = (["--require-connected"] if how == "flag"
@@ -163,7 +163,7 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 def test_require_connected_exit3(tmp_path, capsys):
-    topo = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+    topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     path = tmp_path / "split.topo"
     save_topology(topo, path)
     code = run_cli("simulate", "--topology", f"file:{path}",
@@ -172,7 +172,7 @@ def test_require_connected_exit3(tmp_path, capsys):
 
 
 def test_disconnected_without_flag_warns_but_runs(tmp_path, capsys):
-    topo = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+    topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     path = tmp_path / "split.topo"
     save_topology(topo, path)
     code = run_cli("simulate", "--topology", f"file:{path}",
@@ -199,7 +199,7 @@ def test_simulate_searches_reachability_once(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(harness, "has_spanning_path", counted)
     edges = ((0, 3), (1, 2)) if split else ((0, 3), (0, 1), (1, 2))
     path = tmp_path / "t.topo"
-    save_topology(Topology(node_count=3, gateway_id=3, edges=edges), path)
+    save_topology(Topology(node_count=3, edges=edges), path)
     flags = ["--require-connected"] if require else []
     code = run_cli("simulate", "--topology", f"file:{path}",
                    "--out", str(tmp_path), *flags)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,9 +29,29 @@ def test_config_validation():
 
 
 def test_event_validation():
-    DetectionEvent(node_id=0, detect_round=14, target_round=11, frozen_time=0.0)
+    DetectionEvent(node_id=0, target_round=11, frozen_time=0.0)
     with pytest.raises(ValueError):
-        DetectionEvent(node_id=0, detect_round=15, target_round=11,
+        DetectionEvent(node_id=0, target_round=-1, frozen_time=0.0)
+
+
+def test_detect_round_is_target_round_plus_3():
+    # the round a node acts is derived from the flagged instant, wherever
+    # the event comes from: run(), detect() or the online detector
+    assert [f.name for f in fields(DetectionEvent)] == [
+        "node_id", "target_round", "frozen_time"]
+    assert DetectionEvent(0, 11, 0.0).detect_round == 14
+    cfg = SimConfig(topology=grid_topology(4, 4), n_max=200, seed=6,
+                    init_min=0.43, init_max=0.53)
+    events = list(run(cfg).events)
+    x = np.abs(np.linspace(-1, 1, 60))
+    events.append(detect(x, CF1))
+    online = OnlineDetector(CF1)
+    events.append(next(e for e in map(online.push, x) if e is not None))
+    assert len(events) > 2
+    for e in events:
+        assert e.detect_round == e.target_round + 3
+    with pytest.raises(TypeError):
+        DetectionEvent(node_id=0, detect_round=14, target_round=11,
                        frozen_time=0.0)
 
 
@@ -151,6 +172,22 @@ def test_short_series_no_detection():
 def test_not_one_dimensional_rejected(call):
     with pytest.raises(ValueError, match="one-dimensional"):
         call()
+
+
+@pytest.mark.parametrize("k_guard, first_m", [
+    (5.5, 0), (5, 2.5), (math.inf, 0), (math.nan, 0), ("5", 0), (-3, 0),
+    (0, -1)])
+def test_scan_rejects_bad_counts(k_guard, first_m):
+    # DetectorConfig's rule for k_guard, and the same for first_m
+    with pytest.raises(ValueError, match="^(k_guard|first_m) must be a"):
+        scan_polarity(np.ones(30), k_guard, first_m)
+
+
+@pytest.mark.parametrize("delta_t", [0.0, -1.0, math.nan, math.inf])
+def test_node_filter_input_rejects_bad_delta_t(delta_t):
+    with pytest.raises(ValueError,
+                       match="^delta_t must be positive and finite$"):
+        node_filter_input(np.ones(10), delta_t)
 
 
 def test_scan_first_flip():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_steady_state_positive_on_connected():
 
 def test_steady_state_not_convergent_when_disconnected():
     # components {gw, n0} and {n1, n2}: no isolated node, but unreachable pair
-    topo = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+    topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     mats = build_matrices(topo)
     with pytest.raises(NotConvergent):
         steady_state_error(mats, 1e-3)
@@ -157,7 +158,7 @@ def test_steady_state_one_level_wheel(n):
     # every node hears the gateway, so all of them form one level: a wheel
     # (a ring of n nodes around the gateway) is one dense block
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
-    topo = Topology(node_count=n, gateway_id=n, edges=tuple(edges))
+    topo = Topology(node_count=n, edges=tuple(edges))
     mats = build_matrices(topo)
     got = steady_state_error(topo, 1e-3).ess
     want = _dense_steady_state(mats, 1e-3)
@@ -209,11 +210,11 @@ def test_steady_state_one_way_links_match_dense(mats):
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-SPLIT = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+SPLIT = Topology(node_count=3, edges=((0, 3), (1, 2)))
 # nodes 1..6 form a 2x3 grid that cannot hear the gateway; the LU of this
 # singular (I - a) meets no exactly zero pivot, so only the reachability rule
 # keeps it from returning finite garbage
-SPLIT_GRID = Topology(node_count=7, gateway_id=7, edges=(
+SPLIT_GRID = Topology(node_count=7, edges=(
     (0, 7), (1, 2), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (5, 6)))
 
 
@@ -222,10 +223,10 @@ SPLIT_GRID = Topology(node_count=7, gateway_id=7, edges=(
     SPLIT_GRID,
     build_matrices(SPLIT_GRID),
     # node 1 has no neighbor at all
-    Topology(node_count=2, gateway_id=2, edges=((0, 2),)),
+    Topology(node_count=2, edges=((0, 2),)),
     # node 0's only link is down, so it holds: a[0][0] = 1
-    effective_matrices(Topology(node_count=2, gateway_id=2,
-                                edges=((0, 1), (1, 2))), [False, True]),
+    effective_matrices(Topology(node_count=2, edges=((0, 1), (1, 2))),
+                       [False, True]),
     # hears the gateway, but its row of (a | b) sums to 1.5: (I - a) = 0
     SystemMatrices(np.array([[1.0]]), np.array([0.5])),
     SystemMatrices(np.array([[np.nan]]), np.array([1.0])),
@@ -363,5 +364,17 @@ def test_state_validation():
         ClockState(times=np.array([1.0]), round=-1, delta_t=1.0)
     with pytest.raises(ValueError):
         ClockState(times=np.array([1.0]), round=0, delta_t=0.0)
+    for dt in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError,
+                           match="^delta_t must be positive and finite$"):
+            ClockState(times=np.array([1.0]), round=0, delta_t=dt)
+        with pytest.raises(ValueError,
+                           match="^delta_t must be positive and finite$"):
+            error_step(ErrorState(errors=np.zeros(2)), LINE, dt)
+    for rnd in (1.5, math.nan, "2", None):
+        with pytest.raises(ValueError, match="^round must be an integer$"):
+            ClockState(times=np.array([1.0]), round=rnd, delta_t=1.0)
+    state = ClockState(times=np.array([1.0]), round=2.0, delta_t=1.0)
+    assert type(state.round) is int
     with pytest.raises(DimensionMismatch):
         error_step(ErrorState(errors=np.zeros(3)), LINE, 1.0)

@@ -149,6 +149,14 @@ def test_trace_matches_error_recursion_lossy():
     assert np.max(np.abs(tr.errors - ref)) / scale < 1e-9
 
 
+def test_error_recursion_refuses_halting():
+    # the dense recursion has no halting, so it cannot cross-check such a run
+    cfg = SimConfig(topology=generate_topology("grid:3x3"), n_max=200, p=0.5,
+                    halt_on_detect=True)
+    with pytest.raises(ValueError, match="halt_on_detect"):
+        run_error_recursion(cfg)
+
+
 def test_single_node_constant_error_no_detection():
     cfg = SimConfig(topology=line_topology(2), delta_t=1.0, n_max=100, seed=0,
                     init_min=0.0, init_max=100.0)
@@ -159,7 +167,7 @@ def test_single_node_constant_error_no_detection():
 
 def test_disconnected_flagged_but_simulated():
     from hopsync.model import Topology
-    topo = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+    topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     cfg = SimConfig(topology=topo, n_max=50)
     tr = run(cfg)
     assert not tr.connected
@@ -361,6 +369,26 @@ def test_sweep_point_fields():
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def test_trace_csv_and_summary_take_n_from_the_arrays(tmp_path):
+    # a topology narrower than the arrays beside it does not change what is
+    # written: every (round, node) cell of the 10 x 5 arrays, 5 summary rows
+    t = np.arange(50.).reshape(10, 5)
+    trace = RunTrace(config=None, topology=Topology(node_count=3, edges=()),
+                     connected=False, times=t, errors=t, filter_outputs=t,
+                     events=())
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    rows = _read_csv(tmp_path / "trace.csv")[1:]
+    assert [(int(r[0]), int(r[1]), float(r[2])) for r in rows] == [
+        (r, i, t[r, i]) for r in range(10) for i in range(5)]
+    summaries = summarize(trace)
+    assert [s.node_id for s in summaries] == list(range(5))
+    for s in summaries:
+        col = [abs(float(r[3])) for r in rows if int(r[1]) == s.node_id]
+        assert s.min_error_value == min(col)
+        assert s.min_error_instant == col.index(min(col))
+        assert s.ss_error_value == col[-1]
 
 
 def test_trace_csv_schema(tmp_path):
@@ -601,11 +629,10 @@ def _trace_of(times, errors, filter_outputs, events=()):
     topology and events."""
     n = times.shape[1]
     return RunTrace(
-        config=None, topology=Topology(node_count=n, gateway_id=n, edges=()),
+        config=None, topology=Topology(node_count=n, edges=()),
         connected=False, times=times, errors=errors,
         filter_outputs=filter_outputs,
-        events=tuple(DetectionEvent(node_id=i, detect_round=r + 3,
-                                    target_round=r, frozen_time=0.0)
+        events=tuple(DetectionEvent(node_id=i, target_round=r, frozen_time=0.0)
                      for r, i in sorted(events, key=lambda e: e[1])))
 
 

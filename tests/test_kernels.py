@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ def _setup(p=0.7, rounds=120, seed=11):
 def test_run_matches_dense_steps():
     # the edge-wise kernel and the dense matrix recursion agree closely
     topo, eu, ev, t0, masks = _setup(p=1.0, rounds=200)
-    out = kernels.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
+    out = kernels.run_rounds(t0, eu, ev, masks, 1e-3)
     mats = build_matrices(topo)
     state = ClockState(times=t0, round=0, delta_t=1e-3)
     for rnd in range(200):
@@ -33,7 +34,7 @@ def test_run_matches_dense_steps():
 def test_hold_when_no_edges():
     topo, eu, ev, t0, _ = _setup()
     masks = np.zeros((10, 24), dtype=bool)
-    out = kernels.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
+    out = kernels.run_rounds(t0, eu, ev, masks, 1e-3)
     for rnd in range(11):
         assert np.array_equal(out[rnd], t0)
 
@@ -44,26 +45,36 @@ def test_gateway_only_node_tracks_ramp():
     topo = line_topology(2)
     eu, ev = topo.edge_arrays()
     masks = np.ones((5, 1), dtype=bool)
-    out = kernels.run_rounds(np.array([9.9]), eu, ev, 1, masks, 1.0)
+    out = kernels.run_rounds(np.array([9.9]), eu, ev, masks, 1.0)
     assert np.array_equal(out[:, 0], [9.9, 0.0, 1.0, 2.0, 3.0, 4.0])
 
 
 def test_round0_resumes_exactly():
     # split one long run into chained single-round calls at an offset
     topo, eu, ev, t0, masks = _setup(rounds=60)
-    full = kernels.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
+    full = kernels.run_rounds(t0, eu, ev, masks, 1e-3)
     t = t0.copy()
     for rnd in range(60):
-        stepped = kernels.run_rounds(t, eu, ev, topo.node_count,
-                                     masks[rnd:rnd + 1], 1e-3, round0=rnd)
+        stepped = kernels.run_rounds(t, eu, ev, masks[rnd:rnd + 1], 1e-3,
+                                     round0=rnd)
         t = stepped[1]
         assert np.array_equal(t, full[rnd + 1])
 
 
+def test_run_rounds_refuses_stale_positional_calls():
+    # N is times0's width: a stale call that still passes it positionally
+    # binds no argument to the wrong slot, it fails
+    topo, eu, ev, t0, masks = _setup(rounds=5)
+    with pytest.raises(TypeError):
+        kernels.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
+    with pytest.raises(TypeError):
+        kernels.run_rounds(t0, eu, ev, masks, 1e-3, 0)
+
+
 def test_run_deterministic():
     topo, eu, ev, t0, masks = _setup()
-    a = kernels.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
-    b = kernels.run_rounds(t0, eu, ev, topo.node_count, masks, 1e-3)
+    a = kernels.run_rounds(t0, eu, ev, masks, 1e-3)
+    b = kernels.run_rounds(t0, eu, ev, masks, 1e-3)
     assert np.array_equal(a, b)
 
 
@@ -108,8 +119,7 @@ def _oracle_run_rounds(times0, edges_u, edges_v, n, masks, delta_t, round0=0):
 
 def _star(k):
     # every ordinary node's only link is to the gateway
-    return Topology(node_count=k, gateway_id=k,
-                    edges=tuple((i, k) for i in range(k)))
+    return Topology(node_count=k, edges=tuple((i, k) for i in range(k)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,12 +145,12 @@ def test_batched_rounds_equal_single_runs(n, prob, star, seed, runs, rounds,
     t0 = rng.normal(scale=rng.choice([1e-3, 1.0, 1e6]), size=(runs, k))
     t0[rng.random((runs, k)) < 0.1] = -0.0
     masks = rng.random((rounds, runs, len(eu))) < link_p
-    got = kernels.run_rounds(t0, eu, ev, k, masks, dt, round0=round0)
+    got = kernels.run_rounds(t0, eu, ev, masks, dt, round0=round0)
     assert got.shape == (rounds + 1, runs, k)
     for j in range(runs):
         want = _oracle_run_rounds(t0[j], eu, ev, k, masks[:, j], dt, round0)
         assert got[:, j].tobytes() == want.tobytes()  # -0.0 included
-        single = kernels.run_rounds(t0[j], eu, ev, k, masks[:, j], dt,
+        single = kernels.run_rounds(t0[j], eu, ev, masks[:, j], dt,
                                     round0=round0)
         assert single.shape == (rounds + 1, k)
         assert single.tobytes() == want.tobytes()

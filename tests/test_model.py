@@ -1,5 +1,6 @@
 import re
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_random_topology_matches_pairwise_loop(n, prob, seed):
     edges = _random_topology_loop(n, prob, seed)
     # relabel like the corner gateway: node 0 becomes the gateway, i -> i - 1
     relabel = {0: n - 1, **{i: i - 1 for i in range(1, n)}}
-    expected = Topology(n - 1, n - 1,
+    expected = Topology(n - 1,
                         tuple((relabel[i], relabel[j]) for i, j in edges))
     assert random_topology(n, prob, seed=seed) == expected
 
@@ -104,19 +105,19 @@ def test_spanning_path_cases():
     assert has_spanning_path(line_topology(3))
     assert has_spanning_path(grid_topology(4, 4))
     # components {gw, n0} and {n1, n2}
-    split = Topology(node_count=3, gateway_id=3, edges=((0, 3), (1, 2)))
+    split = Topology(node_count=3, edges=((0, 3), (1, 2)))
     assert not has_spanning_path(split)
 
 
 def test_gateway_without_edges_unreachable():
-    topo = Topology(node_count=2, gateway_id=2, edges=((0, 1),))
+    topo = Topology(node_count=2, edges=((0, 1),))
     assert not has_spanning_path(topo)
     mats = build_matrices(topo)
     assert np.all(mats.b == 0.0)
 
 
 def test_isolated_node_rejected():
-    topo = Topology(node_count=2, gateway_id=2, edges=((0, 2),))
+    topo = Topology(node_count=2, edges=((0, 2),))
     with pytest.raises(IsolatedNode):
         build_matrices(topo)
 
@@ -130,13 +131,31 @@ def test_invalid_gateway_placement():
 
 def test_topology_validation():
     with pytest.raises(ValueError):
-        Topology(node_count=2, gateway_id=1, edges=())  # non-canonical gateway
+        Topology(node_count=2, edges=((0, 0),))  # self loop
     with pytest.raises(ValueError):
-        Topology(node_count=2, gateway_id=2, edges=((0, 0),))  # self loop
+        Topology(node_count=2, edges=((0, 1), (1, 0)))  # dup
     with pytest.raises(ValueError):
-        Topology(node_count=2, gateway_id=2, edges=((0, 1), (1, 0)))  # dup
-    with pytest.raises(ValueError):
-        Topology(node_count=2, gateway_id=2, edges=((0, 5),))  # out of range
+        Topology(node_count=2, edges=((0, 5),))  # out of range
+    for count in (1.5, -1, "3", None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^node_count must be a"):
+            Topology(node_count=count, edges=())
+    assert type(Topology(node_count=2.0, edges=()).node_count) is int
+
+
+def test_gateway_id_is_node_count(tmp_path):
+    # the gateway is always index node_count: derived, never passed or stored
+    assert [f.name for f in fields(Topology)] == ["node_count", "edges"]
+    path = tmp_path / "ring.topo"
+    save_topology(ring_topology(6, gateway=2), path)
+    for topo in (generate_topology("grid:4x4", gateway=5),
+                 generate_topology("line:1"), generate_topology("ring:7"),
+                 generate_topology("random:9:0.5", seed=3),
+                 generate_topology(f"file:{path}"), load_topology(path)):
+        assert topo.gateway_id == topo.node_count == topo.total_nodes - 1
+    with pytest.raises(AttributeError):
+        topo.gateway_id = 0
+    with pytest.raises(TypeError):
+        Topology(node_count=2, gateway_id=2, edges=())
 
 
 def test_generate_topology_spellings():
@@ -364,12 +383,12 @@ def test_edge_check_matches_loop(tmp_path, case):
     path.write_text(f"N {n}\nG gw\n"
                     + "".join(f"E {i} {j}\n" for i, j in edges))
     if fault is None:
-        assert Topology(n, n, tuple(edges)).edges == want
-        assert load_topology(path) == Topology(n, n, want)
+        assert Topology(n, tuple(edges)).edges == want
+        assert load_topology(path) == Topology(n, want)
     else:
         k, reason = fault
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
-            Topology(n, n, tuple(edges))
+            Topology(n, tuple(edges))
         with pytest.raises(ValueError, match=(
                 f"^{re.escape(str(path))}:{k + 3}: {re.escape(reason)}$")):
             load_topology(path)
@@ -381,7 +400,7 @@ def _topologies(draw):
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     edges = (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs
              else [])
-    return Topology(n, n, tuple(edges))
+    return Topology(n, tuple(edges))
 
 
 @settings(max_examples=300, deadline=None)
