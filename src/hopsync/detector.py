@@ -49,8 +49,9 @@ class DetectionEvent:
     frozen_time: float
 
     def __post_init__(self):
-        if self.target_round < 0:
-            raise ValueError("target_round must be nonnegative")
+        object.__setattr__(self, "node_id", _count(self.node_id, "node_id"))
+        object.__setattr__(self, "target_round",
+                           _count(self.target_round, "target_round"))
 
     @property
     def detect_round(self) -> int:

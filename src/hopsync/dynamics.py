@@ -132,12 +132,16 @@ def steady_state_error(system: Union[Topology, SystemMatrices],
     heard = np.flatnonzero(b)
     src = np.concatenate([cols, np.full(heard.size, n)])
     dst = np.concatenate([rows, heard])
-    if _hop_levels(n, src, dst).min() < 0:
+    level = _hop_levels(n, src, dst)
+    if level.min() < 0:
         raise NotConvergent("some node is unreachable from the gateway")
     # levels over the links taken both ways, so that a one-way link also
-    # joins the same or adjacent levels
-    level = _hop_levels(n, np.concatenate([src, dst]),
-                        np.concatenate([dst, src]))[:n] - 1
+    # joins the same or adjacent levels; a topology's links already run both
+    # ways
+    if not isinstance(system, Topology):
+        level = _hop_levels(n, np.concatenate([src, dst]),
+                            np.concatenate([dst, src]))
+    level = level[:n] - 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             x = _solve_by_levels(level, rows, cols, vals, float(delta_t))

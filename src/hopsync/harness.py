@@ -24,7 +24,8 @@ import numpy as np
 
 from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
-from .kernels import _LOOKAHEAD, _WINDOW, filter_series, run_rounds
+from .kernels import (_LOOKAHEAD, _WINDOW, _float_reprs, filter_series,
+                      run_rounds)
 from .model import (Topology, _check_period, _count, _whole,
                     effective_matrices, grid_topology, has_spanning_path)
 
@@ -406,9 +407,7 @@ def _trace_block(times, errors, filter_outputs, flagged, nodes, r0,
     t, e, f = times[r0:r1], errors[r0:r1], filter_outputs[r0:r1]
     uniq, inv = np.unique(np.stack([t, e, f]).view(np.int64),
                           return_inverse=True)
-    strs = np.array(list(map(repr, uniq.view(np.float64).tolist())),
-                    dtype=object)
-    cells = strs[inv.ravel()].reshape(3, -1)
+    cells = _float_reprs(uniq.view(np.float64))[inv.ravel()].reshape(3, -1)
     cells[2, np.isnan(f).ravel()] = ""
     clock, err, filt = cells.tolist()
     return "".join([f"{k}{c},{x},{y}{d}\r\n" for k, c, x, y, d in zip(

@@ -162,6 +162,20 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert loaded == eager
 
 
+def test_trace_writer_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without return_inverse asks numpy.ma whether its input is
+    # masked on some NumPy versions, and importing numpy.ma costs peak RSS;
+    # nothing that writes trace.csv should load it
+    code = ("import sys; from hopsync.cli import main; "
+            "code = main(['simulate', '--topology', 'grid:3x3', '--rounds', "
+            f"'60', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = _cli_process(code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "trace.csv").stat().st_size > 0
+
+
 def test_require_connected_exit3(tmp_path, capsys):
     topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     path = tmp_path / "split.topo"

@@ -30,8 +30,13 @@ def test_config_validation():
 
 def test_event_validation():
     DetectionEvent(node_id=0, target_round=11, frozen_time=0.0)
-    with pytest.raises(ValueError):
-        DetectionEvent(node_id=0, target_round=-1, frozen_time=0.0)
+    assert DetectionEvent(node_id=np.int64(3), target_round=11.0,
+                          frozen_time=0.0) == DetectionEvent(3, 11, 0.0)
+    for node_id, target_round in [(0, -1), (0, 1.5), (0, float("nan")),
+                                  (-2.5, 11), (-1, 11), ("0", 11)]:
+        with pytest.raises(ValueError):
+            DetectionEvent(node_id=node_id, target_round=target_round,
+                           frozen_time=0.0)
 
 
 def test_detect_round_is_target_round_plus_3():

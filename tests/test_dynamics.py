@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hopsync import dynamics
 from hopsync.dynamics import (ClockState, DimensionMismatch, ErrorState,
                               NotConvergent, error_of, error_step,
                               steady_state_error, step)
@@ -130,6 +131,27 @@ def test_steady_state_entry_points_bit_identical(topo):
     mats = build_matrices(topo)
     assert np.array_equal(steady_state_error(topo, 1e-3).ess,
                           steady_state_error(mats, 1e-3).ess)
+
+
+@pytest.mark.parametrize("as_matrices, calls", [(False, 1), (True, 2)])
+def test_steady_state_hop_level_searches(monkeypatch, as_matrices, calls):
+    # a topology's links run both ways, so the levels of the reachability
+    # search already are the levels over links taken both ways; matrices may
+    # hold one-way links and need the second search
+    topo = grid_topology(5, 5)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return _hop_levels(*args)
+
+    monkeypatch.setattr(dynamics, "_hop_levels", counted)
+    system = build_matrices(topo) if as_matrices else topo
+    got = steady_state_error(system, 1e-3).ess
+    assert len(seen) == calls
+    monkeypatch.undo()
+    assert np.array_equal(got, steady_state_error(build_matrices(topo),
+                                                  1e-3).ess)
 
 
 def test_steady_state_one_way_link_skipping_a_level():

@@ -154,3 +154,77 @@ def test_batched_rounds_equal_single_runs(n, prob, star, seed, runs, rounds,
                                     round0=round0)
         assert single.shape == (rounds + 1, k)
         assert single.tobytes() == want.tobytes()
+
+
+def _bits(values):
+    """float64 bit patterns of ``values``, with one-ulp neighbours."""
+    x = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        x = np.concatenate([np.nextafter(x, -np.inf), x,
+                            np.nextafter(x, np.inf)])
+    return x.view(np.uint64).tolist()
+
+
+def _bit(value):
+    return int(np.float64(value).view(np.uint64))
+
+
+# the ends of the kernel's range, powers of 2 and of 10, whole numbers,
+# repr's switch to exponent notation, 15-, 16- and 17-digit values, and
+# values halfway between two 16-digit or two 17-digit decimals that both
+# read back
+_RANGE_ENDS = _bits([1e-10, 1e13, -1e-10, -1e13])
+_POWERS = _bits([2.0 ** j for j in range(-40, 46, 3)]
+                + [10.0 ** j for j in range(-11, 15)])
+_WHOLE = _bits([1.0, 2.0, 3.0, 10.0, 255.0, 123456.0, 2.0**43 + 1.0,
+                9999999999999.0, -7.0])
+_EXPONENT_SWITCH = _bits([9.999999999999999e-05, 0.0001, 1e-05,
+                          9.99999999999999e-05, 1e16, 1e-4 * 1.5])
+_DIGITS = _bits([0.123456789012345, 0.1234567890123456,
+                 0.12345678901234568, 1.2345678901234567e-07,
+                 123456.78901234567, 2.0 / 3.0, 0.1, 0.3, 7e-10])
+_TIES = _bits([9000000000.0078125, 9000000000.0234375, 9100000000.0390625,
+               1234567890123.03125, 1234567890123.09375,
+               123456789012.015625])
+
+
+def _as_floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.one_of(
+    st.integers(0, 2**64 - 1),  # any pattern: NaNs, infinities, subnormals
+    st.floats(1e-10, 1e13).map(_bit),
+    st.floats(-1e13, -1e-10).map(_bit),
+    st.floats(width=64).map(_bit),
+    st.sampled_from(_bits([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                           2.2250738585072014e-308,
+                           1.7976931348623157e308]))), max_size=60))
+@example(bits=_RANGE_ENDS)
+@example(bits=_POWERS)
+@example(bits=_WHOLE)
+@example(bits=_EXPONENT_SWITCH)
+@example(bits=_DIGITS)
+@example(bits=_TIES)
+@example(bits=[])
+def test_float_reprs_equal_repr(bits):
+    # the kernel prints exactly repr's shortest round-trip digits, for every
+    # float64 it formats itself and for those it hands to repr
+    x = _as_floats(bits)
+    got = kernels._float_reprs(x)
+    assert got.dtype == object and got.shape == x.shape
+    assert got.tolist() == [repr(v) for v in x.tolist()]
+    assert all(type(s) is str for s in got)
+
+
+def test_float_reprs_across_chunks():
+    # several chunks with values for repr between and within them
+    rng = np.random.default_rng(20)
+    x = np.concatenate([
+        rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64),
+        rng.uniform(-0.2, 0.2, 3000) * 10.0 ** rng.integers(-10, 13, 3000),
+        _as_floats(_RANGE_ENDS + _POWERS + _WHOLE + _EXPONENT_SWITCH
+                   + _DIGITS + _TIES)])
+    x = x[rng.permutation(x.size)]
+    assert kernels._float_reprs(x).tolist() == [repr(v) for v in x.tolist()]
