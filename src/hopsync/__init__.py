@@ -6,7 +6,7 @@ steady-state error, a lossy-link channel model, a seven-tap dip detector for
 stopping near the transient error minimum, and an experiment harness with a
 CLI front end.
 """
-from .channel import ChannelModel, effective_matrices, sample_mask, sample_masks
+from .channel import ChannelModel, sample_mask, sample_masks
 from .detector import (DetectionEvent, DetectorConfig, OnlineDetector,
                        SeriesTooShort, detect, filter_response,
                        node_filter_input, scan_polarity)
@@ -18,9 +18,10 @@ from .harness import (ConfigInvalid, NodeSummary, RunTrace, SimConfig,
                       run_error_recursion, scaling_sweep, summarize,
                       write_summary_csv, write_sweep_csv, write_trace_csv)
 from .model import (InvalidPlacement, IsolatedNode, SystemMatrices, Topology,
-                    build_matrices, generate_topology, grid_topology,
-                    has_spanning_path, line_topology, load_topology,
-                    random_topology, ring_topology, save_topology)
+                    build_matrices, effective_matrices, generate_topology,
+                    grid_topology, has_spanning_path, line_topology,
+                    load_topology, random_topology, ring_topology,
+                    save_topology)
 
 __version__ = "0.1.0"
 

@@ -1,12 +1,11 @@
 """Stochastic link availability: one Bernoulli coin per undirected edge per
 round. The effective (renormalized) averaging matrices for a round's mask are
-built by model.effective_matrices, re-exported here.
+built by model.effective_matrices.
 
 Mask draws are keyed by (seed, round), so a round's mask never depends on the
 horizon or on the order in which rounds are sampled. A round's coins are
 
-    np.random.default_rng(np.random.SeedSequence([seed, 1, round]))
-        .random(n_edges) < p
+    np.random.default_rng([seed, _MASK_STREAM, round]).random(n_edges) < p
 
 bit for bit. Nearly all of the tens of microseconds that construction costs a
 round go into SeedSequence's hashing, so _mask_block hashes a whole block of
@@ -31,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Topology, _count, _whole
-from .model import effective_matrices  # noqa: F401 (re-exported)
-
-# Mask draws use stream 1 of the seed; initial clocks use stream 0 (see
-# harness.py), so the two never collide.
-_MASK_STREAM = 1
+from .model import _MASK_STREAM, Topology, _check_probability, _count, _whole
 
 # numpy.random.SeedSequence's constants (numpy/random/bit_generator.pyx):
 # a pool of 4 uint32 words, the entropy hash (A) and output hash (B)
@@ -57,8 +51,7 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must be in [0, 1]")
+        _check_probability(self.p, "p")
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
 
 
@@ -88,10 +81,10 @@ def _mask_block(p: float, seeds, n_edges: int, r0: int, r1: int) -> np.ndarray:
 
     Each (round, seed) pair is a lane, and lane k fills row k of
     ``out.reshape(lanes, n_edges)``. Its SeedSequence entropy is the uint32
-    words of [seed, 1, round], written into one zero-padded (lanes, words)
-    array with each lane's word count beside it; _seed_words hashes every
-    lane from it at once into the words its SeedSequence would give, and
-    default_rng draws the lane's coins from them: the same bits.
+    words of [seed, _MASK_STREAM, round], written into one zero-padded
+    (lanes, words) array with each lane's word count beside it; _seed_words
+    hashes every lane from it at once into the words its SeedSequence would
+    give, and default_rng draws the lane's coins from them: the same bits.
     """
     if r0 < 0 or r1 < r0:  # SeedSequence refuses a negative round
         raise ValueError("rounds must be nonnegative")

@@ -7,7 +7,10 @@ that output back as a config file reproduces the same effective run.
 
 Exit codes: 0 success, 2 configuration/usage error or out of memory, 3
 topology not connected under ``--require-connected``, 4 steady-state system
-not solvable.
+not solvable, 130 interrupted (Ctrl-C), 141 standard output closed early (a
+closed pipe, 128 + SIGPIPE; nothing is printed). Each output file is either
+complete or absent: it is written beside its final name and renamed into
+place only once complete.
 """
 from __future__ import annotations
 
@@ -19,14 +22,17 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .detector import DetectorConfig
 from .dynamics import NotConvergent, steady_state_error
-from .harness import (ConfigInvalid, SimConfig, run, scaling_sweep, summarize,
-                      write_summary_csv, write_sweep_csv, write_trace_csv)
+from .harness import (ConfigInvalid, SimConfig, _default_init_max, run,
+                      scaling_sweep, summarize, write_summary_csv,
+                      write_sweep_csv, write_trace_csv)
 from .model import generate_topology, has_spanning_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DISCONNECTED = 3
 EXIT_NOT_CONVERGENT = 4
+EXIT_INTERRUPTED = 130   # 128 + SIGINT
+EXIT_CLOSED_PIPE = 141   # 128 + SIGPIPE
 
 
 class CliError(Exception):
@@ -57,7 +63,7 @@ def _gateway(raw: str):
 class _Option(NamedTuple):
     key: str            # the flag without its dashes, and the config-file key
     parse: Callable     # flag or config-file string -> value
-    default: object     # None: not set (init-max: 100 * delta-t)
+    default: object     # None: not set (init-max: _default_init_max)
     metavar: Optional[str]
     help: str
     sweep_only: bool = False
@@ -69,16 +75,17 @@ _OPTIONS = (
     _Option("topology", str, "grid:4x4", "SPEC",
             "grid:RxC | line:N | ring:N | random:N:P | file:PATH"),
     _Option("gateway", _gateway, "corner", "WHERE", "node index, or 'corner'"),
-    _Option("delta-t", float, 0.001, "SEC", "round period in seconds"),
-    _Option("rounds", int, 500, "N", "rounds to simulate"),
-    _Option("p", float, 1.0, "PROB", "per-edge availability probability"),
-    _Option("seed", int, 0, "U64", "master seed"),
-    _Option("init-min", float, 0.0, "SEC", "initial clock lower bound"),
-    _Option("init-max", float, None, "SEC",
+    _Option("delta-t", float, SimConfig.delta_t, "SEC", "round period in seconds"),
+    _Option("rounds", int, SimConfig.n_max, "N", "rounds to simulate"),
+    _Option("p", float, SimConfig.p, "PROB", "per-edge availability probability"),
+    _Option("seed", int, SimConfig.seed, "U64", "master seed"),
+    _Option("init-min", float, SimConfig.init_min, "SEC", "initial clock lower bound"),
+    _Option("init-max", float, SimConfig.init_max, "SEC",
             "initial clock upper bound (default 100*delta-t)"),
-    _Option("cf", float, 1.002, "REAL", "detector comparison factor"),
-    _Option("k-guard", int, 11, "INT", "rounds before detections may fire"),
-    _Option("halt-on-detect", _bool, False, None,
+    _Option("cf", float, DetectorConfig.c_f, "REAL", "detector comparison factor"),
+    _Option("k-guard", int, DetectorConfig.k_guard, "INT",
+            "rounds before detections may fire"),
+    _Option("halt-on-detect", _bool, SimConfig.halt_on_detect, None,
             "detected nodes stop exchanging and freeze"),
     _Option("require-connected", _bool, False, None,
             "refuse topologies without a gateway spanning path"),
@@ -121,7 +128,7 @@ def _resolve(args) -> dict:
         if (value := getattr(args, opt.key, None)) is not None:
             cfg[opt.key] = value
     if cfg["init-max"] is None:
-        cfg["init-max"] = 100.0 * cfg["delta-t"]
+        cfg["init-max"] = _default_init_max(cfg["delta-t"])
     return cfg
 
 
@@ -142,13 +149,9 @@ def _build_topology(cfg: dict):
         raise CliError(f"bad topology {cfg['topology']!r}: {err}")
 
 
-def _refuse_disconnected(cfg: dict, topo) -> bool:
-    """True, after saying why, when ``--require-connected`` is set and the
-    gateway reaches some node of ``topo`` by no path."""
-    if cfg["require-connected"] and not has_spanning_path(topo):
-        print("topology has no spanning path from the gateway", file=sys.stderr)
-        return True
-    return False
+def _refuse_disconnected() -> int:
+    print("topology has no spanning path from the gateway", file=sys.stderr)
+    return EXIT_DISCONNECTED
 
 
 def _sim_config(cfg: dict, topo) -> SimConfig:
@@ -196,11 +199,11 @@ def _writing(out: str):
 
 def _cmd_simulate(cfg: dict) -> int:
     topo = _build_topology(cfg)
-    if _refuse_disconnected(cfg, topo):
-        return EXIT_DISCONNECTED
-    sim = _sim_config(cfg, topo)
-    trace = run(sim)
-    if not trace.connected:
+    connected = has_spanning_path(topo)
+    if cfg["require-connected"] and not connected:
+        return _refuse_disconnected()
+    trace = run(_sim_config(cfg, topo))
+    if not connected:
         print("warning: topology is not connected; some nodes never hear "
               "the gateway", file=sys.stderr)
     summaries = summarize(trace)
@@ -216,8 +219,9 @@ def _cmd_steady_state(cfg: dict) -> int:
         raise CliError("steady-state solves the p = 1 system; "
                        f"--p {cfg['p']} is not supported")
     topo = _build_topology(cfg)
-    if _refuse_disconnected(cfg, topo):
-        return EXIT_DISCONNECTED
+    # the solve finds a disconnected network itself: search only to refuse
+    if cfg["require-connected"] and not has_spanning_path(topo):
+        return _refuse_disconnected()
     try:
         result = steady_state_error(topo, cfg["delta-t"])
     except NotConvergent as err:
@@ -305,25 +309,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(raw: str) -> bool:
+    try:
+        float(raw)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_numbers(argv: Sequence[str]) -> List[str]:
+    """``argv`` with each number given to a number option as a separate
+    argument attached, ``--key value`` as ``--key=value``, so that argparse
+    does not take a negative one (``-1e-3``, ``-inf``) for a flag."""
+    number_flags = {f"--{opt.key}" for opt in _OPTIONS
+                    if opt.parse in (int, float)}
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in number_flags and _is_number(arg):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_numbers(
+        sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve(args)
         if args.dump_config:
             _dump(cfg)
-            return EXIT_OK
-        if args.subcommand == "simulate":
-            return _cmd_simulate(cfg)
-        if args.subcommand == "steady-state":
-            return _cmd_steady_state(cfg)
-        return _cmd_sweep(cfg)
+            code = EXIT_OK
+        elif args.subcommand == "simulate":
+            code = _cmd_simulate(cfg)
+        elif args.subcommand == "steady-state":
+            code = _cmd_steady_state(cfg)
+        else:
+            code = _cmd_sweep(cfg)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
     except MemoryError as err:
         print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # interpreter exit has nowhere to fail (the Python docs' note on
+        # SIGPIPE), and say nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

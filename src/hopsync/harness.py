@@ -26,12 +26,9 @@ from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import (_LOOKAHEAD, _WINDOW, _float_reprs, filter_series,
                       run_rounds)
-from .model import (Topology, _check_period, _count, _whole,
-                    effective_matrices, grid_topology, has_spanning_path)
-
-# Uniform initial clocks are drawn from stream 0 of the run seed; channel
-# masks use stream 1 (see channel.py), so the two never collide.
-_INIT_STREAM = 0
+from .model import (_INIT_STREAM, Topology, _check_period,
+                    _check_probability, _count, _whole, effective_matrices,
+                    grid_topology)
 
 _TRACE_HEADER = ["round", "node", "clock", "error", "filter_out", "detected"]
 _SUMMARY_HEADER = ["node", "min_error_instant", "min_error_value",
@@ -56,12 +53,17 @@ class ConfigInvalid(ValueError):
     """A SimConfig field is out of range or inconsistent."""
 
 
+def _default_init_max(delta_t: float) -> float:
+    """SimConfig.init_max when not given: 100 round periods."""
+    return 100.0 * delta_t
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything a run needs: topology, timing, channel, seed, detector.
 
-    init_max defaults to 100 * delta_t when not given; initial clocks are
-    uniform draws from [init_min, init_max].
+    init_max defaults to _default_init_max(delta_t) when not given; initial
+    clocks are uniform draws from [init_min, init_max].
     """
 
     topology: Topology
@@ -77,13 +79,12 @@ class SimConfig:
     def __post_init__(self):
         _check_period(self.delta_t, ConfigInvalid)
         if self.init_max is None:
-            object.__setattr__(self, "init_max", 100.0 * self.delta_t)
+            object.__setattr__(self, "init_max", _default_init_max(self.delta_t))
         if not (math.isfinite(self.init_min) and math.isfinite(self.init_max)):
             raise ConfigInvalid("init_min and init_max must be finite")
         if self.init_min > self.init_max:
             raise ConfigInvalid("init_min must not exceed init_max")
-        if not (0.0 <= self.p <= 1.0):
-            raise ConfigInvalid("p must be in [0, 1]")
+        _check_probability(self.p, "p", ConfigInvalid)
         object.__setattr__(self, "seed", _count(self.seed, "seed",
                                                 ConfigInvalid))
         object.__setattr__(self, "n_max", _whole(self.n_max, "n_max",
@@ -115,8 +116,6 @@ class RunTrace:
     """
 
     config: SimConfig
-    topology: Topology
-    connected: bool
     times: np.ndarray
     errors: np.ndarray
     filter_outputs: np.ndarray
@@ -162,7 +161,7 @@ class SweepResult:
 
 
 def initial_clocks(cfg: SimConfig) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), _INIT_STREAM]))
+    rng = np.random.default_rng([int(cfg.seed), _INIT_STREAM])
     return rng.uniform(cfg.init_min, cfg.init_max, size=cfg.topology.node_count)
 
 
@@ -170,11 +169,9 @@ def run(cfg: SimConfig) -> RunTrace:
     """Evolve the system for cfg.n_max rounds and run every node's detector.
 
     Deterministic for a fixed config. A disconnected topology is simulated
-    anyway and flagged via ``connected``.
+    anyway: nodes the gateway does not reach never hear the reference.
     """
-    topo = cfg.topology
-    n = topo.node_count
-    connected = has_spanning_path(topo)
+    n = cfg.topology.node_count
     times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
     filter_outputs = np.full((cfg.n_max + 1, n), np.nan)
     step = max(1, _TRACE_BLOCK_ROWS // n)
@@ -189,9 +186,8 @@ def run(cfg: SimConfig) -> RunTrace:
         DetectionEvent(node_id=int(i), target_round=int(m),
                        frozen_time=float(times[m + _LOOKAHEAD, i]))
         for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
-    return RunTrace(config=cfg, topology=topo,
-                    connected=connected, times=times,
-                    errors=errors, filter_outputs=filter_outputs, events=events)
+    return RunTrace(config=cfg, times=times, errors=errors,
+                    filter_outputs=filter_outputs, events=events)
 
 
 def _rounds(cfg: SimConfig, seeds: Sequence[int], step: int, detect: bool):
@@ -436,6 +432,24 @@ def _fork() -> int:
         return os.fork()
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """A new file beside ``path``, opened with ``mode`` and ``kwargs``,
+    that replaces ``path`` once the with-block completes. On any exception,
+    an interrupt included, the new file is deleted and ``path`` is left as
+    it was, so a file at ``path`` is always complete. The new file is
+    created as ``open`` creates one, so the umask sets its mode."""
+    new = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(new, path)
+    except BaseException:
+        os.unlink(new)
+        raise
+
+
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Rows are (round, node) pairs, round-major. ``filter_out`` is empty
     where the filter window is undefined; ``detected`` is 1 exactly at a
@@ -444,9 +458,10 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     Whole rounds are formatted and written a block at a time, so memory
     beyond the trace arrays stays near one block per process whatever the
     run length. The rounds split into one contiguous span of whole blocks
-    per worker (see _trace_workers). This process writes span 0 to ``path``;
-    a forked child formats each later span into an unlinked temporary file
-    in ``path``'s directory, which is appended in span order once the child
+    per worker (see _trace_workers). This process writes span 0 to a new
+    file that replaces ``path`` once complete (see _replacing); a forked
+    child formats each later span into an unlinked temporary file in
+    ``path``'s directory, which is appended in span order once the child
     exits. A cell's text depends on its value alone (see _trace_block), so
     the bytes are the same for any number of workers. A child that fails
     raises OSError here."""
@@ -469,7 +484,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
                                   min(r0 + step, rounds)).encode("ascii"))
 
     children = []  # (pid, temporary file) of each child not yet reaped
-    with open(path, "wb") as fh, contextlib.ExitStack() as parts:
+    with _replacing(path, "wb") as fh, contextlib.ExitStack() as parts:
         fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
         fh.flush()  # a child must not inherit unwritten bytes
         try:
@@ -503,7 +518,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
 
 def write_summary_csv(summaries: Sequence[NodeSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_SUMMARY_HEADER)
         for s in summaries:
@@ -514,7 +529,7 @@ def write_summary_csv(summaries: Sequence[NodeSummary], path) -> None:
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_SWEEP_HEADER)
         for p in result.points:

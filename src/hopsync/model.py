@@ -12,6 +12,11 @@ from typing import Tuple
 
 import numpy as np
 
+# Streams of the seed, one per kind of random draw: no two kinds share one.
+_INIT_STREAM = 0      # initial clocks
+_MASK_STREAM = 1      # per-round link masks
+_TOPOLOGY_STREAM = 2  # random_topology's edges
+
 
 def _whole(value, name: str, error=ValueError) -> int:
     """``value`` as an int; ``error`` unless it is a whole number."""
@@ -37,6 +42,12 @@ def _check_period(delta_t, error=ValueError) -> None:
     finite."""
     if not (math.isfinite(delta_t) and delta_t > 0):
         raise error("delta_t must be positive and finite")
+
+
+def _check_probability(value, name: str, error=ValueError) -> None:
+    """``error`` unless ``value`` is a probability, in [0, 1]."""
+    if not (0.0 <= value <= 1.0):
+        raise error(f"{name} must be in [0, 1]")
 
 
 class InvalidPlacement(ValueError):
@@ -285,10 +296,9 @@ def random_topology(n: int, edge_prob: float, seed: int, gateway="corner") -> To
     """
     if n < 2:
         raise ValueError("a random topology needs at least 2 total nodes")
-    if not (0.0 <= edge_prob <= 1.0):
-        raise ValueError("edge_prob must be in [0, 1]")
+    _check_probability(edge_prob, "edge_prob")
     g = _resolve_gateway(gateway, n)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
+    rng = np.random.default_rng([int(seed), _TOPOLOGY_STREAM])
     # one draw per pair (i, j), i < j, in row-major order
     pairs = np.transpose(np.triu_indices(n, 1))
     keep = rng.random(len(pairs)) < edge_prob

@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsync.channel import (ChannelModel, _mask_block, _seed_words,
-                             effective_matrices, sample_mask, sample_masks)
+                             sample_mask, sample_masks)
 from hopsync.model import (IsolatedNode, Topology, build_matrices,
-                           grid_topology, line_topology, random_topology)
+                           effective_matrices, grid_topology, line_topology,
+                           random_topology)
 
 GRID = grid_topology(4, 4)
 

@@ -102,16 +102,43 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _cli_env() -> dict:
+    """The environment of a fresh interpreter that imports this hopsync."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopsync.__file__)))
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _cli_process(*argv, code=None, **kwargs):
     """Run ``python -m hopsync.cli *argv``, or ``python -c code``, in a fresh
     interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hopsync.__file__)))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
     command = ["-m", "hopsync.cli", *argv] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *command],
-                          capture_output=True, text=True, env=env, **kwargs)
+    return subprocess.run([sys.executable, *command], capture_output=True,
+                          text=True, env=_cli_env(), **kwargs)
+
+
+@pytest.mark.parametrize("topology, read", [("grid:100x100", 10),
+                                            ("line:3", 0)])
+def test_closed_stdout_exits_141_quietly(topology, read):
+    # a reader that stops early, as `| head -c 10` does, closes the pipe
+    # while the command still prints (197 kB for grid:100x100, past the
+    # pipe's buffer), or before it prints a byte, so that only the last
+    # flush fails: nothing on stderr, and the shell's status for SIGPIPE.
+    # stdout is block-buffered, as on a pipe by default, whatever the
+    # environment running the tests asks for.
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+            [sys.executable, "-m", "hopsync.cli", "steady-state",
+             "--topology", topology], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env) as proc:
+        if read:
+            assert len(os.read(proc.stdout.fileno(), read)) > 0
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_steady_state_large_grid_bounded_memory():
@@ -199,10 +226,10 @@ def test_disconnected_without_flag_warns_but_runs(tmp_path, capsys):
 @pytest.mark.parametrize("split", [False, True])
 def test_simulate_searches_reachability_once(tmp_path, monkeypatch, capsys,
                                              require, split):
-    # the run's own search flags the warning; the CLI searches before the
-    # run only to refuse a disconnected network under --require-connected
+    # one search before the run both refuses a disconnected network under
+    # --require-connected and warns about one without it; the run searches
+    # nothing
     import hopsync.cli as cli
-    import hopsync.harness as harness
     calls = []
 
     def counted(topo):
@@ -210,7 +237,6 @@ def test_simulate_searches_reachability_once(tmp_path, monkeypatch, capsys,
         return has_spanning_path(topo)
 
     monkeypatch.setattr(cli, "has_spanning_path", counted)
-    monkeypatch.setattr(harness, "has_spanning_path", counted)
     edges = ((0, 3), (1, 2)) if split else ((0, 3), (0, 1), (1, 2))
     path = tmp_path / "t.topo"
     save_topology(Topology(node_count=3, edges=edges), path)
@@ -219,7 +245,7 @@ def test_simulate_searches_reachability_once(tmp_path, monkeypatch, capsys,
                    "--out", str(tmp_path), *flags)
     err = capsys.readouterr().err
     assert code == (3 if require and split else 0)
-    assert len(calls) == (2 if require and not split else 1)
+    assert len(calls) == 1
     assert ("warning" in err) == (split and not require)
     assert ("no spanning path" in err) == (split and require)
 
@@ -509,6 +535,37 @@ def test_dump_config_every_option_round_trips(tmp_path, capsys, command):
     again.write_text(first)
     assert run_cli(command, "--config", str(again), "--dump-config") == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1e+300", "-inf",
+                                   "-0.5", "-2"])
+def test_negative_numbers_pass_as_flags(capsys, value):
+    # argparse reads "-1e-3" and "-inf" as flags unless attached; every line
+    # --dump-config prints, given back as a flag, dumps the same
+    assert run_cli("sweep", "--init-min", value, "--init-max", value,
+                   "--dump-config") == 0
+    dumped = capsys.readouterr().out
+    assert f"init-min={float(value)}\ninit-max={float(value)}\n" in dumped
+    flags = []
+    for line in dumped.splitlines():
+        key, raw = line.split("=", 1)
+        if raw not in ("true", "false"):
+            flags += [f"--{key}", raw]
+    assert run_cli("sweep", *flags, "--dump-config") == 0
+    assert capsys.readouterr().out == dumped
+
+
+def test_negative_delta_t_flag_is_refused_by_config(capsys):
+    assert run_cli("simulate", "--delta-t", "-1e-3") == 2
+    assert capsys.readouterr().err == \
+        "error: delta_t must be positive and finite\n"
+
+
+def test_number_option_without_a_value_still_exits2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--rounds", "--dump-config")
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_workers_removed_exit2(tmp_path, capsys):

@@ -23,7 +23,8 @@ from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig, SweepPoint,
                              write_summary_csv, write_sweep_csv,
                              write_trace_csv)
 from hopsync.model import (Topology, build_matrices, generate_topology,
-                           grid_topology, line_topology, random_topology)
+                           grid_topology, has_spanning_path, line_topology,
+                           random_topology)
 
 GRID = grid_topology(4, 4)
 # a seeded clustered-start run whose metrics mirror the reference experiment:
@@ -166,11 +167,10 @@ def test_single_node_constant_error_no_detection():
 
 
 def test_disconnected_flagged_but_simulated():
-    from hopsync.model import Topology
     topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     cfg = SimConfig(topology=topo, n_max=50)
     tr = run(cfg)
-    assert not tr.connected
+    assert not has_spanning_path(topo)
     assert tr.times.shape == (51, 3)
 
 
@@ -372,11 +372,10 @@ def _read_csv(path):
 
 
 def test_trace_csv_and_summary_take_n_from_the_arrays(tmp_path):
-    # a topology narrower than the arrays beside it does not change what is
-    # written: every (round, node) cell of the 10 x 5 arrays, 5 summary rows
+    # a trace with no config is written from its arrays alone: every
+    # (round, node) cell of the 10 x 5 arrays, 5 summary rows
     t = np.arange(50.).reshape(10, 5)
-    trace = RunTrace(config=None, topology=Topology(node_count=3, edges=()),
-                     connected=False, times=t, errors=t, filter_outputs=t,
+    trace = RunTrace(config=None, times=t, errors=t, filter_outputs=t,
                      events=())
     write_trace_csv(trace, tmp_path / "trace.csv")
     rows = _read_csv(tmp_path / "trace.csv")[1:]
@@ -525,7 +524,7 @@ def test_long_halting_golden_hashes(tmp_path, monkeypatch, name):
                         lambda *a, **k: calls.append(1) or stepper(*a, **k))
     tr = run(SimConfig(**kwargs, seed=0, n_max=3000, halt_on_detect=True))
     assert len(tr.events) == halts
-    if halts == tr.topology.node_count:
+    if halts == tr.config.topology.node_count:
         # no round is stepped after the last node halts
         assert len(calls) == max(e.detect_round for e in tr.events)
     else:
@@ -587,7 +586,7 @@ def test_events_equal_per_column_detect(kwargs):
     cfg = SimConfig(**kwargs)
     tr = run(cfg)
     want = []
-    for i in range(tr.topology.node_count):
+    for i in range(tr.config.topology.node_count):
         x = node_filter_input(tr.times[:, i], cfg.delta_t)
         event = detect(x, cfg.detector, node_id=i, clocks=tr.times[:, i])
         if event is not None:
@@ -603,7 +602,7 @@ def _oracle_fmt(v) -> str:
 def _oracle_write_trace_csv(trace, path):
     """The original writer, one csv.writer row per (round, node)."""
     flagged = {(e.target_round, e.node_id) for e in trace.events}
-    n = trace.topology.node_count
+    n = trace.times.shape[1]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["round", "node", "clock", "error", "filter_out",
@@ -625,12 +624,10 @@ _AWKWARD = [math.nan, -0.0, 0.0, 5e-324, 1.5e-310, 1e-05, 1e-04, 1e16, 1e15,
 
 def _trace_of(times, errors, filter_outputs, events=()):
     """A RunTrace of the (rounds, N) arrays given and an event at each
-    (target_round, node_id) of ``events``; the writer reads only the arrays,
-    topology and events."""
-    n = times.shape[1]
+    (target_round, node_id) of ``events``; the writer reads only the arrays
+    and events."""
     return RunTrace(
-        config=None, topology=Topology(node_count=n, edges=()),
-        connected=False, times=times, errors=errors,
+        config=None, times=times, errors=errors,
         filter_outputs=filter_outputs,
         events=tuple(DetectionEvent(node_id=i, target_round=r, frozen_time=0.0)
                      for r, i in sorted(events, key=lambda e: e[1])))
@@ -751,7 +748,7 @@ def test_stream_matches_per_column_detector(n, prob, p, halt, block_rows,
     finally:
         harness._TRACE_BLOCK_ROWS = saved
     want_events = []
-    for i in range(tr.topology.node_count):
+    for i in range(tr.config.topology.node_count):
         x = node_filter_input(tr.times[:, i], cfg.delta_t)
         y = tr.filter_outputs[:, i]
         assert y[3:-3].tobytes() == filter_response(x, cfg.detector).tobytes()
@@ -879,12 +876,66 @@ def test_cli_failing_child_exits_2(monkeypatch, tmp_path, capsys):
     _assert_reaped(pids)
 
 
+@pytest.mark.parametrize("first_round, exc", [
+    (250, RuntimeError("child fails")),
+    (0, KeyError("parent fails")),
+    (250, KeyboardInterrupt()),
+    (0, KeyboardInterrupt()),
+])
+def test_failed_write_leaves_the_earlier_file(monkeypatch, tmp_path,
+                                              first_round, exc):
+    # a write that fails or is interrupted, in the parent or in a child,
+    # leaves neither a truncated trace.csv nor its own temporary file
+    tr = run(SimConfig(**REFERENCE))
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"an earlier run\r\n")
+    pids = _fail_blocks_from(monkeypatch, first_round, exc)
+    with pytest.raises((OSError, type(exc))):
+        write_trace_csv(tr, path)
+    _assert_reaped(pids)
+    assert os.listdir(tmp_path) == ["trace.csv"]
+    assert path.read_bytes() == b"an earlier run\r\n"
+
+
+@pytest.mark.parametrize("first_round, exc, code, err", [
+    (250, RuntimeError("child fails"), 2, "error: cannot write output"),
+    (0, KeyboardInterrupt(), 130, "error: interrupted\n"),
+])
+def test_cli_failed_write_leaves_no_file(monkeypatch, tmp_path, capsys,
+                                         first_round, exc, code, err):
+    pids = _fail_blocks_from(monkeypatch, first_round, exc)
+    assert main(["simulate", "--topology", "grid:4x4", "--rounds", "500",
+                 "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith(err)
+    _assert_reaped(pids)
+    assert os.listdir(tmp_path) == []
+
+
+def test_written_files_replace_and_take_the_umask_mode(tmp_path, capsys):
+    # each file is created as open() creates one, and replaces what was
+    # there; no temporary file is left
+    (tmp_path / "trace.csv").write_bytes(b"x" * 10**6)
+    old = os.umask(0o027)
+    try:
+        assert main(["simulate", "--topology", "grid:2x2", "--rounds", "40",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--sizes", "2x2", "--rounds", "40", "--seeds",
+                     "1", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path)) == ["summary.csv", "sweep.csv",
+                                            "trace.csv"]
+    for name in os.listdir(tmp_path):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o640
+    assert len(_read_csv(tmp_path / "trace.csv")) == 1 + 41 * 3
+
+
 def _oracle_summarize(trace):
     """The original summarize: the whole |errors| copy, one node at a time."""
     abs_err = np.abs(trace.errors)
     by_node = {e.node_id: e for e in trace.events}
     out = []
-    for i in range(trace.topology.node_count):
+    for i in range(trace.times.shape[1]):
         col = abs_err[:, i]
         mi = int(np.argmin(col))
         event = by_node.get(i)
