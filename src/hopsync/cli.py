@@ -8,23 +8,26 @@ that output back as a config file reproduces the same effective run.
 Exit codes: 0 success, 2 configuration/usage error or out of memory, 3
 topology not connected under ``--require-connected``, 4 steady-state system
 not solvable, 130 interrupted (Ctrl-C), 141 standard output closed early (a
-closed pipe, 128 + SIGPIPE; nothing is printed). Each output file is either
-complete or absent: it is written beside its final name and renamed into
-place only once complete.
+closed pipe, 128 + SIGPIPE; nothing is printed), 143 terminated (SIGTERM,
+which leaves through the same cleanup as Ctrl-C). Each output file is
+either complete or absent: it is written beside its final name and renamed
+into place only once complete, and ``simulate`` renames its two files only
+once both are complete, with SIGINT and SIGTERM held between the renames.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import os
+import signal
 import sys
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .detector import DetectorConfig
 from .dynamics import NotConvergent, steady_state_error
-from .harness import (ConfigInvalid, SimConfig, _default_init_max, run,
-                      scaling_sweep, summarize, write_summary_csv,
-                      write_sweep_csv, write_trace_csv)
+from .harness import (ConfigInvalid, SimConfig, _default_init_max,
+                      _replacing_all, run, scaling_sweep, summarize,
+                      write_summary_csv, write_sweep_csv, write_trace_csv)
 from .model import generate_topology, has_spanning_path
 
 EXIT_OK = 0
@@ -33,6 +36,16 @@ EXIT_DISCONNECTED = 3
 EXIT_NOT_CONVERGENT = 4
 EXIT_INTERRUPTED = 130   # 128 + SIGINT
 EXIT_CLOSED_PIPE = 141   # 128 + SIGPIPE
+EXIT_TERMINATED = 143    # 128 + SIGTERM
+
+
+class _Terminated(BaseException):
+    """Raised by main's SIGTERM handler, so that a terminated command
+    leaves through the same cleanup as an interrupted one."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 class CliError(Exception):
@@ -207,9 +220,10 @@ def _cmd_simulate(cfg: dict) -> int:
         print("warning: topology is not connected; some nodes never hear "
               "the gateway", file=sys.stderr)
     summaries = summarize(trace)
-    with _writing(cfg["out"]):
-        write_trace_csv(trace, os.path.join(cfg["out"], "trace.csv"))
-        write_summary_csv(summaries, os.path.join(cfg["out"], "summary.csv"))
+    out = [os.path.join(cfg["out"], f) for f in ("trace.csv", "summary.csv")]
+    with _writing(cfg["out"]), _replacing_all(out) as (trace_csv, summary_csv):
+        write_trace_csv(trace, trace_csv)
+        write_summary_csv(summaries, summary_csv)
     _print_summary(summaries)
     return EXIT_OK
 
@@ -317,15 +331,21 @@ def _is_number(raw: str) -> bool:
     return True
 
 
-def _attach_numbers(argv: Sequence[str]) -> List[str]:
-    """``argv`` with each number given to a number option as a separate
-    argument attached, ``--key value`` as ``--key=value``, so that argparse
-    does not take a negative one (``-1e-3``, ``-inf``) for a flag."""
+def _attach_values(argv: Sequence[str]) -> List[str]:
+    """``argv`` with each value that argparse would take for a flag
+    attached to its option, ``--key value`` as ``--key=value``: a number
+    given to a number option (``-1e-3``, ``-inf``), and any argument that
+    starts with a single ``-`` given to a string option (``--out
+    -results``). An argument that starts with ``--`` stays a flag."""
     number_flags = {f"--{opt.key}" for opt in _OPTIONS
                     if opt.parse in (int, float)}
+    string_flags = {"--config"} | {f"--{opt.key}" for opt in _OPTIONS
+                                   if opt.parse is str}
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] in number_flags and _is_number(arg):
+        if out and (out[-1] in number_flags and _is_number(arg)
+                    or out[-1] in string_flags and arg.startswith("-")
+                    and not arg.startswith("--")):
             out[-1] += f"={arg}"
         else:
             out.append(arg)
@@ -334,8 +354,9 @@ def _attach_numbers(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_numbers(
+    args = parser.parse_args(_attach_values(
         sys.argv[1:] if argv is None else argv))
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         cfg = _resolve(args)
         if args.dump_config:
@@ -364,6 +385,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

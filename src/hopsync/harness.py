@@ -109,21 +109,32 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Complete run record: clock/error/filter series and detection events.
+    """Complete run record: the clocks and the detection events.
 
-    times, errors, filter_outputs are (n_max + 1, N) arrays indexed by round
-    then node; filter_outputs is NaN where the filter window is undefined.
+    times is an (n_max + 1, N) array indexed by round then node. errors and
+    filter_outputs, arrays of the same shape, are derived from times, the
+    config's delta_t and its detector's c_f each time they are read (see
+    _derived); filter_outputs is NaN where the filter window is undefined.
     """
 
     config: SimConfig
     times: np.ndarray
-    errors: np.ndarray
-    filter_outputs: np.ndarray
     events: Tuple[DetectionEvent, ...]
 
     @property
     def n_max(self) -> int:
         return self.times.shape[0] - 1
+
+    @property
+    def errors(self) -> np.ndarray:
+        """delta_t*r - t at every round r and node."""
+        return _derived(self, 0, self.n_max + 1, filtered=False)[0]
+
+    @property
+    def filter_outputs(self) -> np.ndarray:
+        """The filter of |e| at every round and node, NaN in the first and
+        last three rounds."""
+        return _derived(self, 0, self.n_max + 1)[1]
 
 
 @dataclass(frozen=True)
@@ -173,21 +184,40 @@ def run(cfg: SimConfig) -> RunTrace:
     """
     n = cfg.topology.node_count
     times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
-    filter_outputs = np.full((cfg.n_max + 1, n), np.nan)
     step = max(1, _TRACE_BLOCK_ROWS // n)
-    for r0, clocks, _, m0, y, first in _rounds(cfg, [cfg.seed], step,
-                                               detect=True):
+    for r0, clocks, *_, first in _rounds(cfg, [cfg.seed], step, detect=True):
         times[r0:r0 + len(clocks)] = clocks[:, 0]
-        filter_outputs[m0:m0 + len(y)] = y[:, 0]
     flips = first[0]
-    rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
-    errors = cfg.delta_t * rounds[:, None] - times
     events = tuple(
         DetectionEvent(node_id=int(i), target_round=int(m),
                        frozen_time=float(times[m + _LOOKAHEAD, i]))
         for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
-    return RunTrace(config=cfg, times=times, errors=errors,
-                    filter_outputs=filter_outputs, events=events)
+    return RunTrace(config=cfg, times=times, events=events)
+
+
+def _derived(trace: RunTrace, r0: int, r1: int, filtered: bool = True):
+    """Rounds r0..r1-1 of ``trace``'s errors and, if ``filtered``, filter
+    outputs (else None), as (r1 - r0, N) arrays read from
+    times[max(0, r0 - 3):r1 + 3] alone.
+
+    The error is delta_t*r - t and the filter output at round m is
+    filter_series of |e| over rounds m-3..m+3, NaN where those are not all
+    in the trace. These are _rounds' expressions, and each output bit
+    depends only on its inputs' bits, so the arrays equal, bit for bit,
+    what the stream computed for the same rounds, whatever the split."""
+    rows, cfg = trace.n_max + 1, trace.config
+    a, b = max(0, r0 - _LOOKAHEAD), min(rows, r1 + _LOOKAHEAD)
+    t = trace.times[a:b]
+    err = cfg.delta_t * np.arange(a, b, dtype=np.float64)[:, None] - t
+    out = None
+    if filtered:
+        out = np.full((r1 - r0, t.shape[1]), np.nan)
+        lo, hi = max(r0, _LOOKAHEAD), min(r1, rows - _LOOKAHEAD)
+        if lo < hi:
+            out[lo - r0:hi - r0] = filter_series(
+                np.abs(err[lo - _LOOKAHEAD - a:hi + _LOOKAHEAD - a]),
+                cfg.detector.c_f)
+    return err[r0 - a:r1 - a], out
 
 
 def _rounds(cfg: SimConfig, seeds: Sequence[int], step: int, detect: bool):
@@ -300,27 +330,39 @@ def _min_rounds(blocks):
 def summarize(trace: RunTrace) -> List[NodeSummary]:
     """One NodeSummary per node from a complete trace.
 
-    The per-node minimum of |e| is reduced a block of whole rounds at a time,
-    so no copy of the whole error array is made.
+    |e| is derived and folded into the per-node minimum a block of whole
+    rounds at a time, and each detected node's |e| is picked from the block
+    holding its flagged instant, so no array of the whole error is made.
     """
-    errors = trace.errors
-    step = max(1, _TRACE_BLOCK_ROWS // errors.shape[1])
-    best, best_at = _min_rounds((r0, np.abs(errors[r0:r0 + step]))
-                                for r0 in range(0, trace.n_max + 1, step))
-    detected = {e.node_id: e.target_round for e in trace.events}
-    ss = np.abs(errors[-1]).tolist()
+    n, rows = trace.times.shape[1], trace.n_max + 1
+    step = max(1, _TRACE_BLOCK_ROWS // n)
+    flagged = _flagged(trace)
+    picked = np.empty(len(flagged))
+
+    def blocks():
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            err = np.abs(_derived(trace, r0, r1, filtered=False)[0])
+            lo, hi = np.searchsorted(flagged, (r0 * n, r1 * n))
+            picked[lo:hi] = err.ravel()[flagged[lo:hi] - r0 * n]
+            yield r0, err
+
+    best, best_at = _min_rounds(blocks())
+    detected = {k % n: (k // n, v)
+                for k, v in zip(flagged.tolist(), picked.tolist())}
+    last = np.abs(_derived(trace, rows - 1, rows, filtered=False)[0][0])
     out = []
-    for i, (at, low) in enumerate(zip(best_at.tolist(), best.tolist())):
-        det = detected.get(i)
+    for i, (at, low, ss) in enumerate(zip(best_at.tolist(), best.tolist(),
+                                          last.tolist())):
+        det, value = detected.get(i, (None, None))
         out.append(NodeSummary(
             node_id=i,
             min_error_instant=at,
             min_error_value=low,
             ss_error_instant=trace.n_max,
-            ss_error_value=ss[i],
+            ss_error_value=ss,
             detected_instant=det,
-            detected_error_value=(None if det is None
-                                  else float(abs(errors[det, i]))),
+            detected_error_value=value,
         ))
     return out
 
@@ -383,31 +425,40 @@ def _fmt(v) -> str:
     return repr(f)
 
 
-def _trace_block(times, errors, filter_outputs, flagged, nodes, r0,
-                 r1) -> str:
-    """trace.csv rows for rounds r0..r1-1, exactly as ``csv.writer`` wrote
-    them: ``repr`` floats, empty ``filter_out`` for NaN, CRLF endings.
-    ``flagged`` holds ``target_round * N + node_id`` for every event, sorted,
-    and ``nodes`` the N strings ``f"{node_id},"``.
+def _trace_block(times, errors, filter_outputs, flagged, nodes, r0) -> str:
+    """trace.csv rows for the (rounds, N) block arrays of rounds r0, r0+1,
+    ..., exactly as ``csv.writer`` wrote them: ``repr`` floats, empty
+    ``filter_out`` for NaN, CRLF endings. ``flagged`` holds
+    ``target_round * N + node_id`` for every event, sorted, and ``nodes``
+    the N strings ``f"{node_id},"``.
 
     Each distinct float of the three columns is formatted once, keyed by its
     bits so that -0.0 and 0.0 stay apart. Only ``filter_out``'s NaN cells
     are then blanked: a NaN clock or error still prints ``nan``."""
-    n = times.shape[1]
+    rounds, n = times.shape
     base = r0 * n
-    keys = [k + s for k in [f"{r}," for r in range(r0, r1)] for s in nodes]
+    keys = [k + s for k in [f"{r}," for r in range(r0, r0 + rounds)]
+            for s in nodes]
     detected = [",0"] * len(keys)
-    lo, hi = np.searchsorted(flagged, (base, r1 * n))
+    lo, hi = np.searchsorted(flagged, (base, base + len(keys)))
     for k in flagged[lo:hi].tolist():
         detected[k - base] = ",1"
-    t, e, f = times[r0:r1], errors[r0:r1], filter_outputs[r0:r1]
-    uniq, inv = np.unique(np.stack([t, e, f]).view(np.int64),
-                          return_inverse=True)
+    uniq, inv = np.unique(np.stack([times, errors, filter_outputs]).view(
+        np.int64), return_inverse=True)
     cells = _float_reprs(uniq.view(np.float64))[inv.ravel()].reshape(3, -1)
-    cells[2, np.isnan(f).ravel()] = ""
+    cells[2, np.isnan(filter_outputs).ravel()] = ""
     clock, err, filt = cells.tolist()
     return "".join([f"{k}{c},{x},{y}{d}\r\n" for k, c, x, y, d in zip(
         keys, clock, err, filt, detected)])
+
+
+def _flagged(trace: RunTrace) -> np.ndarray:
+    """``target_round * N + node_id`` of every event of ``trace``, sorted:
+    each flagged cell's index in the round-major (round, node) order."""
+    n = trace.times.shape[1]
+    return np.sort(np.array(
+        [e.target_round * n + e.node_id for e in trace.events],
+        dtype=np.int64))
 
 
 def _trace_workers(blocks: int) -> int:
@@ -433,21 +484,51 @@ def _fork() -> int:
 
 
 @contextlib.contextmanager
+def _signals_held():
+    """SIGINT and SIGTERM wait through the with-block and are delivered as
+    it ends, where the platform can block signals."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                  {signal.SIGINT, signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+@contextlib.contextmanager
+def _replacing_all(paths):
+    """The names of new files beside each of ``paths``, for the with-block
+    to write. Once it completes, each new file replaces its path, with
+    SIGINT and SIGTERM held until all have (see _signals_held). On any
+    exception, an interrupt included, the new files are deleted and every
+    path is left as it was, so each file at a path is complete and they
+    come from the same with-block."""
+    news = [f"{os.fspath(path)}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield news
+        with _signals_held():
+            for new, path in zip(news, paths):
+                os.replace(new, path)
+    except BaseException:
+        for new in news:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(new)
+        raise
+
+
+@contextlib.contextmanager
 def _replacing(path, mode: str, **kwargs):
     """A new file beside ``path``, opened with ``mode`` and ``kwargs``,
-    that replaces ``path`` once the with-block completes. On any exception,
-    an interrupt included, the new file is deleted and ``path`` is left as
-    it was, so a file at ``path`` is always complete. The new file is
-    created as ``open`` creates one, so the umask sets its mode."""
-    new = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
+    that replaces ``path`` once the with-block completes (see
+    _replacing_all). The new file is created as ``open`` creates one, so
+    the umask sets its mode."""
+    with _replacing_all([path]) as (new,):
+        fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, mode, **kwargs) as fh:
             yield fh
-        os.replace(new, path)
-    except BaseException:
-        os.unlink(new)
-        raise
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
@@ -455,10 +536,11 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     where the filter window is undefined; ``detected`` is 1 exactly at a
     node's flagged instant.
 
-    Whole rounds are formatted and written a block at a time, so memory
-    beyond the trace arrays stays near one block per process whatever the
-    run length. The rounds split into one contiguous span of whole blocks
-    per worker (see _trace_workers). This process writes span 0 to a new
+    Whole rounds are derived (see _derived), formatted and written a block
+    at a time, so memory beyond ``trace.times`` stays near one block per
+    process whatever the run length. The rounds split into one contiguous
+    span of whole blocks per worker (see _trace_workers). Each child reads
+    only ``trace.times`` and the events. This process writes span 0 to a new
     file that replaces ``path`` once complete (see _replacing); a forked
     child formats each later span into an unlinked temporary file in
     ``path``'s directory, which is appended in span order once the child
@@ -466,9 +548,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     the bytes are the same for any number of workers. A child that fails
     raises OSError here."""
     n = trace.times.shape[1]
-    flagged = np.sort(np.array(
-        [e.target_round * n + e.node_id for e in trace.events],
-        dtype=np.int64))
+    flagged = _flagged(trace)
     nodes = [f"{i}," for i in range(n)]
     rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)
@@ -479,9 +559,9 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
     def span(fh, w):
         for r0 in range(ends[w], ends[w + 1], step):
-            fh.write(_trace_block(trace.times, trace.errors,
-                                  trace.filter_outputs, flagged, nodes, r0,
-                                  min(r0 + step, rounds)).encode("ascii"))
+            r1 = min(r0 + step, rounds)
+            fh.write(_trace_block(trace.times[r0:r1], *_derived(trace, r0, r1),
+                                  flagged, nodes, r0).encode("ascii"))
 
     children = []  # (pid, temporary file) of each child not yet reaped
     with _replacing(path, "wb") as fh, contextlib.ExitStack() as parts:

@@ -4,12 +4,15 @@ import math
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hopsync
+from hopsync import cli
 from hopsync.cli import build_parser, main
 from hopsync.model import Topology, has_spanning_path, save_topology
 
@@ -139,6 +142,48 @@ def test_closed_stdout_exits_141_quietly(topology, read):
         err = proc.stderr.read()
     assert proc.returncode == 141
     assert err == b""
+
+
+# a simulate whose trace.csv writer, in one process, stops before its
+# second block, first creating the file named by its first argument
+_STALLED_WRITE = """
+import sys, time
+from hopsync import cli, harness
+block = harness._trace_block
+def stall(times, errors, filter_outputs, flagged, nodes, r0):
+    if r0 > 0:
+        open(sys.argv[1], "w").close()
+        time.sleep(60)
+    return block(times, errors, filter_outputs, flagged, nodes, r0)
+harness._trace_block = stall
+harness._trace_workers = lambda blocks: 1
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_terminated_write_leaves_no_file(tmp_path):
+    # SIGTERM in the middle of trace.csv deletes its new file, as Ctrl-C
+    # does, and exits 128 + SIGTERM with one line
+    out, stalled = tmp_path / "out", tmp_path / "stalled"
+    with subprocess.Popen(
+            [sys.executable, "-c", _STALLED_WRITE, str(stalled), "simulate",
+             "--topology", "grid:4x4", "--rounds", "600", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_cli_env()) as proc:
+        try:
+            for _ in range(1200):
+                if stalled.exists() or proc.poll() is not None:
+                    break
+                time.sleep(0.05)
+            assert stalled.exists()
+            assert [p.endswith(".tmp") for p in os.listdir(out)] == [True]
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 143
+    assert err == b"error: terminated\n"
+    assert os.listdir(out) == []
 
 
 def test_steady_state_large_grid_bounded_memory():
@@ -553,6 +598,50 @@ def test_negative_numbers_pass_as_flags(capsys, value):
             flags += [f"--{key}", raw]
     assert run_cli("sweep", *flags, "--dump-config") == 0
     assert capsys.readouterr().out == dumped
+
+
+def test_out_starting_with_a_dash(tmp_path, monkeypatch, capsys):
+    # a value starting with a single dash is taken for a string option's
+    # value, not for a flag
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--topology", "grid:2x2", "--rounds", "40",
+                   "--out", "-results") == 0
+    assert sorted(os.listdir(tmp_path / "-results")) == ["summary.csv",
+                                                         "trace.csv"]
+    capsys.readouterr()
+    assert run_cli("simulate", "--out", "-results", "--dump-config") == 0
+    assert "\nout=-results\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--dump-config", "--dump"])
+def test_string_option_followed_by_a_flag_still_exits2(capsys, flag):
+    # "--dump" is argparse's abbreviation of --dump-config
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--out", flag)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (OSError("disk full"), 2, "error: cannot write output"),
+    (KeyboardInterrupt(), 130, "error: interrupted\n"),
+])
+def test_failed_summary_leaves_both_earlier_files(tmp_path, monkeypatch,
+                                                  capsys, exc, code, err):
+    # trace.csv is complete when summary.csv fails: neither replaces the
+    # earlier run's file, and no new file is left
+    (tmp_path / "trace.csv").write_bytes(b"earlier trace\r\n")
+    (tmp_path / "summary.csv").write_bytes(b"earlier summary\r\n")
+
+    def fail(summaries, path):
+        raise exc
+    monkeypatch.setattr(cli, "write_summary_csv", fail)
+    assert run_cli("simulate", "--topology", "grid:2x2", "--rounds", "40",
+                   "--out", str(tmp_path)) == code
+    assert capsys.readouterr().err.startswith(err)
+    assert sorted(os.listdir(tmp_path)) == ["summary.csv", "trace.csv"]
+    assert (tmp_path / "trace.csv").read_bytes() == b"earlier trace\r\n"
+    assert (tmp_path / "summary.csv").read_bytes() == b"earlier summary\r\n"
 
 
 def test_negative_delta_t_flag_is_refused_by_config(capsys):

@@ -1,11 +1,15 @@
 import csv
 import hashlib
+import io
 import math
 import os
+import signal
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hopsync.harness import (ConfigInvalid, RunTrace, SimConfig, SweepPoint,
                              run_error_recursion, scaling_sweep, summarize,
                              write_summary_csv, write_sweep_csv,
                              write_trace_csv)
+from hopsync.kernels import filter_series
 from hopsync.model import (Topology, build_matrices, generate_topology,
                            grid_topology, has_spanning_path, line_topology,
                            random_topology)
@@ -372,11 +377,10 @@ def _read_csv(path):
 
 
 def test_trace_csv_and_summary_take_n_from_the_arrays(tmp_path):
-    # a trace with no config is written from its arrays alone: every
-    # (round, node) cell of the 10 x 5 arrays, 5 summary rows
+    # a trace is written from its clocks' shape, not its config's n_max or
+    # topology: every (round, node) cell of the 10 x 5 clocks, 5 summary rows
     t = np.arange(50.).reshape(10, 5)
-    trace = RunTrace(config=None, times=t, errors=t, filter_outputs=t,
-                     events=())
+    trace = RunTrace(config=_HAND_CONFIG, times=t, events=())
     write_trace_csv(trace, tmp_path / "trace.csv")
     rows = _read_csv(tmp_path / "trace.csv")[1:]
     assert [(int(r[0]), int(r[1]), float(r[2])) for r in rows] == [
@@ -599,60 +603,118 @@ def _oracle_fmt(v) -> str:
     return "" if np.isnan(f) else repr(f)
 
 
+def _oracle_errors(trace):
+    """``trace``'s errors as run() computed them, over every round at
+    once."""
+    rounds = np.arange(trace.n_max + 1, dtype=np.float64)
+    return trace.config.delta_t * rounds[:, None] - trace.times
+
+
+def _oracle_arrays(trace):
+    """``trace``'s errors and filter outputs as whole arrays, the filter
+    taken over every column at once."""
+    errors = _oracle_errors(trace)
+    filter_outputs = np.full(errors.shape, math.nan)
+    if len(errors) >= 7:
+        filter_outputs[3:-3] = filter_series(np.abs(errors),
+                                             trace.config.detector.c_f)
+    return errors, filter_outputs
+
+
+def _oracle_rows(times, errors, filter_outputs, flagged, r0):
+    """The rows the original writer gave rounds r0, r0+1, ... of these
+    arrays, one csv.writer row per (round, node)."""
+    n = times.shape[1]
+    flagged = set(flagged.tolist())
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    for j in range(len(times)):
+        for i in range(n):
+            w.writerow([r0 + j, i, repr(float(times[j, i])),
+                        repr(float(errors[j, i])),
+                        _oracle_fmt(filter_outputs[j, i]),
+                        1 if (r0 + j) * n + i in flagged else 0])
+    return out.getvalue()
+
+
 def _oracle_write_trace_csv(trace, path):
     """The original writer, one csv.writer row per (round, node)."""
-    flagged = {(e.target_round, e.node_id) for e in trace.events}
-    n = trace.times.shape[1]
+    flagged = np.array([e.target_round * trace.times.shape[1] + e.node_id
+                        for e in trace.events], dtype=np.int64)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "node", "clock", "error", "filter_out",
-                    "detected"])
-        for rnd in range(trace.n_max + 1):
-            for i in range(n):
-                w.writerow([rnd, i,
-                            repr(float(trace.times[rnd, i])),
-                            repr(float(trace.errors[rnd, i])),
-                            _oracle_fmt(trace.filter_outputs[rnd, i]),
-                            1 if (rnd, i) in flagged else 0])
+        fh.write("round,node,clock,error,filter_out,detected\r\n")
+        fh.write(_oracle_rows(trace.times, *_oracle_arrays(trace), flagged,
+                              0))
 
 
 # floats whose repr or CSV cell is easy to get wrong: NaN, signed zero,
 # subnormals, exponent-form reprs, infinities
 _AWKWARD = [math.nan, -0.0, 0.0, 5e-324, 1.5e-310, 1e-05, 1e-04, 1e16, 1e15,
             -1e16, 1.7976931348623157e308, math.inf, -math.inf, 0.1, -2.5]
+# the config of every hand trace: its delta_t and c_f derive the error and
+# filter columns; the trace's own shape gives its rounds and nodes
+_HAND_CONFIG = SimConfig(topology=line_topology(2), delta_t=1.0)
 
 
-def _trace_of(times, errors, filter_outputs, events=()):
-    """A RunTrace of the (rounds, N) arrays given and an event at each
-    (target_round, node_id) of ``events``; the writer reads only the arrays
-    and events."""
+def _hand_cells(n, n_max, pool, seed, count):
+    """``count`` arrays of n_max + 1 rounds by n nodes whose cells are drawn
+    from ``pool``."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool, dtype=np.float64)
+    return [pool[rng.integers(len(pool), size=(n_max + 1, n))]
+            for _ in range(count)]
+
+
+def _hand_trace(n, n_max, pool, seed, events):
+    """A RunTrace of _HAND_CONFIG whose clocks are drawn from ``pool``, with
+    an event at each (target_round, node_id) of ``events``."""
+    times, = _hand_cells(n, n_max, pool, seed, 1)
     return RunTrace(
-        config=None, times=times, errors=errors,
-        filter_outputs=filter_outputs,
+        config=_HAND_CONFIG, times=times,
         events=tuple(DetectionEvent(node_id=i, target_round=r, frozen_time=0.0)
                      for r, i in sorted(events, key=lambda e: e[1])))
 
 
-def _hand_trace(n, n_max, pool, seed, events):
-    """A RunTrace over n nodes and n_max + 1 rounds whose cells are drawn
-    from ``pool``."""
-    rng = np.random.default_rng(seed)
-    pool = np.array(pool, dtype=np.float64)
-    cells = lambda: pool[rng.integers(len(pool), size=(n_max + 1, n))]
-    return _trace_of(cells(), cells(), cells(), events)
+class _Block(NamedTuple):
+    """_trace_block's arrays and flagged cells for rounds r0, r0+1, ..."""
+    times: np.ndarray
+    errors: np.ndarray
+    filter_outputs: np.ndarray
+    flagged: np.ndarray
+    r0: int
 
 
-def _hold_clocks(trace, held):
-    """``trace`` with each clock where ``held`` is True replaced by the same
+def _block_of(times, errors, filter_outputs, events=(), r0=0):
+    """A _Block of the (rounds, N) arrays given, flagging each (row,
+    node_id) of ``events`` and, for each, the same node in the round after
+    the block and the one before it, which must not show."""
+    n = times.shape[1]
+    keys = [(r0 + r) * n + i for r, i in events]
+    keys += [(r0 + len(times)) * n + i for _, i in events]
+    keys += [(r0 - 1) * n + i for _, i in events if r0 > 0]
+    return _Block(times, errors, filter_outputs,
+                  np.sort(np.array(keys, dtype=np.int64)), r0)
+
+
+def _hand_block(n, n_max, pool, seed, events, r0=0):
+    """A _Block over n nodes and n_max + 1 rounds whose cells, in all three
+    columns, are drawn from ``pool``."""
+    return _block_of(*_hand_cells(n, n_max, pool, seed, 3), events, r0)
+
+
+def _hold_clocks(block, held):
+    """``block`` with each clock where ``held`` is True replaced by the same
     node's clock in the round before, as a halted node's clock holds."""
-    times = trace.times.copy()
+    times = block.times.copy()
     for r in range(1, len(times)):
         times[r, held[r]] = times[r - 1, held[r]]
-    return replace(trace, times=times)
+    return block._replace(times=times)
 
 
 def _same_bytes_as_oracle(trace):
-    with tempfile.TemporaryDirectory() as d:
+    # a hand trace's clocks reach inf - inf and overflow in the filter,
+    # which a run's never do
+    with tempfile.TemporaryDirectory() as d, np.errstate(all="ignore"):
         new, old = os.path.join(d, "new.csv"), os.path.join(d, "old.csv")
         write_trace_csv(trace, new)
         _oracle_write_trace_csv(trace, old)
@@ -661,23 +723,37 @@ def _same_bytes_as_oracle(trace):
 
 
 @st.composite
-def hand_traces(draw):
+def _hand_shapes(draw):
+    """(n, n_max, pool, events) of a hand trace or block."""
     n = draw(st.sampled_from([1, 2, 3, 7, 900, 4097]))
     n_max = draw(st.integers(0, 3 if n > 4096 else 40))
     pool = _AWKWARD + draw(st.lists(st.floats(), max_size=8))
     nodes = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 5)))
     events = [(draw(st.integers(0, n_max)), i) for i in nodes]
+    return n, n_max, pool, events
+
+
+@st.composite
+def hand_traces(draw):
+    n, n_max, pool, events = draw(_hand_shapes())
     return _hand_trace(n, n_max, pool, draw(st.integers(0, 2**32)), events)
 
 
 @st.composite
-def held_hand_traces(draw):
+def hand_blocks(draw):
+    n, n_max, pool, events = draw(_hand_shapes())
+    return _hand_block(n, n_max, pool, draw(st.integers(0, 2**32)), events,
+                       draw(st.sampled_from([0, 1, 3, 10**6])))
+
+
+@st.composite
+def held_hand_blocks(draw):
     # clocks that repeat the round before, as a halted node's do, so a
     # block holds few distinct clocks and each is formatted once for many cells
-    trace = draw(hand_traces())
+    block = draw(hand_blocks())
     hold = draw(st.sampled_from([0.5, 0.9, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    return _hold_clocks(trace, rng.random(trace.times.shape) < hold)
+    return _hold_clocks(block, rng.random(block.times.shape) < hold)
 
 
 # node 0's clock is NaN in every round: a clock or error prints nan, and
@@ -694,20 +770,36 @@ _NAN_BITS = np.stack([_NANS, np.roll(_NANS, 1), np.roll(_NANS, 2)])
 
 
 @settings(max_examples=80, deadline=None)
-@given(hand_traces() | held_hand_traces())
-@example(_hand_trace(1, 0, _AWKWARD, 0, [(0, 0)]))
-@example(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
-@example(_hand_trace(4097, 2, _AWKWARD, 2, [(0, 0), (2, 4096), (1, 17)]))
-@example(_hand_trace(4096, 2, _AWKWARD, 3, [(0, 4095), (2, 0)]))
-@example(_hand_trace(2048, 5, _AWKWARD, 4, [(1, 2047), (2, 0), (5, 5)]))
-@example(_trace_of(_NAN_CLOCK, 1e-3 * np.arange(9.0)[:, None] - _NAN_CLOCK,
+@given(hand_blocks() | held_hand_blocks())
+@example(_hand_block(1, 0, _AWKWARD, 0, [(0, 0)]))
+@example(_hand_block(1, 30, _AWKWARD, 1, [(30, 0)]))
+@example(_hand_block(4097, 2, _AWKWARD, 2, [(0, 0), (2, 4096), (1, 17)]))
+@example(_hand_block(4096, 2, _AWKWARD, 3, [(0, 4095), (2, 0)]))
+@example(_hand_block(2048, 5, _AWKWARD, 4, [(1, 2047), (2, 0), (5, 5)]))
+@example(_block_of(_NAN_CLOCK, 1e-3 * np.arange(9.0)[:, None] - _NAN_CLOCK,
                    _NAN_FILTER, [(4, 0), (8, 1)]))
-@example(_trace_of(_ZEROS, -_ZEROS, _ZEROS, [(0, 1)]))
-@example(_hold_clocks(_hand_trace(2048, 5, _AWKWARD, 8, [(1, 2047)]),
+@example(_block_of(_ZEROS, -_ZEROS, _ZEROS, [(0, 1)]))
+@example(_hold_clocks(_hand_block(2048, 5, _AWKWARD, 8, [(1, 2047)]),
                       np.ones((6, 2048), dtype=bool)))
-@example(_trace_of(_NAN_BITS, _NAN_BITS[::-1], np.roll(_NAN_BITS, 1, axis=1),
+@example(_block_of(_NAN_BITS, _NAN_BITS[::-1], np.roll(_NAN_BITS, 1, axis=1),
                    [(1, 3)]))
-def test_trace_csv_matches_csv_writer_oracle(trace):
+@example(_hand_block(3, 6, _AWKWARD, 9, [(0, 2), (6, 0)], r0=10**6))
+def test_trace_csv_matches_csv_writer_oracle(block):
+    # a block's rows, from any three columns of any floats, are the rows
+    # csv.writer wrote; flags outside the block do not show
+    nodes = [f"{i}," for i in range(block.times.shape[1])]
+    assert harness._trace_block(
+        block.times, block.errors, block.filter_outputs, block.flagged,
+        nodes, block.r0) == _oracle_rows(*block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hand_traces())
+@example(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
+@example(_hand_trace(7, 40, [math.nan, -0.0, 1e16, math.inf], 2, [(3, 6)]))
+def test_hand_trace_csv_matches_oracle(trace):
+    # clocks of any floats: the columns derived block by block are the
+    # whole-array ones
     assert _same_bytes_as_oracle(trace)
 
 
@@ -760,6 +852,85 @@ def test_stream_matches_per_column_detector(n, prob, p, halt, block_rows,
     if halt:
         for e in tr.events:
             assert np.all(tr.times[e.detect_round:, e.node_id] == e.frozen_time)
+
+
+def _stream_arrays(cfg, step):
+    """The clocks, errors and filter outputs run() kept before it derived
+    the last two: clocks and filter outputs filled from _rounds' blocks,
+    errors over every round at once."""
+    shape = (cfg.n_max + 1, cfg.topology.node_count)
+    times, filter_outputs = np.empty(shape), np.full(shape, math.nan)
+    for r0, clocks, _, m0, y, _ in harness._rounds(cfg, [cfg.seed], step,
+                                                   detect=True):
+        times[r0:r0 + len(clocks)] = clocks[:, 0]
+        filter_outputs[m0:m0 + len(y)] = y[:, 0]
+    rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
+    return times, cfg.delta_t * rounds[:, None] - times, filter_outputs
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), prob=st.floats(0.2, 1.0),
+       p=st.floats(0.3, 1.0), halt=st.booleans(),
+       block_rows=st.integers(1, 200), derive_rounds=st.integers(1, 200),
+       n_max=st.integers(18, 160),
+       init=st.sampled_from([(0.0, 0.1), (0.43, 0.53)]),
+       seed=st.integers(0, 2**32))
+@example(n=10, prob=0.6, p=0.8, halt=True, block_rows=1, derive_rounds=1,
+         n_max=120, init=(0.43, 0.53), seed=0)
+@example(n=10, prob=0.6, p=0.8, halt=False, block_rows=200,
+         derive_rounds=7, n_max=120, init=(0.43, 0.53), seed=0)
+def test_derived_columns_match_stream(n, prob, p, halt, block_rows,
+                                      derive_rounds, n_max, init, seed):
+    # errors and filter_outputs, derived from the clocks whole or in blocks
+    # of any length, are bit for bit the arrays the stream filled
+    cfg = SimConfig(topology=random_topology(n, prob, seed=seed), p=p,
+                    n_max=n_max, seed=seed, init_min=init[0],
+                    init_max=init[1], halt_on_detect=halt)
+    saved = harness._TRACE_BLOCK_ROWS
+    harness._TRACE_BLOCK_ROWS = block_rows
+    try:
+        tr = run(cfg)
+    finally:
+        harness._TRACE_BLOCK_ROWS = saved
+    times, errors, filter_outputs = _stream_arrays(
+        cfg, max(1, block_rows // cfg.topology.node_count))
+    assert tr.times.tobytes() == times.tobytes()
+    assert tr.errors.tobytes() == errors.tobytes()
+    assert tr.filter_outputs.tobytes() == filter_outputs.tobytes()
+    blocks = [harness._derived(tr, r0, min(r0 + derive_rounds, n_max + 1))
+              for r0 in range(0, n_max + 1, derive_rounds)]
+    assert np.concatenate([e for e, _ in blocks]).tobytes() == errors.tobytes()
+    assert (np.concatenate([f for _, f in blocks]).tobytes()
+            == filter_outputs.tobytes())
+
+
+def _traced_peak(fn):
+    """fn()'s result and the most memory it held at once beyond what was
+    held when it was called, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_bounded_by_the_clocks(monkeypatch, tmp_path):
+    # run() holds the clocks and about one block beside them; summarize and
+    # write_trace_csv add about one block, however many rounds there are
+    _force_workers(monkeypatch, 1)
+    cfg = SimConfig(topology=grid_topology(5, 5), p=0.6, n_max=6000)
+    run(replace(cfg, n_max=100))  # one-time allocations: imports, caches
+    tr, held = _traced_peak(lambda: run(cfg))
+    assert held < 1.25 * tr.times.nbytes + 2**20
+    added = []
+    for n_max in (300, 1200):
+        tr = run(replace(cfg, n_max=n_max))
+        added.append(_traced_peak(lambda: write_trace_csv(
+            tr, tmp_path / "trace.csv") or summarize(tr))[1])
+    assert added[1] < added[0] + 2**16
 
 
 def test_trace_csv_matches_oracle_across_blocks():
@@ -826,11 +997,10 @@ def _fail_blocks_from(monkeypatch, first_round, exc):
     _force_workers(monkeypatch, 2)
     real_block, real_fork, pids = harness._trace_block, harness._fork, []
 
-    def block(times, errors, filter_outputs, flagged, nodes, r0, r1):
+    def block(times, errors, filter_outputs, flagged, nodes, r0):
         if r0 >= first_round:
             raise exc
-        return real_block(times, errors, filter_outputs, flagged, nodes, r0,
-                          r1)
+        return real_block(times, errors, filter_outputs, flagged, nodes, r0)
 
     def fork():
         pid = real_fork()
@@ -930,9 +1100,43 @@ def test_written_files_replace_and_take_the_umask_mode(tmp_path, capsys):
     assert len(_read_csv(tmp_path / "trace.csv")) == 1 + 41 * 3
 
 
+class _Stop(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Stop
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"),
+                    reason="signals cannot be blocked here")
+def test_signal_between_replacements_waits(tmp_path, monkeypatch):
+    # a SIGTERM sent as the first file is replaced is handled only once the
+    # second is in place too
+    paths = [tmp_path / "trace.csv", tmp_path / "summary.csv"]
+    real_replace = os.replace
+
+    def replace_and_signal(src, dst):
+        real_replace(src, dst)
+        if dst == paths[0]:
+            os.kill(os.getpid(), signal.SIGTERM)
+    monkeypatch.setattr(os, "replace", replace_and_signal)
+    previous = signal.signal(signal.SIGTERM, _stop)
+    try:
+        with pytest.raises(_Stop):
+            with harness._replacing_all(paths) as news:
+                for new in news:
+                    with open(new, "w") as fh:
+                        fh.write("new")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert sorted(os.listdir(tmp_path)) == ["summary.csv", "trace.csv"]
+    assert [p.read_text() for p in paths] == ["new", "new"]
+
+
 def _oracle_summarize(trace):
     """The original summarize: the whole |errors| copy, one node at a time."""
-    abs_err = np.abs(trace.errors)
+    abs_err = np.abs(_oracle_errors(trace))
     by_node = {e.node_id: e for e in trace.events}
     out = []
     for i in range(trace.times.shape[1]):
