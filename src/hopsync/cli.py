@@ -273,10 +273,10 @@ def _cmd_sweep(cfg: dict) -> int:
                            f"--{opt.key} {cfg[opt.key]} is not supported")
     sizes = _parse_sizes(cfg["sizes"])
     rows, cols = sizes[0]
-    template = _sim_config(cfg, generate_topology(f"grid:{rows}x{cols}"))
-    try:
+    try:  # ConfigInvalid, or a grid too large to index
+        template = _sim_config(cfg, generate_topology(f"grid:{rows}x{cols}"))
         result = scaling_sweep(sizes, template, seeds=cfg["seeds"])
-    except ConfigInvalid as err:
+    except ValueError as err:
         raise CliError(str(err))
     with _writing(cfg["out"]):
         write_sweep_csv(result, os.path.join(cfg["out"], "sweep.csv"))

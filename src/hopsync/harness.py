@@ -111,15 +111,26 @@ class SimConfig:
 class RunTrace:
     """Complete run record: the clocks and the detection events.
 
-    times is an (n_max + 1, N) array indexed by round then node. errors and
-    filter_outputs, arrays of the same shape, are derived from times, the
-    config's delta_t and its detector's c_f each time they are read (see
-    _derived); filter_outputs is NaN where the filter window is undefined.
+    times is an (n_max + 1, N) array indexed by round then node, and each
+    event's node and target round must index it (ValueError otherwise).
+    errors and filter_outputs, arrays of the same shape, are derived from
+    times, the config's delta_t and its detector's c_f each time they are
+    read (see _error and _derived); filter_outputs is NaN where the filter
+    window is undefined.
     """
 
     config: SimConfig
     times: np.ndarray
     events: Tuple[DetectionEvent, ...]
+
+    def __post_init__(self):
+        rows, n = self.times.shape
+        for e in self.events:  # DetectionEvent checks both are >= 0
+            if not (e.node_id < n and e.target_round < rows):
+                raise ValueError(
+                    f"event at node {e.node_id}, round {e.target_round} lies "
+                    f"outside the trace's nodes 0..{n - 1} and rounds "
+                    f"0..{rows - 1}")
 
     @property
     def n_max(self) -> int:
@@ -128,7 +139,8 @@ class RunTrace:
     @property
     def errors(self) -> np.ndarray:
         """delta_t*r - t at every round r and node."""
-        return _derived(self, 0, self.n_max + 1, filtered=False)[0]
+        return _error(self.config.delta_t,
+                      np.arange(self.n_max + 1)[:, None], self.times)
 
     @property
     def filter_outputs(self) -> np.ndarray:
@@ -182,10 +194,9 @@ def run(cfg: SimConfig) -> RunTrace:
     Deterministic for a fixed config. A disconnected topology is simulated
     anyway: nodes the gateway does not reach never hear the reference.
     """
-    n = cfg.topology.node_count
-    times = np.empty((cfg.n_max + 1, n), dtype=np.float64)
-    step = max(1, _TRACE_BLOCK_ROWS // n)
-    for r0, clocks, *_, first in _rounds(cfg, [cfg.seed], step, detect=True):
+    times = np.empty((cfg.n_max + 1, cfg.topology.node_count))
+    for r0, clocks, _, first in _rounds(cfg, [cfg.seed], _TRACE_BLOCK_ROWS,
+                                        detect=True):
         times[r0:r0 + len(clocks)] = clocks[:, 0]
     flips = first[0]
     events = tuple(
@@ -195,52 +206,55 @@ def run(cfg: SimConfig) -> RunTrace:
     return RunTrace(config=cfg, times=times, events=events)
 
 
-def _derived(trace: RunTrace, r0: int, r1: int, filtered: bool = True):
-    """Rounds r0..r1-1 of ``trace``'s errors and, if ``filtered``, filter
-    outputs (else None), as (r1 - r0, N) arrays read from
-    times[max(0, r0 - 3):r1 + 3] alone.
+def _error(dt: float, rounds, clocks) -> np.ndarray:
+    """The error e = dt*r - t of ``clocks`` at ``rounds`` (broadcast against
+    ``clocks``): the one place it is written, so every reader of a run's
+    error gets the same bits."""
+    return dt * np.float64(rounds) - clocks
 
-    The error is delta_t*r - t and the filter output at round m is
-    filter_series of |e| over rounds m-3..m+3, NaN where those are not all
-    in the trace. These are _rounds' expressions, and each output bit
-    depends only on its inputs' bits, so the arrays equal, bit for bit,
-    what the stream computed for the same rounds, whatever the split."""
+
+def _derived(trace: RunTrace, r0: int, r1: int):
+    """Rounds r0..r1-1 of ``trace``'s errors and filter outputs, as
+    (r1 - r0, N) arrays read from times[max(0, r0 - 3):r1 + 3] alone.
+
+    The filter output at round m is filter_series of |e| over rounds
+    m-3..m+3, NaN where those are not all in the trace. The error is
+    _error's and the filter _rounds' detector input, and each output bit
+    depends only on its inputs' bits, so the arrays are the same, bit for
+    bit, whatever the split."""
     rows, cfg = trace.n_max + 1, trace.config
     a, b = max(0, r0 - _LOOKAHEAD), min(rows, r1 + _LOOKAHEAD)
-    t = trace.times[a:b]
-    err = cfg.delta_t * np.arange(a, b, dtype=np.float64)[:, None] - t
-    out = None
-    if filtered:
-        out = np.full((r1 - r0, t.shape[1]), np.nan)
-        lo, hi = max(r0, _LOOKAHEAD), min(r1, rows - _LOOKAHEAD)
-        if lo < hi:
-            out[lo - r0:hi - r0] = filter_series(
-                np.abs(err[lo - _LOOKAHEAD - a:hi + _LOOKAHEAD - a]),
-                cfg.detector.c_f)
+    err = _error(cfg.delta_t, np.arange(a, b)[:, None], trace.times[a:b])
+    out = np.full((r1 - r0, err.shape[1]), np.nan)
+    lo, hi = max(r0, _LOOKAHEAD), min(r1, rows - _LOOKAHEAD)
+    if lo < hi:
+        out[lo - r0:hi - r0] = filter_series(
+            np.abs(err[lo - _LOOKAHEAD - a:hi + _LOOKAHEAD - a]),
+            cfg.detector.c_f)
     return err[r0 - a:r1 - a], out
 
 
-def _rounds(cfg: SimConfig, seeds: Sequence[int], step: int, detect: bool):
+def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     """Evolve ``cfg`` once per seed in ``seeds`` as one (runs, N) state over
-    rounds 0..n_max, a block of whole rounds at a time.
+    rounds 0..n_max, a block of whole rounds at a time: about ``cells``
+    (round, run, node) cells, at least one round.
 
-    Yields (r0, clocks, err, m0, y, first): the clocks of rounds r0, r0+1,
-    ... as a (rounds, runs, N) array, about ``step`` rounds a block, and err
-    their |e| = |delta_t*r - t|. With ``detect``, y holds the filter outputs
-    of |e| at m = m0, m0+1, ... that the block completes, and first each
-    node's first polarity flip so far (-1 where none), as in
-    detector._first_flips; without it m0 and y are None and first stays -1.
-    The last six |e| rows and each column's polarity are carried between
-    blocks, so no output depends on ``step``. The detector input
-    |t - n*delta_t| is |e|: the two differences are exact negatives.
+    Yields (r0, clocks, err, first): the clocks of rounds r0, r0+1, ... as a
+    (rounds, runs, N) array and err their |e| (see _error). With
+    ``detect``, first holds each node's first polarity flip so far (-1
+    where none), as in detector._first_flips, found in the filter of |e|;
+    without it first stays -1. The last six |e| rows and each column's
+    polarity are carried between blocks, so no output depends on the block
+    length. The detector input |t - n*delta_t| is |e|: the two differences
+    are exact negatives.
 
     A halting run (it needs ``detect``) steps one round per block. A node
     halts at the round its detector fires (the last sample of the window
     holding its first flip): its links go silent, so its clock holds. Once
     every node of every run has halted nothing changes again: no more rounds
-    are stepped and the frozen clocks are yielded ``step`` rounds a block.
+    are stepped and the frozen clocks are yielded a block at a time.
     Masks are keyed by (seed, round) and do not depend on halting, so every
-    run draws them ``step`` rounds at a time, a halting run ahead of the
+    run draws them a block of rounds at a time, a halting run ahead of the
     round it steps, and stopping early changes no draw. A mask draw has a
     fixed cost per call that a draw per round would pay on every round.
     """
@@ -249,25 +263,23 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], step: int, detect: bool):
     eu, ev = topo.edge_arrays()
     to_gateway, ev_node = ev >= n, np.minimum(ev, n - 1)
     t = np.stack([initial_clocks(replace(cfg, seed=s)) for s in seeds])
+    step = max(1, cells // t.size)
     first = np.full(t.shape, -1)
     tail = np.empty((0,) + t.shape)
     sign = np.zeros(t.size, np.int8)
-    m0 = y = None
     r0, block = 0, t[None]
     a0, ahead = 0, np.empty((0, len(seeds), len(eu)), dtype=bool)
     while True:
-        r = np.arange(r0, r0 + len(block), dtype=np.float64)
-        err = dt * r[:, None, None] - block
+        err = _error(dt, np.arange(r0, r0 + len(block))[:, None, None], block)
         np.abs(err, out=err)
         if detect:
             x = np.concatenate([tail, err])
-            m0 = r0 - len(tail) + _LOOKAHEAD
             y = filter_series(x, det.c_f)
-            found, sign = _first_flips(y.reshape(len(y), t.size),
-                                       det.k_guard, m0, sign)
+            found, sign = _first_flips(y.reshape(len(y), t.size), det.k_guard,
+                                       r0 - len(tail) + _LOOKAHEAD, sign)
             first = np.where(first < 0, found.reshape(t.shape), first)
             tail = x[1 - _WINDOW:]
-        yield r0, block, err, m0, y, first
+        yield r0, block, err, first
         r0 += len(block)
         if r0 > n_max:
             return
@@ -330,27 +342,22 @@ def _min_rounds(blocks):
 def summarize(trace: RunTrace) -> List[NodeSummary]:
     """One NodeSummary per node from a complete trace.
 
-    |e| is derived and folded into the per-node minimum a block of whole
-    rounds at a time, and each detected node's |e| is picked from the block
-    holding its flagged instant, so no array of the whole error is made.
+    |e| (see _error) is folded into the per-node minimum a block of whole
+    rounds at a time, so no array of the whole error is made. The |e| at
+    each event's (target_round, node_id) cell and at the last round are
+    read from those clocks alone.
     """
-    n, rows = trace.times.shape[1], trace.n_max + 1
-    step = max(1, _TRACE_BLOCK_ROWS // n)
-    flagged = _flagged(trace)
-    picked = np.empty(len(flagged))
-
-    def blocks():
-        for r0 in range(0, rows, step):
-            r1 = min(r0 + step, rows)
-            err = np.abs(_derived(trace, r0, r1, filtered=False)[0])
-            lo, hi = np.searchsorted(flagged, (r0 * n, r1 * n))
-            picked[lo:hi] = err.ravel()[flagged[lo:hi] - r0 * n]
-            yield r0, err
-
-    best, best_at = _min_rounds(blocks())
-    detected = {k % n: (k // n, v)
-                for k, v in zip(flagged.tolist(), picked.tolist())}
-    last = np.abs(_derived(trace, rows - 1, rows, filtered=False)[0][0])
+    dt, times, rows = trace.config.delta_t, trace.times, trace.n_max + 1
+    step = max(1, _TRACE_BLOCK_ROWS // times.shape[1])
+    best, best_at = _min_rounds(
+        (r0, np.abs(_error(dt, np.arange(r0, min(r0 + step, rows))[:, None],
+                           times[r0:r0 + step])))
+        for r0 in range(0, rows, step))
+    flagged = np.array([e.target_round for e in trace.events], dtype=np.int64)
+    ids = np.array([e.node_id for e in trace.events], dtype=np.int64)
+    picked = np.abs(_error(dt, flagged, times[flagged, ids]))
+    detected = dict(zip(ids.tolist(), zip(flagged.tolist(), picked.tolist())))
+    last = np.abs(_error(dt, trace.n_max, times[-1]))
     out = []
     for i, (at, low, ss) in enumerate(zip(best_at.tolist(), best.tolist(),
                                           last.tolist())):
@@ -375,9 +382,8 @@ def _min_error_instants(cfg: SimConfig, seeds: Sequence[int]) -> np.ndarray:
     running per-(run, node) minimum, so no RunTrace is built and no detector
     runs unless nodes halt.
     """
-    step = max(1, _SWEEP_BLOCK_CELLS // (len(seeds) * cfg.topology.node_count))
-    return _min_rounds((r0, err) for r0, _, err, *_ in _rounds(
-        cfg, seeds, step, detect=cfg.halt_on_detect))[1]
+    return _min_rounds((r0, err) for r0, _, err, _ in _rounds(
+        cfg, seeds, _SWEEP_BLOCK_CELLS, detect=cfg.halt_on_detect))[1]
 
 
 def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
@@ -450,15 +456,6 @@ def _trace_block(times, errors, filter_outputs, flagged, nodes, r0) -> str:
     clock, err, filt = cells.tolist()
     return "".join([f"{k}{c},{x},{y}{d}\r\n" for k, c, x, y, d in zip(
         keys, clock, err, filt, detected)])
-
-
-def _flagged(trace: RunTrace) -> np.ndarray:
-    """``target_round * N + node_id`` of every event of ``trace``, sorted:
-    each flagged cell's index in the round-major (round, node) order."""
-    n = trace.times.shape[1]
-    return np.sort(np.array(
-        [e.target_round * n + e.node_id for e in trace.events],
-        dtype=np.int64))
 
 
 def _trace_workers(blocks: int) -> int:
@@ -548,7 +545,10 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     the bytes are the same for any number of workers. A child that fails
     raises OSError here."""
     n = trace.times.shape[1]
-    flagged = _flagged(trace)
+    # each flagged cell's index in the round-major (round, node) order
+    flagged = np.sort(np.array(
+        [e.target_round * n + e.node_id for e in trace.events],
+        dtype=np.int64))
     nodes = [f"{i}," for i in range(n)]
     rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)

@@ -311,7 +311,8 @@ def generate_topology(kind: str, gateway="corner", seed: int = 0) -> Topology:
     Forms: ``grid:RxC``, ``line:N``, ``ring:N``, ``random:N:P``, ``file:PATH``.
     Counts are total nodes including the gateway. ``random`` uses ``seed``.
     ``line:1`` is accepted as the minimal single-node line (same as
-    ``line:2``: one ordinary node plus the gateway).
+    ``line:2``: one ordinary node plus the gateway). A ``file`` names its
+    own gateway, so any ``gateway`` but "corner" raises ValueError there.
     """
     head, _, rest = kind.partition(":")
     if head == "grid":
@@ -326,6 +327,9 @@ def generate_topology(kind: str, gateway="corner", seed: int = 0) -> Topology:
         cnt, _, prob = rest.partition(":")
         return random_topology(int(cnt), float(prob), seed, gateway)
     if head == "file":
+        if gateway != "corner":
+            raise ValueError(f"gateway {gateway!r} given, but a file "
+                             "topology names its own gateway")
         return load_topology(rest)
     raise ValueError(f"unknown topology kind {kind!r}")
 

@@ -693,6 +693,57 @@ def test_topology_file_gateway_spellings(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == "3, 4"
 
 
+# argv and exit code of bad or edge-case input that must be refused with
+# one line on stderr and no traceback; {dir} is a directory, {topo} a
+# connected topology file, {split} a disconnected one and {cfg} a config
+# file. A huge random:N:P is left out: its pair draw allocates before
+# anything refuses it.
+_REFUSED = [
+    (["simulate", "--topology", "grid:1x1"], 2),
+    (["steady-state", "--topology", "grid:1x1"], 2),
+    (["simulate", "--topology", "random:5:0.5", "--seed", "-1"], 2),
+    (["simulate", "--gateway", "-1"], 2),
+    (["simulate", "--init-min", "nan"], 2),
+    (["simulate", "--topology", "line:0"], 2),
+    (["simulate", "--topology", "ring:2"], 2),
+    (["simulate", "--topology", "grid:-3x2"], 2),
+    (["simulate", "--topology", "grid:3x"], 2),
+    (["simulate", "--topology", "random:5"], 2),
+    (["simulate", "--topology", "random:5:nan"], 2),
+    (["simulate", "--topology", "file:"], 2),
+    (["simulate", "--topology", "file:{dir}"], 2),
+    (["sweep", "--sizes", "2x2", "--seeds", "0"], 2),
+    (["simulate", "--config", "{cfg}"], 2),
+    (["sweep", "--sizes", "99999999999x99999999999"], 2),
+    (["sweep", "--sizes", "2x2,99999999999x99999999999"], 2),
+    (["simulate", "--topology", "file:{topo}", "--gateway", "2"], 2),
+    (["steady-state", "--topology", "file:{topo}", "--gateway", "2"], 2),
+    (["simulate", "--topology", "file:{split}", "--require-connected"], 3),
+    (["steady-state", "--delta-t", "1e308"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, code", _REFUSED,
+                         ids=[" ".join(a) for a, _ in _REFUSED])
+def test_bad_input_refused_in_one_line(tmp_path, capsys, argv, code):
+    paths = {"dir": tmp_path, "topo": tmp_path / "t.topo",
+             "split": tmp_path / "split.topo", "cfg": tmp_path / "r.cfg"}
+    save_topology(Topology(node_count=2, edges=((0, 2), (0, 1))),
+                  paths["topo"])
+    save_topology(Topology(node_count=3, edges=((0, 3), (1, 2))),
+                  paths["split"])
+    paths["cfg"].write_text("rounds=1e2\n")
+    argv = [arg.format(**paths) for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_halt_on_detect_freezes_clock(tmp_path):
     code = run_cli("simulate", "--topology", "grid:4x4", "--seed", "6",
                    "--init-min", "0.43", "--init-max", "0.53",

@@ -171,6 +171,23 @@ def test_single_node_constant_error_no_detection():
     assert tr.events == ()
 
 
+@pytest.mark.parametrize("node_id, target_round", [
+    (0, 25), (5, 3), (2, 0), (0, 21)])
+def test_run_trace_refuses_events_outside_times(node_id, target_round):
+    # line:3 has N = 2 and n_max = 20: an event past either names no cell
+    # of times, and a reader would take another cell, or none, for it
+    cfg = SimConfig(topology=line_topology(3), n_max=20)
+    tr = run(cfg)
+    event = DetectionEvent(node_id=node_id, target_round=target_round,
+                           frozen_time=0.0)
+    with pytest.raises(ValueError, match="outside the trace"):
+        RunTrace(config=cfg, times=tr.times, events=(event,))
+    with pytest.raises(ValueError, match="outside the trace"):
+        replace(tr, events=(event,))
+    last = DetectionEvent(node_id=1, target_round=20, frozen_time=0.0)
+    assert summarize(replace(tr, events=(last,)))[1].detected_instant == 20
+
+
 def test_disconnected_flagged_but_simulated():
     topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     cfg = SimConfig(topology=topo, n_max=50)
@@ -555,27 +572,25 @@ def test_halting_run_draws_masks_ahead(monkeypatch):
     assert len(calls) <= math.ceil(3000 / step) + 1
 
 
-def _stream(cfg, step):
-    """_rounds' clocks and filter outputs, joined over its blocks, and each
-    node's first flip."""
-    clocks, ys = [], []
-    for _, block, _, _, y, first in harness._rounds(cfg, [cfg.seed], step,
-                                                    detect=True):
+def _stream(cfg, cells):
+    """_rounds' clocks, joined over its blocks of about ``cells`` cells, and
+    each node's first flip."""
+    clocks = []
+    for _, block, _, first in harness._rounds(cfg, [cfg.seed], cells,
+                                              detect=True):
         clocks.append(block)
-        ys.append(y)
-    return np.concatenate(clocks), np.concatenate(ys), first
+    return np.concatenate(clocks), first
 
 
 def test_halting_stream_independent_of_mask_lookahead():
-    # masks drawn a round at a time or run()'s block of rounds ahead
+    # masks drawn a round at a time or run()'s block of rounds ahead; the
+    # filter outputs are a function of the clocks, so the clocks cover them
     cfg = SimConfig(**HALT_RUNS["line6_some_halt"][0], seed=0, n_max=1500,
                     halt_on_detect=True)
-    step = max(1, harness._TRACE_BLOCK_ROWS // cfg.topology.node_count)
-    one, ahead = _stream(cfg, 1), _stream(cfg, step)
+    one, ahead = _stream(cfg, 1), _stream(cfg, harness._TRACE_BLOCK_ROWS)
     assert np.array_equal(one[0], ahead[0])
-    assert np.array_equal(one[1], ahead[1], equal_nan=True)
-    assert np.array_equal(one[2], ahead[2])
-    assert (one[2] >= 0).any()
+    assert np.array_equal(one[1], ahead[1])
+    assert (one[1] >= 0).any()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -854,20 +869,6 @@ def test_stream_matches_per_column_detector(n, prob, p, halt, block_rows,
             assert np.all(tr.times[e.detect_round:, e.node_id] == e.frozen_time)
 
 
-def _stream_arrays(cfg, step):
-    """The clocks, errors and filter outputs run() kept before it derived
-    the last two: clocks and filter outputs filled from _rounds' blocks,
-    errors over every round at once."""
-    shape = (cfg.n_max + 1, cfg.topology.node_count)
-    times, filter_outputs = np.empty(shape), np.full(shape, math.nan)
-    for r0, clocks, _, m0, y, _ in harness._rounds(cfg, [cfg.seed], step,
-                                                   detect=True):
-        times[r0:r0 + len(clocks)] = clocks[:, 0]
-        filter_outputs[m0:m0 + len(y)] = y[:, 0]
-    rounds = np.arange(cfg.n_max + 1, dtype=np.float64)
-    return times, cfg.delta_t * rounds[:, None] - times, filter_outputs
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 12), prob=st.floats(0.2, 1.0),
        p=st.floats(0.3, 1.0), halt=st.booleans(),
@@ -881,8 +882,9 @@ def _stream_arrays(cfg, step):
          derive_rounds=7, n_max=120, init=(0.43, 0.53), seed=0)
 def test_derived_columns_match_stream(n, prob, p, halt, block_rows,
                                       derive_rounds, n_max, init, seed):
-    # errors and filter_outputs, derived from the clocks whole or in blocks
-    # of any length, are bit for bit the arrays the stream filled
+    # errors and filter_outputs of a run streamed in blocks of any length,
+    # derived whole or in blocks of any length, are bit for bit the
+    # whole-array oracle's
     cfg = SimConfig(topology=random_topology(n, prob, seed=seed), p=p,
                     n_max=n_max, seed=seed, init_min=init[0],
                     init_max=init[1], halt_on_detect=halt)
@@ -892,9 +894,7 @@ def test_derived_columns_match_stream(n, prob, p, halt, block_rows,
         tr = run(cfg)
     finally:
         harness._TRACE_BLOCK_ROWS = saved
-    times, errors, filter_outputs = _stream_arrays(
-        cfg, max(1, block_rows // cfg.topology.node_count))
-    assert tr.times.tobytes() == times.tobytes()
+    errors, filter_outputs = _oracle_arrays(tr)
     assert tr.errors.tobytes() == errors.tobytes()
     assert tr.filter_outputs.tobytes() == filter_outputs.tobytes()
     blocks = [harness._derived(tr, r0, min(r0 + derive_rounds, n_max + 1))

@@ -241,6 +241,18 @@ def test_generate_topology_from_file(tmp_path):
     assert generate_topology(f"file:{path}") == ring_topology(5)
 
 
+def test_file_topology_refuses_a_gateway(tmp_path):
+    # a file names its own gateway: any placement but the default is refused,
+    # not silently dropped
+    path = tmp_path / "ring.topo"
+    save_topology(ring_topology(5), path)
+    for gateway in (0, 2, 5):
+        with pytest.raises(ValueError, match="names its own gateway"):
+            generate_topology(f"file:{path}", gateway=gateway)
+    assert generate_topology(f"file:{path}", gateway="corner") == \
+        ring_topology(5)
+
+
 def test_neighbors_include_gateway():
     topo = line_topology(3)
     assert set(topo.neighbors(0)) == {1, 2}
