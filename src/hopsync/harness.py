@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
-from .kernels import (_LOOKAHEAD, _WINDOW, _float_reprs, filter_series,
+from .kernels import (_LOOKAHEAD, _WINDOW, _float_texts, filter_series,
                       run_rounds)
 from .model import (_INIT_STREAM, Topology, _check_period,
                     _check_probability, _count, _whole, effective_matrices,
@@ -112,7 +112,8 @@ class RunTrace:
     """Complete run record: the clocks and the detection events.
 
     times is an (n_max + 1, N) array indexed by round then node, and each
-    event's node and target round must index it (ValueError otherwise).
+    event's node and target round must index it; a node has at most one
+    event, its first flip (ValueError otherwise).
     errors and filter_outputs, arrays of the same shape, are derived from
     times, the config's delta_t and its detector's c_f each time they are
     read (see _error and _derived); filter_outputs is NaN where the filter
@@ -125,12 +126,16 @@ class RunTrace:
 
     def __post_init__(self):
         rows, n = self.times.shape
+        seen = set()
         for e in self.events:  # DetectionEvent checks both are >= 0
             if not (e.node_id < n and e.target_round < rows):
                 raise ValueError(
                     f"event at node {e.node_id}, round {e.target_round} lies "
                     f"outside the trace's nodes 0..{n - 1} and rounds "
                     f"0..{rows - 1}")
+            if e.node_id in seen:
+                raise ValueError(f"node {e.node_id} has more than one event")
+            seen.add(e.node_id)
 
     @property
     def n_max(self) -> int:
@@ -431,31 +436,55 @@ def _fmt(v) -> str:
     return repr(f)
 
 
-def _trace_block(times, errors, filter_outputs, flagged, nodes, r0) -> str:
+def _int_fields(start: int, count: int) -> np.ndarray:
+    """The CSV fields ``f"{i},"`` of i = start..start+count-1 as a
+    (count, width) uint8 matrix, NUL-padded on the left."""
+    values = np.arange(start, start + count, dtype=np.int64)[:, None]
+    scale = 10 ** np.arange(len(str(start + count - 1)) - 1, -1, -1,
+                            dtype=np.int64)
+    out = np.full((count, len(scale) + 1), ord(","), dtype=np.uint8)
+    out[:, :-1] = values // scale % 10 + ord("0")
+    out[:, :-2][values < scale[:-1]] = 0  # leading zeros
+    return out
+
+
+def _trace_block(times, errors, filter_outputs, flagged, nodes, r0) -> bytes:
     """trace.csv rows for the (rounds, N) block arrays of rounds r0, r0+1,
     ..., exactly as ``csv.writer`` wrote them: ``repr`` floats, empty
     ``filter_out`` for NaN, CRLF endings. ``flagged`` holds
     ``target_round * N + node_id`` for every event, sorted, and ``nodes``
-    the N strings ``f"{node_id},"``.
+    is _int_fields(0, N).
 
-    Each distinct float of the three columns is formatted once, keyed by its
-    bits so that -0.0 and 0.0 stay apart. Only ``filter_out``'s NaN cells
-    are then blanked: a NaN clock or error still prints ``nan``."""
+    Each row is laid out in one (rounds, N, width) uint8 matrix of
+    fixed-width, NUL-padded fields: the round and the node with their ','
+    each, the three floats with a ',' after each, the flag and CRLF. No CSV
+    byte is NUL, so the nonzero bytes in order are the rows. Each distinct
+    float of the three columns is formatted once, keyed by its bits so that
+    -0.0 and 0.0 stay apart. Only ``filter_out``'s NaN cells are then
+    blank: a NaN clock or error still prints ``nan``."""
     rounds, n = times.shape
     base = r0 * n
-    keys = [k + s for k in [f"{r}," for r in range(r0, r0 + rounds)]
-            for s in nodes]
-    detected = [",0"] * len(keys)
-    lo, hi = np.searchsorted(flagged, (base, base + len(keys)))
-    for k in flagged[lo:hi].tolist():
-        detected[k - base] = ",1"
     uniq, inv = np.unique(np.stack([times, errors, filter_outputs]).view(
         np.int64), return_inverse=True)
-    cells = _float_reprs(uniq.view(np.float64))[inv.ravel()].reshape(3, -1)
-    cells[2, np.isnan(filter_outputs).ravel()] = ""
-    clock, err, filt = cells.tolist()
-    return "".join([f"{k}{c},{x},{y}{d}\r\n" for k, c, x, y, d in zip(
-        keys, clock, err, filt, detected)])
+    # NumPy 1.x returns the inverse flat and 2.x in the input's shape
+    inv = inv.reshape(3, rounds, n)
+    # each text with its ',', then a blank (just ',') for filter_out's NaN
+    text = _float_texts(uniq.view(np.float64))
+    texts = np.zeros((len(uniq) + 1, text.shape[1] + 1), dtype=np.uint8)
+    texts[:-1, :-1] = text
+    texts[:, -1] = ord(",")
+    inv[2][np.isnan(filter_outputs)] = len(uniq)
+    keys = _int_fields(r0, rounds)
+    a, b = keys.shape[1], keys.shape[1] + nodes.shape[1]
+    rows = np.empty((rounds, n, b + 3 * texts.shape[1] + 3), dtype=np.uint8)
+    rows[:, :, :a] = keys[:, None]
+    rows[:, :, a:b] = nodes
+    rows[:, :, b:-3] = np.take(texts, np.moveaxis(inv, 0, -1), axis=0).reshape(
+        rounds, n, -1)
+    rows[:, :, -3:] = np.frombuffer(b"0\r\n", dtype=np.uint8)
+    lo, hi = np.searchsorted(flagged, (base, base + rounds * n))
+    rows.reshape(rounds * n, -1)[flagged[lo:hi] - base, -3] = ord("1")
+    return rows[rows != 0].tobytes()
 
 
 def _trace_workers(blocks: int) -> int:
@@ -471,7 +500,7 @@ def _trace_workers(blocks: int) -> int:
 def _fork() -> int:
     with warnings.catch_warnings():
         # Python 3.12+ warns on fork in a process with threads (OpenBLAS
-        # starts some). The child is safe: it only formats strings from
+        # starts some). The child is safe: it only formats bytes from
         # arrays it reads, takes no lock, calls no BLAS, writes no stdout and
         # always leaves through os._exit.
         warnings.filterwarnings(
@@ -549,7 +578,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     flagged = np.sort(np.array(
         [e.target_round * n + e.node_id for e in trace.events],
         dtype=np.int64))
-    nodes = [f"{i}," for i in range(n)]
+    nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)
     blocks = -(-rounds // step)
@@ -561,7 +590,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         for r0 in range(ends[w], ends[w + 1], step):
             r1 = min(r0 + step, rounds)
             fh.write(_trace_block(trace.times[r0:r1], *_derived(trace, r0, r1),
-                                  flagged, nodes, r0).encode("ascii"))
+                                  flagged, nodes, r0))
 
     children = []  # (pid, temporary file) of each child not yet reaped
     with _replacing(path, "wb") as fh, contextlib.ExitStack() as parts:

@@ -5,8 +5,8 @@ Every run, sweep and detector calls the first two, so their floating-point
 results define the simulator's output bytes. The reference paths
 (dynamics.step, dynamics.error_step, harness.run_error_recursion) evolve the
 dense matrices instead, and the tests compare them against these.
-_float_reprs prints trace.csv's floats with ``repr``'s digits, and the tests
-compare it against ``repr``.
+_float_texts prints trace.csv's floats with ``repr``'s digits, as ASCII bytes
+in a NumPy matrix, and the tests compare it against ``repr``.
 
 run_rounds evolves one network or a batch of S independent runs of it (one
 per seed) as one state with a leading seed axis. Each round sums neighbor
@@ -30,29 +30,34 @@ import numpy as np
 _WINDOW = 7
 _LOOKAHEAD = 3
 
-# _float_reprs' tables. A value's text is gathered from a row of 24
-# characters laid out as _ROW: '0', the value's 17 digits A..Q, the two
-# digits XY of its decimal exponent's magnitude, '.', '-', 'e' and NUL.
+# _float_texts' tables. A value's text is gathered from a row of 24 bytes
+# laid out as _ROW: the two digits XY of its decimal exponent's magnitude,
+# '.', '-', 'e', NUL, '0' and its 17 digits A..Q, so that XY and 0A are
+# uint16 pairs of the row and B..Q four uint32 quads.
 # _TEMPLATES[(sign * 18 + max(k, -5) + 5) * 18 + nd] lists the row columns
 # that make the text of a value with that sign, decimal exponent k and nd
-# significant digits, NUL-padded to 23 characters. _PAIRS[v] packs the
-# characters of v = 0..99 as two digits, then '.-' and 'e' NUL, two UCS-4
-# characters to a uint64. _POW5[s] = 5**s for s = 16 - k, k = -11..12: log10
-# may put k one below the range's lowest decimal exponent.
-_ROW = "0ABCDEFGHIJKLMNOPQXY.-e\0"
-_TEMPLATES = np.frombuffer("".join(
-    ("-" * sign + (d[:k + 1] + "." + d[k + 1:] if k >= 0 else
-                   "0." + "0" * (-1 - k) + d if k > -5 else
-                   d[:1] + "." * (nd > 1) + d[1:] + "e-XY")).ljust(23, "\0")
+# significant digits, NUL-padded to 23 bytes, the longest text formatted
+# here. _PAIRS[v] holds the two digits of v = 0..99 as one uint16 and
+# _QUADS[v] the four of v = 0..9999 as one uint32. _POW5[s] = 5**s for
+# s = 16 - k, k = -11..12: log10 may put k one below the range's lowest
+# decimal exponent.
+_ROW = b"XY.-e\0" + b"0ABCDEFGHIJKLMNOPQ"
+_TEMPLATES = np.frombuffer(b"".join(
+    (b"-" * sign + (d[:k + 1] + b"." + d[k + 1:] if k >= 0 else
+                    b"0." + b"0" * (-1 - k) + d if k > -5 else
+                    d[:1] + b"." * (nd > 1) + d[1:] + b"e-XY")).ljust(23, b"\0")
     for sign in (0, 1) for k in range(-5, 13) for nd in range(18)
-    for d in [_ROW[1:1 + nd]]).translate(
-        dict(zip(map(ord, _ROW), range(len(_ROW))))).encode("latin-1"),
-    dtype=np.uint8).reshape(-1, 23).astype(np.intp)
-_PAIRS = np.concatenate([
-    np.stack(np.divmod(np.arange(100), 10), axis=1) + ord("0"),
-    np.array([ord(c) for c in _ROW[20:]]).reshape(2, 2)]).astype(
-        np.uint32).view(np.uint64).ravel()
+    for d in [b"ABCDEFGHIJKLMNOPQ"[:nd]]).translate(
+        bytes.maketrans(_ROW, bytes(range(len(_ROW))))),
+    dtype=np.uint8).reshape(-1, 23)
+_PAIRS = (np.stack(np.divmod(np.arange(100), 10), axis=1)
+          + ord("0")).astype(np.uint8).view(np.uint16).ravel()
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS[None]),
+                  axis=2).view(np.uint32).ravel()
 _POW5 = 5 ** np.arange(28, dtype=np.uint64)
+# the width of _float_texts' rows: repr's longest texts, such as
+# -2.2250738585072014e-308, have 24 characters
+_TEXT_WIDTH = 24
 
 
 def run_rounds(times0, edges_u, edges_v, masks, delta_t, *, round0=0):
@@ -127,23 +132,18 @@ def filter_series(x, c_f):
     return 0.2 * (d1 + d3) + 0.5 * d2
 
 
-def _float_reprs(x) -> np.ndarray:
-    """``repr`` of each float64 of ``x``, as a flat object array of str.
+def _shortest_digits(x, mag):
+    """``repr``'s shortest round-trip digits of each float64 of ``x``
+    (|x| = ``mag``), all in _float_texts' range, as (digits, k): a 17-digit
+    integer padded with trailing zeros, and the decimal exponent k.
 
-    Values with 1e-10 <= |x| < 1e13 that are not whole numbers and whose
-    mantissa is not a power of two are formatted here; all others (zeros,
-    whole numbers, NaN, infinities, values outside that range and powers of
-    two, whose rounding interval is lopsided) go through ``repr``. Values
-    are taken 1024 at a time: twice that is a few percent faster but its
-    temporaries raise a halting run's peak RSS by about 1 MB more.
-
-    Write x = m * 2**e and let k be its decimal exponent. One 128-bit
-    product in 32-bit limbs gives x * 10**(16 - k) = m * 5**s / 2**sh (s =
-    16 - k) as its 17-digit integer part t and remainder r / 2**sh; k starts
-    from log10 and is fixed where t falls outside [10**16, 10**17). On that
-    scale x's rounding interval is v +- 5**s / 2**(sh + 1) around v = t + r
-    / 2**sh, and its ends are never integers. ``repr`` prints the shortest
-    digits that read back as x, the nearest of them if several do, so:
+    Write x = m * 2**e. One 128-bit product in 32-bit limbs gives
+    x * 10**(16 - k) = m * 5**s / 2**sh (s = 16 - k) as its 17-digit integer
+    part t and remainder r / 2**sh; k starts from log10 and is fixed where t
+    falls outside [10**16, 10**17). On that scale x's rounding interval is
+    v +- 5**s / 2**(sh + 1) around v = t + r / 2**sh, and its ends are never
+    integers. ``repr`` prints the shortest digits that read back as x, the
+    nearest of them if several do, so:
 
     - 15 or fewer digits: the interval is narrower than the 15-digit
       spacing and holds at most one such decimal, the multiple of 100 at or
@@ -152,77 +152,98 @@ def _float_reprs(x) -> np.ndarray:
       rounded half to even) does;
     - 17 digits: v rounded half to even, which always reads back.
 
-    The text then follows ``repr``'s layout: ``dd.ddd`` for k >= 0,
+    Its temporaries are freed on return, before _float_texts lays out the
+    text.
+    """
+    one, frac = np.uint64(1), np.uint64(2**52 - 1)
+    low, word = np.uint64(2**32 - 1), np.uint64(32)
+    bits = x.view(np.uint64)
+    m = (bits & frac) | np.uint64(2**52)
+    m0, m1 = m & low, m >> word
+    biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    while True:
+        s = 16 - k
+        sh = (1075 - s - biased).astype(np.uint64)
+        p = _POW5[s]
+        p0, p1 = p & low, p >> word
+        lo, b, c = m0 * p0, m0 * p1, m1 * p0
+        mid = (lo >> word) + (b & low) + (c & low)
+        hi = m1 * p1 + (b >> word) + (c >> word) + (mid >> word)
+        lo = (lo & low) | (mid << word)
+        t = (hi << (np.uint64(64) - sh)) | (lo >> sh)
+        under, over = t < 10**16, t >= 10**17
+        if not (under.any() or over.any()):
+            break
+        k = k - under + over
+    # from here on every quantity is below 2**62: int64
+    two_r = ((lo & ((one << sh) - one)) << one).astype(np.int64)
+    t, p, sh = t.astype(np.int64), p.astype(np.int64), sh.astype(np.int64)
+    lower = t + ((two_r - p) >> (sh + 1))
+    upper = t + ((two_r + p) >> (sh + 1))
+    q = t // 10
+    d15 = upper // 100 * 100
+    d16 = 10 * (q + ((t - 10 * q > 5) | ((t - 10 * q == 5)
+                                          & ((two_r > 0) | (q % 2 == 1)))))
+    d17 = t + ((two_r > 1 << sh) | ((two_r == 1 << sh) & (t % 2 == 1)))
+    digits = np.where(d15 > lower, d15, np.where(
+        (d16 > lower) & (d16 <= upper), d16, d17))
+    carry = digits >= 10**17
+    digits[carry] = 10**16
+    return digits, k + carry
+
+
+def _float_texts(x) -> np.ndarray:
+    """``repr`` of each float64 of ``x`` as ASCII bytes, one value to a row
+    of a (x.size, 24) uint8 matrix, NUL-padded: 24 bytes hold repr's longest
+    texts, such as -2.2250738585072014e-308.
+
+    Values with 1e-10 <= |x| < 1e13 that are not whole numbers and whose
+    mantissa is not a power of two get their digits from _shortest_digits
+    and are laid out here, in at most 23 bytes; all others (zeros, whole
+    numbers, NaN, infinities, values outside that range and powers of two,
+    whose rounding interval is lopsided) go through ``repr``. Values are
+    taken 2048 at a time, whose temporaries hold about 0.8 MB: twice that
+    is faster still, but doubles them.
+
+    The text follows ``repr``'s layout: ``dd.ddd`` for k >= 0,
     ``0.000ddd`` for -4 <= k < 0 and ``d.ddde-XX`` below, without trailing
     zeros.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    out = np.empty(x.size, dtype=object)
-    one, frac = np.uint64(1), np.uint64(2**52 - 1)
-    low, word = np.uint64(2**32 - 1), np.uint64(32)
-    for c0 in range(0, x.size, 1024):
-        xs, cell = x[c0:c0 + 1024], out[c0:c0 + 1024]
+    out = np.zeros((x.size, _TEXT_WIDTH), dtype=np.uint8)
+    frac = np.uint64(2**52 - 1)
+    for c0 in range(0, x.size, 2048):
+        xs, cell = x[c0:c0 + 2048], out[c0:c0 + 2048]
         mag = np.abs(xs)
         with np.errstate(invalid="ignore"):  # floor of a signalling NaN
             fast = ((mag >= 1e-10) & (mag < 1e13) & (np.floor(mag) != mag)
                     & ((xs.view(np.uint64) & frac) != 0))
-        cell[~fast] = [repr(v) for v in xs[~fast].tolist()]
-        bits, mag = xs.view(np.uint64)[fast], mag[fast]
-        count = len(bits)
-        if not count:
-            continue
-        m = (bits & frac) | np.uint64(2**52)
-        m0, m1 = m & low, m >> word
-        biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
-        k = np.floor(np.log10(mag)).astype(np.int64)
-        while True:
-            s = 16 - k
-            sh = (1075 - s - biased).astype(np.uint64)
-            p = _POW5[s]
-            p0, p1 = p & low, p >> word
-            lo, b, c = m0 * p0, m0 * p1, m1 * p0
-            mid = (lo >> word) + (b & low) + (c & low)
-            hi = m1 * p1 + (b >> word) + (c >> word) + (mid >> word)
-            lo = (lo & low) | (mid << word)
-            t = (hi << (np.uint64(64) - sh)) | (lo >> sh)
-            under, over = t < 10**16, t >= 10**17
-            if not (under.any() or over.any()):
-                break
-            k = k - under + over
-        # from here on every quantity is below 2**62: int64
-        two_r = ((lo & ((one << sh) - one)) << one).astype(np.int64)
-        t, p, sh = t.astype(np.int64), p.astype(np.int64), sh.astype(np.int64)
-        lower = t + ((two_r - p) >> (sh + 1))
-        upper = t + ((two_r + p) >> (sh + 1))
-        q = t // 10
-        d15 = upper // 100 * 100
-        d16 = 10 * (q + ((t - 10 * q > 5) | ((t - 10 * q == 5)
-                                              & ((two_r > 0) | (q % 2 == 1)))))
-        d17 = t + ((two_r > 1 << sh) | ((two_r == 1 << sh) & (t % 2 == 1)))
-        digits = np.where(d15 > lower, d15, np.where(
-            (d16 > lower) & (d16 <= upper), d16, d17))
-        carry = digits >= 10**17
-        digits[carry] = 10**16
-        k += carry
-        # the 17 digits as a lead digit and eight pairs, then |k|'s pair
-        pairs = np.empty((10, count), dtype=np.intp)
-        for j in range(8, 0, -1):
-            q = digits // 100
-            pairs[j] = digits - 100 * q
-            digits = q
-        pairs[0] = digits
-        np.abs(k, out=pairs[9])
-        # significant digits: up to the last nonzero digit
-        col = np.arange(count)
-        last = ((pairs[:9] != 0) * np.arange(9, dtype=np.uint8)[:, None]).max(
-            axis=0).astype(np.intp)
-        nd = 2 * last + 1 - ((last > 0) & (pairs[last, col] % 10 == 0))
-        row = np.empty((count, len(_ROW) // 2), dtype=np.uint64)
-        row[:, :10] = np.take(_PAIRS, pairs).T
-        row[:, 10:] = _PAIRS[100:]
+        # values for repr are formatted as 0.5 here and overwritten below
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            xs = np.where(fast, xs, 0.5)
+            mag = np.abs(xs)
+        digits, k = _shortest_digits(xs, mag)
+        # the row: |k|'s pair, '.-', 'e' NUL, '0' and the lead digit, then
+        # the other 16 digits as four quads
+        row = np.empty((len(xs), len(_ROW)), dtype=np.uint8)
+        pairs, quads = row.view(np.uint16), row.view(np.uint32)
+        pairs[:, 0] = _PAIRS[np.abs(k)]
+        pairs[:, 1:3] = np.frombuffer(_ROW[2:6], dtype=np.uint16)
+        pairs[:, 3] = _PAIRS[digits // 10**16]
+        for j, scale in enumerate((10**12, 10**8, 10**4, 1)):
+            quads[:, 2 + j] = _QUADS[digits // scale % 10**4]
+        # significant digits: up to the last nonzero one
+        nd = 17 - np.argmax(row[:, :6:-1] != ord("0"), axis=1)
         # each value's text is its template's columns of its row
-        at = np.take(_TEMPLATES, (np.signbit(xs[fast]) * 18
-                                  + np.maximum(k, -5) + 5) * 18 + nd, axis=0)
-        at += len(_ROW) * col[:, None]
-        cell[fast] = np.take(row.view(np.uint32), at).view("U23").ravel()
+        at = _TEMPLATES[(np.signbit(xs) * 18 + np.maximum(k, -5) + 5) * 18
+                        + nd] + np.arange(0, row.size, len(_ROW),
+                                          dtype=np.int32)[:, None]
+        cell[:, :_TEMPLATES.shape[1]] = np.take(row, at)
+        if slow.size:
+            cell[slow] = np.array(
+                [repr(v).encode() for v in x[c0 + slow].tolist()],
+                dtype=f"S{_TEXT_WIDTH}").view(np.uint8).reshape(
+                    -1, _TEXT_WIDTH)
     return out

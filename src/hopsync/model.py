@@ -50,6 +50,25 @@ def _check_probability(value, name: str, error=ValueError) -> None:
         raise error(f"{name} must be in [0, 1]")
 
 
+# The most links a generated topology may build or draw: one per edge of a
+# grid, line or ring, one per node pair of random:N:P. One draw and compare
+# takes about 4.2 ns, so 2**32 pairs are about 18 s of drawing before any
+# edge is kept. A spec past this is refused before anything is allocated,
+# rather than left to run for minutes or to be killed for memory.
+_MAX_LINKS = 2**32
+# random_topology draws its pairs in whole rows of about this many pairs at a
+# time, so its memory follows the edges kept, not the N(N-1)/2 pairs drawn.
+_PAIR_CHUNK = 1 << 20
+
+
+def _check_links(count: int) -> None:
+    """ValueError if a topology would build or draw more than _MAX_LINKS
+    links."""
+    if count > _MAX_LINKS:
+        raise ValueError(f"{count} links to build or draw, more than the "
+                         f"{_MAX_LINKS} allowed")
+
+
 class InvalidPlacement(ValueError):
     """Gateway index out of range for the requested generator."""
 
@@ -264,6 +283,7 @@ def grid_topology(rows: int, cols: int, gateway="corner") -> Topology:
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
+    _check_links(rows * (cols - 1) + cols * (rows - 1))
     total = rows * cols
     g = _resolve_gateway(gateway, total)
     idx = np.arange(total).reshape(rows, cols)
@@ -277,6 +297,7 @@ def line_topology(n: int, gateway="corner") -> Topology:
     """Path on n total nodes; "corner" places the gateway at an end."""
     if n < 2:
         raise ValueError("a line needs at least 2 total nodes")
+    _check_links(n - 1)
     g = _resolve_gateway(gateway, n)
     return _canonicalize(n, g, np.arange(n - 1)[:, None] + [0, 1])
 
@@ -284,6 +305,7 @@ def line_topology(n: int, gateway="corner") -> Topology:
 def ring_topology(n: int, gateway="corner") -> Topology:
     if n < 3:
         raise ValueError("a ring needs at least 3 total nodes")
+    _check_links(n)
     g = _resolve_gateway(gateway, n)
     return _canonicalize(n, g, (np.arange(n)[:, None] + [0, 1]) % n)
 
@@ -292,17 +314,31 @@ def random_topology(n: int, edge_prob: float, seed: int, gateway="corner") -> To
     """Erdos-Renyi draw on n total nodes: each pair is an edge with edge_prob.
 
     Deterministic for fixed (n, edge_prob, seed). edge_prob=1 yields the
-    complete graph regardless of seed.
+    complete graph regardless of seed. More than _MAX_LINKS pairs raise
+    ValueError before anything is drawn.
     """
     if n < 2:
         raise ValueError("a random topology needs at least 2 total nodes")
     _check_probability(edge_prob, "edge_prob")
+    _check_links(n * (n - 1) // 2)
     g = _resolve_gateway(gateway, n)
     rng = np.random.default_rng([int(seed), _TOPOLOGY_STREAM])
-    # one draw per pair (i, j), i < j, in row-major order
-    pairs = np.transpose(np.triu_indices(n, 1))
-    keep = rng.random(len(pairs)) < edge_prob
-    return _canonicalize(n, g, pairs[keep])
+    # One draw per pair (i, j), i < j, in row-major order: pair (i, j) is
+    # draw ends[i] - n + j, where ends[i] counts the pairs of rows 0..i.
+    # Generator.random gives the same doubles drawn whole or in pieces, so
+    # drawing whole rows at a time changes no bit.
+    ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    kept, row = [], 0
+    while row < n - 1:
+        first = ends[row] - (n - 1 - row)
+        stop = max(row + 1, int(np.searchsorted(ends, first + _PAIR_CHUNK,
+                                                "right")))
+        at = first + np.flatnonzero(rng.random(ends[stop - 1] - first)
+                                    < edge_prob)
+        i = np.searchsorted(ends, at, "right")
+        kept.append(np.stack([i, at - ends[i] + n], axis=1))
+        row = stop
+    return _canonicalize(n, g, np.concatenate(kept))
 
 
 def generate_topology(kind: str, gateway="corner", seed: int = 0) -> Topology:

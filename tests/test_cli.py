@@ -696,8 +696,8 @@ def test_topology_file_gateway_spellings(tmp_path, capsys):
 # argv and exit code of bad or edge-case input that must be refused with
 # one line on stderr and no traceback; {dir} is a directory, {topo} a
 # connected topology file, {split} a disconnected one and {cfg} a config
-# file. A huge random:N:P is left out: its pair draw allocates before
-# anything refuses it.
+# file. A huge random:N:P is refused before it draws, and is checked with
+# its draw patched out (test_huge_random_refused_in_one_line).
 _REFUSED = [
     (["simulate", "--topology", "grid:1x1"], 2),
     (["steady-state", "--topology", "grid:1x1"], 2),
@@ -741,6 +741,22 @@ def test_bad_input_refused_in_one_line(tmp_path, capsys, argv, code):
     assert "Traceback" not in captured.err
     if code == 2:
         assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "steady-state"])
+def test_huge_random_refused_in_one_line(no_topology_allocation, tmp_path,
+                                         capsys, command):
+    # 2e18 pairs: refused by their count, before any is drawn; allocating
+    # and drawing are patched out, so a regression fails here instead of
+    # taking the memory
+    assert run_cli(command, "--topology", "random:2000000000:0.5",
+                   "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad topology")
+    assert captured.err.count("\n") == 1
+    assert "links to build or draw" in captured.err
     assert not (tmp_path / "out").exists()
 
 

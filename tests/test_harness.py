@@ -188,6 +188,20 @@ def test_run_trace_refuses_events_outside_times(node_id, target_round):
     assert summarize(replace(tr, events=(last,)))[1].detected_instant == 20
 
 
+def test_run_trace_refuses_a_repeated_node():
+    # a node stops once: with two events summarize would keep one of them
+    # while write_trace_csv flagged both
+    cfg = SimConfig(topology=line_topology(3), n_max=20)
+    tr = run(cfg)
+    twice = tuple(DetectionEvent(node_id=1, target_round=r, frozen_time=0.0)
+                  for r in (5, 9))
+    with pytest.raises(ValueError, match="node 1 has more than one event"):
+        RunTrace(config=cfg, times=tr.times, events=twice)
+    with pytest.raises(ValueError, match="more than one event"):
+        replace(tr, events=twice[:1] + (twice[0],))
+    assert replace(tr, events=twice[:1]).events == twice[:1]
+
+
 def test_disconnected_flagged_but_simulated():
     topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     cfg = SimConfig(topology=topo, n_max=50)
@@ -782,6 +796,9 @@ _ZEROS = np.array([[-0.0, 0.0]] * 9)
 _NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                   0x7FF8DEAD00000000], dtype=np.uint64).view(np.float64)
 _NAN_BITS = np.stack([_NANS, np.roll(_NANS, 1), np.roll(_NANS, 2)])
+# repr's longest texts, 24 characters, and their positive twins
+_LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, 5e-324]
 
 
 @settings(max_examples=80, deadline=None)
@@ -799,13 +816,16 @@ _NAN_BITS = np.stack([_NANS, np.roll(_NANS, 1), np.roll(_NANS, 2)])
 @example(_block_of(_NAN_BITS, _NAN_BITS[::-1], np.roll(_NAN_BITS, 1, axis=1),
                    [(1, 3)]))
 @example(_hand_block(3, 6, _AWKWARD, 9, [(0, 2), (6, 0)], r0=10**6))
+@example(_hand_block(6, 8, _LONGEST, 10, [(2, 5)]))
+@example(_hand_block(11, 3, _AWKWARD, 11, [(0, 10), (1, 0), (2, 3)],
+                     r0=9998))
 def test_trace_csv_matches_csv_writer_oracle(block):
-    # a block's rows, from any three columns of any floats, are the rows
+    # a block's bytes, from any three columns of any floats, are the rows
     # csv.writer wrote; flags outside the block do not show
-    nodes = [f"{i}," for i in range(block.times.shape[1])]
+    nodes = harness._int_fields(0, block.times.shape[1])
     assert harness._trace_block(
         block.times, block.errors, block.filter_outputs, block.flagged,
-        nodes, block.r0) == _oracle_rows(*block)
+        nodes, block.r0) == _oracle_rows(*block).encode("ascii")
 
 
 @settings(max_examples=40, deadline=None)

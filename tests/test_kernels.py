@@ -183,6 +183,9 @@ _EXPONENT_SWITCH = _bits([9.999999999999999e-05, 0.0001, 1e-05,
 _DIGITS = _bits([0.123456789012345, 0.1234567890123456,
                  0.12345678901234568, 1.2345678901234567e-07,
                  123456.78901234567, 2.0 / 3.0, 0.1, 0.3, 7e-10])
+# repr's longest texts, 24 characters, all formatted by repr
+_LONGEST = _bits([-2.2250738585072014e-308, -1.7976931348623157e308,
+                  -5e-324, -1.0000000000000002e-300])
 _TIES = _bits([9000000000.0078125, 9000000000.0234375, 9100000000.0390625,
                1234567890123.03125, 1234567890123.09375,
                123456789012.015625])
@@ -207,15 +210,20 @@ def _as_floats(bits):
 @example(bits=_EXPONENT_SWITCH)
 @example(bits=_DIGITS)
 @example(bits=_TIES)
+@example(bits=_LONGEST)
 @example(bits=[])
 def test_float_reprs_equal_repr(bits):
     # the kernel prints exactly repr's shortest round-trip digits, for every
     # float64 it formats itself and for those it hands to repr
     x = _as_floats(bits)
-    got = kernels._float_reprs(x)
-    assert got.dtype == object and got.shape == x.shape
-    assert got.tolist() == [repr(v) for v in x.tolist()]
-    assert all(type(s) is str for s in got)
+    got = kernels._float_texts(x)
+    assert got.dtype == np.uint8 and got.shape == (x.size, 24)
+    assert _texts(got) == [repr(v).encode() for v in x.tolist()]
+
+
+def _texts(rows):
+    """Each row of a _float_texts matrix without its NUL padding."""
+    return [row.tobytes().rstrip(b"\0") for row in rows]
 
 
 def test_float_reprs_across_chunks():
@@ -225,6 +233,7 @@ def test_float_reprs_across_chunks():
         rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64),
         rng.uniform(-0.2, 0.2, 3000) * 10.0 ** rng.integers(-10, 13, 3000),
         _as_floats(_RANGE_ENDS + _POWERS + _WHOLE + _EXPONENT_SWITCH
-                   + _DIGITS + _TIES)])
+                   + _DIGITS + _TIES + _LONGEST)])
     x = x[rng.permutation(x.size)]
-    assert kernels._float_reprs(x).tolist() == [repr(v) for v in x.tolist()]
+    assert _texts(kernels._float_texts(x)) == [repr(v).encode()
+                                               for v in x.tolist()]

@@ -1,12 +1,14 @@
 import re
 from collections import deque
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hopsync import model
 from hopsync.dynamics import NotConvergent, steady_state_error
 from hopsync.model import (InvalidPlacement, IsolatedNode, Topology,
                            _hop_levels, build_matrices, generate_topology,
@@ -99,6 +101,47 @@ def test_random_topology_matches_pairwise_loop(n, prob, seed):
     expected = Topology(n - 1,
                         tuple((relabel[i], relabel[j]) for i, j in edges))
     assert random_topology(n, prob, seed=seed) == expected
+
+
+def _random_topology_whole(n, edge_prob, seed, gateway="corner"):
+    """random_topology as it drew every pair at once, over an array of all
+    N(N-1)/2 of them."""
+    rng = np.random.default_rng([int(seed), 2])
+    pairs = np.transpose(np.triu_indices(n, 1))
+    keep = rng.random(len(pairs)) < edge_prob
+    return model._canonicalize(n, model._resolve_gateway(gateway, n),
+                               pairs[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40),
+       prob=st.sampled_from([0.0, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**40),
+       chunk=st.sampled_from([1, 2, 7, 39, 64, 780, model._PAIR_CHUNK]))
+def test_random_topology_in_chunks_equals_whole_draw(n, prob, seed, chunk):
+    # drawn a few rows at a time, a chunk ending inside a row or not, the
+    # edges are those of one draw over every pair
+    with mock.patch.object(model, "_PAIR_CHUNK", chunk):
+        got = random_topology(n, prob, seed=seed, gateway=seed % n)
+    assert got == _random_topology_whole(n, prob, seed, gateway=seed % n)
+
+
+@pytest.mark.parametrize("spec", [
+    "random:2000000000:0.5", "random:92683:0.5", "grid:46342x46342",
+    "line:4294967298", "ring:4294967297"])
+def test_oversized_topology_refused_before_allocating(
+        no_topology_allocation, spec):
+    # each asks for more than 2**32 links; none may allocate or draw, so
+    # the refusal does not depend on the machine's memory
+    with pytest.raises(ValueError, match="links to build or draw"):
+        generate_topology(spec)
+
+
+def test_link_limit_is_inclusive():
+    # 2**32 links pass the check; one more is refused
+    model._check_links(2**32)
+    with pytest.raises(ValueError, match=f"{2**32 + 1} links"):
+        model._check_links(2**32 + 1)
 
 
 def test_spanning_path_cases():
