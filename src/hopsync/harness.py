@@ -113,7 +113,9 @@ class RunTrace:
 
     times is an (n_max + 1, N) array indexed by round then node, and each
     event's node and target round must index it; a node has at most one
-    event, its first flip (ValueError otherwise).
+    event, its first flip (ValueError otherwise). Every reader of a finished
+    run reads the events as _targets, a read-only int array of each node's
+    flagged round, -1 where it has none.
     errors and filter_outputs, arrays of the same shape, are derived from
     times, the config's delta_t and its detector's c_f each time they are
     read (see _error and _derived); filter_outputs is NaN where the filter
@@ -126,16 +128,18 @@ class RunTrace:
 
     def __post_init__(self):
         rows, n = self.times.shape
-        seen = set()
+        targets = np.full(n, -1, dtype=np.int64)
         for e in self.events:  # DetectionEvent checks both are >= 0
             if not (e.node_id < n and e.target_round < rows):
                 raise ValueError(
                     f"event at node {e.node_id}, round {e.target_round} lies "
                     f"outside the trace's nodes 0..{n - 1} and rounds "
                     f"0..{rows - 1}")
-            if e.node_id in seen:
+            if targets[e.node_id] >= 0:
                 raise ValueError(f"node {e.node_id} has more than one event")
-            seen.add(e.node_id)
+            targets[e.node_id] = e.target_round
+        targets.flags.writeable = False
+        object.__setattr__(self, "_targets", targets)
 
     @property
     def n_max(self) -> int:
@@ -349,8 +353,8 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
 
     |e| (see _error) is folded into the per-node minimum a block of whole
     rounds at a time, so no array of the whole error is made. The |e| at
-    each event's (target_round, node_id) cell and at the last round are
-    read from those clocks alone.
+    each node's flagged round (see RunTrace) and at the last round are read
+    from those clocks alone, the flagged ones with one gather.
     """
     dt, times, rows = trace.config.delta_t, trace.times, trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // times.shape[1])
@@ -358,23 +362,23 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
         (r0, np.abs(_error(dt, np.arange(r0, min(r0 + step, rows))[:, None],
                            times[r0:r0 + step])))
         for r0 in range(0, rows, step))
-    flagged = np.array([e.target_round for e in trace.events], dtype=np.int64)
-    ids = np.array([e.node_id for e in trace.events], dtype=np.int64)
-    picked = np.abs(_error(dt, flagged, times[flagged, ids]))
-    detected = dict(zip(ids.tolist(), zip(flagged.tolist(), picked.tolist())))
+    # a node without a target gathers the last round, which is never read
+    targets = trace._targets
+    picked = np.abs(_error(dt, targets,
+                           times[targets, np.arange(times.shape[1])]))
     last = np.abs(_error(dt, trace.n_max, times[-1]))
     out = []
-    for i, (at, low, ss) in enumerate(zip(best_at.tolist(), best.tolist(),
-                                          last.tolist())):
-        det, value = detected.get(i, (None, None))
+    for i, (at, low, ss, det, value) in enumerate(zip(
+            best_at.tolist(), best.tolist(), last.tolist(), targets.tolist(),
+            picked.tolist())):
         out.append(NodeSummary(
             node_id=i,
             min_error_instant=at,
             min_error_value=low,
             ss_error_instant=trace.n_max,
             ss_error_value=ss,
-            detected_instant=det,
-            detected_error_value=value,
+            detected_instant=det if det >= 0 else None,
+            detected_error_value=value if det >= 0 else None,
         ))
     return out
 
@@ -448,12 +452,12 @@ def _int_fields(start: int, count: int) -> np.ndarray:
     return out
 
 
-def _trace_block(times, errors, filter_outputs, flagged, nodes, r0) -> bytes:
+def _trace_block(times, errors, filter_outputs, targets, nodes, r0) -> bytes:
     """trace.csv rows for the (rounds, N) block arrays of rounds r0, r0+1,
     ..., exactly as ``csv.writer`` wrote them: ``repr`` floats, empty
-    ``filter_out`` for NaN, CRLF endings. ``flagged`` holds
-    ``target_round * N + node_id`` for every event, sorted, and ``nodes``
-    is _int_fields(0, N).
+    ``filter_out`` for NaN, CRLF endings. ``targets`` holds each node's
+    flagged round, -1 where it has none (see RunTrace): ``detected`` is 1
+    where it equals the row's round. ``nodes`` is _int_fields(0, N).
 
     Each row is laid out in one (rounds, N, width) uint8 matrix of
     fixed-width, NUL-padded fields: the round and the node with their ','
@@ -463,7 +467,6 @@ def _trace_block(times, errors, filter_outputs, flagged, nodes, r0) -> bytes:
     -0.0 and 0.0 stay apart. Only ``filter_out``'s NaN cells are then
     blank: a NaN clock or error still prints ``nan``."""
     rounds, n = times.shape
-    base = r0 * n
     uniq, inv = np.unique(np.stack([times, errors, filter_outputs]).view(
         np.int64), return_inverse=True)
     # NumPy 1.x returns the inverse flat and 2.x in the input's shape
@@ -482,8 +485,7 @@ def _trace_block(times, errors, filter_outputs, flagged, nodes, r0) -> bytes:
     rows[:, :, b:-3] = np.take(texts, np.moveaxis(inv, 0, -1), axis=0).reshape(
         rounds, n, -1)
     rows[:, :, -3:] = np.frombuffer(b"0\r\n", dtype=np.uint8)
-    lo, hi = np.searchsorted(flagged, (base, base + rounds * n))
-    rows.reshape(rounds * n, -1)[flagged[lo:hi] - base, -3] = ord("1")
+    rows[targets == np.arange(r0, r0 + rounds)[:, None], -3] = ord("1")
     return rows[rows != 0].tobytes()
 
 
@@ -566,18 +568,14 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     at a time, so memory beyond ``trace.times`` stays near one block per
     process whatever the run length. The rounds split into one contiguous
     span of whole blocks per worker (see _trace_workers). Each child reads
-    only ``trace.times`` and the events. This process writes span 0 to a new
-    file that replaces ``path`` once complete (see _replacing); a forked
-    child formats each later span into an unlinked temporary file in
-    ``path``'s directory, which is appended in span order once the child
-    exits. A cell's text depends on its value alone (see _trace_block), so
-    the bytes are the same for any number of workers. A child that fails
-    raises OSError here."""
+    only ``trace.times`` and its flagged rounds (see RunTrace). This process
+    writes span 0 to a new file that replaces ``path`` once complete (see
+    _replacing); a forked child formats each later span into an unlinked
+    temporary file in ``path``'s directory, which is appended in span order
+    once the child exits. A cell's text depends on its value alone (see
+    _trace_block), so the bytes are the same for any number of workers. A
+    child that fails raises OSError here."""
     n = trace.times.shape[1]
-    # each flagged cell's index in the round-major (round, node) order
-    flagged = np.sort(np.array(
-        [e.target_round * n + e.node_id for e in trace.events],
-        dtype=np.int64))
     nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)
@@ -590,7 +588,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         for r0 in range(ends[w], ends[w + 1], step):
             r1 = min(r0 + step, rounds)
             fh.write(_trace_block(trace.times[r0:r1], *_derived(trace, r0, r1),
-                                  flagged, nodes, r0))
+                                  trace._targets, nodes, r0))
 
     children = []  # (pid, temporary file) of each child not yet reaped
     with _replacing(path, "wb") as fh, contextlib.ExitStack() as parts:

@@ -117,6 +117,12 @@ class Topology:
         return self.node_count + 1
 
     def neighbors(self, i: int) -> list:
+        """The ids of node ``i``'s neighbours, the gateway among them. ``i``
+        is any id 0..node_count, the gateway's included; ValueError for any
+        other."""
+        i = _count(i, "node id")
+        if i > self.node_count:
+            raise ValueError(f"node id {i} out of range 0..{self.node_count}")
         eu, ev = self.edge_arrays()
         return np.concatenate([eu[ev == i], ev[eu == i]]).tolist()
 
@@ -386,10 +392,11 @@ def load_topology(path) -> Topology:
 
     The gateway id may be the literal ``gw`` or the reserved integer N.
     Every malformed record raises a ValueError that starts ``path:line:``,
-    at the first bad record or integer field, else at the first bad edge.
+    at the first bad or repeated record or integer field, else at the first
+    bad edge.
     """
-    n = None
-    gw = None   # (line, id); id None for the literal gw
+    n = gw = None  # gw None also for the literal gw
+    first = {}  # the line of the N and of the G record
     lines = []  # the line of each E record
     ends = []   # its two ids; None for the literal gw
     with open(path) as fh:
@@ -406,25 +413,29 @@ def load_topology(path) -> Topology:
                 raise ValueError(f"{path}:{ln}: {tag} record needs {want} "
                                  f"field{'s' if want > 1 else ''}, got "
                                  f"{len(parts)}")
+            if tag in first:
+                raise ValueError(f"{path}:{ln}: a second {tag} record; the "
+                                 f"first is on line {first[tag]}")
             if tag == "N":
+                first[tag] = ln
                 n = _int_field(path, ln, parts[0], "node count")
                 if n < 0:
                     raise ValueError(f"{path}:{ln}: negative node count {n}")
             elif tag == "G":
-                gw = (ln, None if parts[0] == "gw"
+                first[tag] = ln
+                gw = (None if parts[0] == "gw"
                       else _int_field(path, ln, parts[0], "gateway id"))
             else:
                 lines.append(ln)
                 ends.append([None if tok == "gw"
                              else _int_field(path, ln, tok, "node id")
                              for tok in parts])
-    if n is None:
-        raise ValueError(f"{path}: missing N record")
-    if gw is None:
-        raise ValueError(f"{path}: missing G record")
-    if gw[1] not in (None, n):
-        raise ValueError(f"{path}:{gw[0]}: gateway id must be 'gw' or the "
-                         f"reserved index {n}")
+    for tag in "NG":
+        if tag not in first:
+            raise ValueError(f"{path}: missing {tag} record")
+    if gw not in (None, n):
+        raise ValueError(f"{path}:{first['G']}: gateway id must be 'gw' or "
+                         f"the reserved index {n}")
     # the literal gw is the index n, known only once the N record is read
     pairs = _pairs([[n if x is None else x for x in e] for e in ends], n)
     fault = _edge_fault(n, pairs[:, 0], pairs[:, 1])

@@ -150,11 +150,11 @@ _STALLED_WRITE = """
 import sys, time
 from hopsync import cli, harness
 block = harness._trace_block
-def stall(times, errors, filter_outputs, flagged, nodes, r0):
+def stall(times, errors, filter_outputs, targets, nodes, r0):
     if r0 > 0:
         open(sys.argv[1], "w").close()
         time.sleep(60)
-    return block(times, errors, filter_outputs, flagged, nodes, r0)
+    return block(times, errors, filter_outputs, targets, nodes, r0)
 harness._trace_block = stall
 harness._trace_workers = lambda blocks: 1
 sys.exit(cli.main(sys.argv[2:]))

@@ -400,3 +400,7 @@ def test_state_validation():
     assert type(state.round) is int
     with pytest.raises(DimensionMismatch):
         error_step(ErrorState(errors=np.zeros(3)), LINE, 1.0)
+    with pytest.raises(ValueError, match="^times must be a vector$"):
+        ClockState(times=np.ones((2, 1)), round=0, delta_t=1.0)
+    with pytest.raises(ValueError, match="^errors must be a vector$"):
+        ErrorState(errors=np.ones((1, 2)))

@@ -650,11 +650,11 @@ def _oracle_arrays(trace):
     return errors, filter_outputs
 
 
-def _oracle_rows(times, errors, filter_outputs, flagged, r0):
+def _oracle_rows(times, errors, filter_outputs, targets, r0):
     """The rows the original writer gave rounds r0, r0+1, ... of these
-    arrays, one csv.writer row per (round, node)."""
+    arrays, one csv.writer row per (round, node), flagging each node at its
+    round in ``targets`` (-1: none)."""
     n = times.shape[1]
-    flagged = set(flagged.tolist())
     out = io.StringIO(newline="")
     w = csv.writer(out)
     for j in range(len(times)):
@@ -662,17 +662,18 @@ def _oracle_rows(times, errors, filter_outputs, flagged, r0):
             w.writerow([r0 + j, i, repr(float(times[j, i])),
                         repr(float(errors[j, i])),
                         _oracle_fmt(filter_outputs[j, i]),
-                        1 if (r0 + j) * n + i in flagged else 0])
+                        1 if targets[i] == r0 + j else 0])
     return out.getvalue()
 
 
 def _oracle_write_trace_csv(trace, path):
     """The original writer, one csv.writer row per (round, node)."""
-    flagged = np.array([e.target_round * trace.times.shape[1] + e.node_id
-                        for e in trace.events], dtype=np.int64)
+    targets = [-1] * trace.times.shape[1]
+    for e in trace.events:
+        targets[e.node_id] = e.target_round
     with open(path, "w", newline="") as fh:
         fh.write("round,node,clock,error,filter_out,detected\r\n")
-        fh.write(_oracle_rows(trace.times, *_oracle_arrays(trace), flagged,
+        fh.write(_oracle_rows(trace.times, *_oracle_arrays(trace), targets,
                               0))
 
 
@@ -705,30 +706,35 @@ def _hand_trace(n, n_max, pool, seed, events):
 
 
 class _Block(NamedTuple):
-    """_trace_block's arrays and flagged cells for rounds r0, r0+1, ..."""
+    """_trace_block's arrays and each node's target round for rounds r0,
+    r0+1, ..."""
     times: np.ndarray
     errors: np.ndarray
     filter_outputs: np.ndarray
-    flagged: np.ndarray
+    targets: np.ndarray
     r0: int
 
 
-def _block_of(times, errors, filter_outputs, events=(), r0=0):
+def _block_of(times, errors, filter_outputs, events=(), r0=0, seed=0):
     """A _Block of the (rounds, N) arrays given, flagging each (row,
-    node_id) of ``events`` and, for each, the same node in the round after
-    the block and the one before it, which must not show."""
-    n = times.shape[1]
-    keys = [(r0 + r) * n + i for r, i in events]
-    keys += [(r0 + len(times)) * n + i for _, i in events]
-    keys += [(r0 - 1) * n + i for _, i in events if r0 > 0]
-    return _Block(times, errors, filter_outputs,
-                  np.sort(np.array(keys, dtype=np.int64)), r0)
+    node_id) of ``events``. Every other node's target, drawn with ``seed``,
+    is none (-1) or a round up to three before the block or after it, next
+    to it most often: none of them must show."""
+    rounds, n = times.shape
+    rng = np.random.default_rng([seed, 1])
+    k = rng.integers(0, 3, size=n)
+    targets = np.where(rng.random(n) < 0.5, np.maximum(r0 - 1 - k, -1),
+                       r0 + rounds + k)
+    for r, i in events:
+        targets[i] = r0 + r
+    return _Block(times, errors, filter_outputs, targets, r0)
 
 
 def _hand_block(n, n_max, pool, seed, events, r0=0):
     """A _Block over n nodes and n_max + 1 rounds whose cells, in all three
-    columns, are drawn from ``pool``."""
-    return _block_of(*_hand_cells(n, n_max, pool, seed, 3), events, r0)
+    columns, and out-of-block targets are drawn with ``seed``, the cells
+    from ``pool``."""
+    return _block_of(*_hand_cells(n, n_max, pool, seed, 3), events, r0, seed)
 
 
 def _hold_clocks(block, held):
@@ -821,10 +827,10 @@ _LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -5e-324,
                      r0=9998))
 def test_trace_csv_matches_csv_writer_oracle(block):
     # a block's bytes, from any three columns of any floats, are the rows
-    # csv.writer wrote; flags outside the block do not show
+    # csv.writer wrote; targets outside the block do not show
     nodes = harness._int_fields(0, block.times.shape[1])
     assert harness._trace_block(
-        block.times, block.errors, block.filter_outputs, block.flagged,
+        block.times, block.errors, block.filter_outputs, block.targets,
         nodes, block.r0) == _oracle_rows(*block).encode("ascii")
 
 
@@ -1017,10 +1023,10 @@ def _fail_blocks_from(monkeypatch, first_round, exc):
     _force_workers(monkeypatch, 2)
     real_block, real_fork, pids = harness._trace_block, harness._fork, []
 
-    def block(times, errors, filter_outputs, flagged, nodes, r0):
+    def block(times, errors, filter_outputs, targets, nodes, r0):
         if r0 >= first_round:
             raise exc
-        return real_block(times, errors, filter_outputs, flagged, nodes, r0)
+        return real_block(times, errors, filter_outputs, targets, nodes, r0)
 
     def fork():
         pid = real_fork()

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from hopsync import model
 from hopsync.dynamics import NotConvergent, steady_state_error
-from hopsync.model import (InvalidPlacement, IsolatedNode, Topology,
-                           _hop_levels, build_matrices, generate_topology,
+from hopsync.model import (InvalidPlacement, IsolatedNode, SystemMatrices,
+                           Topology, _hop_levels, build_matrices,
+                           effective_matrices, generate_topology,
                            grid_topology, has_spanning_path, line_topology,
                            load_topology, random_topology, ring_topology,
                            save_topology)
@@ -135,6 +136,19 @@ def test_oversized_topology_refused_before_allocating(
     # the refusal does not depend on the machine's memory
     with pytest.raises(ValueError, match="links to build or draw"):
         generate_topology(spec)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: random_topology(1, 0.5, seed=0), "at least 2 total nodes"),
+    (lambda: SystemMatrices(np.zeros((2, 2)), np.zeros(3)), "a must be square"),
+    (lambda: SystemMatrices(np.zeros((2, 3)), np.zeros(2)), "a must be square"),
+    (lambda: SystemMatrices(np.zeros(2), np.zeros(2)), "a must be square"),
+    (lambda: effective_matrices(line_topology(3), [True]), "mask length"),
+], ids=["random_one_node", "matrices_b_length", "matrices_not_square",
+        "matrices_a_vector", "mask_length"])
+def test_size_or_shape_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_link_limit_is_inclusive():
@@ -268,13 +282,33 @@ def test_file_unknown_record(tmp_path):
     ("N 2\nG gw\nE 0 9\nE 1 1\n", 3),
     ("N 2\nG gw\nE 0 1\nE 1 0\nE 2 2\n", 4),
     ("N 2\nG gw\nE 0 99999999999999999999\n", 3),  # beyond 64 bits
+    # a second N or G record is refused as the file is read, not left to
+    # win over the first
+    ("N 3\nN 5\nG gw\nE 0 1\n", 2),
+    ("G gw\nG 3\nN 3\nE 0 1\n", 2),
+    ("N 2\nG gw\nE 0 1\nG 2\n", 4),
+    ("N 2\nG gw\nE 0 x\nN 2\n", 3),
+    ("N 2\nG gw\nN 2\nE 0 x\n", 3),
+    # a missing record names the file alone
+    ("G gw\nE 0 1\n", None),
+    ("N 2\nE 0 1\n", None),
+    ("# nothing\n", None),
 ])
 def test_file_truncated_record(tmp_path, body, line):
     # a record missing a field, or otherwise malformed, names its file and
     # line, not an IndexError or a bare int() error
     bad = tmp_path / "bad.topo"
     bad.write_text(body)
-    with pytest.raises(ValueError, match=f"^{bad}:{line}: "):
+    where = bad if line is None else f"{bad}:{line}"
+    with pytest.raises(ValueError, match=f"^{where}: "):
+        load_topology(bad)
+
+
+def test_file_repeated_record_names_the_first(tmp_path):
+    bad = tmp_path / "bad.topo"
+    bad.write_text("# size\nN 3\nG gw\nE 0 1\nN 3\n")
+    with pytest.raises(ValueError, match=f"^{bad}:5: a second N record; "
+                                         "the first is on line 2$"):
         load_topology(bad)
 
 
@@ -300,6 +334,14 @@ def test_neighbors_include_gateway():
     topo = line_topology(3)
     assert set(topo.neighbors(0)) == {1, 2}
     assert set(topo.neighbors(1)) == {0}
+    assert topo.neighbors(2) == [0]  # the gateway's own
+
+
+@pytest.mark.parametrize("node", [-1, 3, 99, 1.5, float("nan"), "1", None])
+def test_neighbors_refuse_an_id_that_is_not_a_node(node):
+    # line:3 has ids 0..2, the gateway 2 included
+    with pytest.raises(ValueError, match="^node id "):
+        line_topology(3).neighbors(node)
 
 
 def test_edge_arrays_orientation():
