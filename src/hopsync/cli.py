@@ -278,6 +278,8 @@ def _cmd_sweep(cfg: dict) -> int:
         result = scaling_sweep(sizes, template, seeds=cfg["seeds"])
     except ValueError as err:
         raise CliError(str(err))
+    except OSError as err:  # a forked worker failed (see scaling_sweep)
+        raise CliError(f"sweep failed: {err}")
     with _writing(cfg["out"]):
         write_sweep_csv(result, os.path.join(cfg["out"], "sweep.csv"))
     if result.slope is None:

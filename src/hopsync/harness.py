@@ -26,7 +26,7 @@ from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import (_LOOKAHEAD, _WINDOW, _float_texts, filter_series,
                       run_rounds)
-from .model import (_INIT_STREAM, Topology, _check_period,
+from .model import (_INIT_STREAM, _MAX_LINKS, Topology, _check_period,
                     _check_probability, _count, _whole, effective_matrices,
                     grid_topology)
 
@@ -37,16 +37,16 @@ _SUMMARY_HEADER = ["node", "min_error_instant", "min_error_value",
 _SWEEP_HEADER = ["nodes", "instant_mean", "instant_min", "instant_max"]
 # run() evolves, filters and detects, and trace.csv is formatted, in blocks of
 # whole rounds holding about this many (round, node) cells (at least one
-# round). Larger blocks are no faster and cost peak RSS. trace.csv's rounds
-# split between its workers in whole blocks, at least _BLOCKS_PER_WORKER
-# blocks to a worker, so a short trace is formatted in one process.
+# round). Larger blocks are no faster and cost peak RSS.
 _TRACE_BLOCK_ROWS = 4096
-_BLOCKS_PER_WORKER = 8
 # scaling_sweep evolves all seeds of one size in blocks of whole rounds holding
 # about this many (round, seed, node) cells (at least one round), one
 # run_rounds call per block: fewer, larger blocks save per-call work and cost
 # peak RSS.
 _SWEEP_BLOCK_CELLS = 1 << 18
+# Work forked between processes (see _workers) gives each at least this many
+# of the blocks above, so a short trace or sweep runs in one process.
+_BLOCKS_PER_WORKER = 8
 
 
 class ConfigInvalid(ValueError):
@@ -405,15 +405,55 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
     over (total nodes, mean instant) with its R-squared. The line is None
     unless at least two distinct node counts are swept, and R-squared is
     None when every mean instant is the same.
+
+    Every size's grid and config is built and checked before any is
+    evolved, so a bad size is refused without delay; so are more seeds
+    than leave a size's per-round mask draw of seeds x links within
+    _MAX_LINKS. Whole sizes are then dealt to _workers processes (at most
+    one per size), largest estimated work first (see _shares): this
+    process evolves its own share, and each forked child writes its sizes'
+    (seeds, N) int64 min-|e| rounds to a file that is read back here (see
+    _forked). A size's rounds do not depend on the process that evolved
+    them, so the result is the same for any number of workers. A child
+    that fails raises OSError here.
     """
     seeds = _whole(seeds, "seeds", ConfigInvalid)
     if seeds < 1:
         raise ConfigInvalid("seeds must be at least 1")
-    points = []
+    configs = []
     for rows, cols in sizes:
-        topo = grid_topology(rows, cols, gateway="corner")
-        vals = _min_error_instants(replace(template, topology=topo), range(
-            template.seed, template.seed + seeds)).mean(axis=1).tolist()
+        cfg = replace(template,
+                      topology=grid_topology(rows, cols, gateway="corner"))
+        links = len(cfg.topology.edges)
+        if seeds * links > _MAX_LINKS:
+            raise ConfigInvalid(
+                f"{seeds} seeds of the {rows}x{cols} grid draw "
+                f"{seeds * links} links a round, more than the {_MAX_LINKS} "
+                "allowed")
+        configs.append(cfg)
+    runs = range(template.seed, template.seed + seeds)
+    work = [cfg.topology.node_count * (cfg.n_max + 1) * seeds
+            for cfg in configs]
+    shares = _shares(work, min(len(configs),
+                               _workers(sum(work) // _SWEEP_BLOCK_CELLS)))
+    instants = [None] * len(configs)
+
+    def evolve(w, part):
+        for i in shares[w]:
+            part.write(_min_error_instants(configs[i], runs).astype(
+                np.int64).tobytes())
+
+    with _forked(len(shares), evolve) as parts:
+        for i in shares[0]:
+            instants[i] = _min_error_instants(configs[i], runs)
+        for w, part in enumerate(parts, 1):
+            for i in shares[w]:
+                n = configs[i].topology.node_count
+                instants[i] = np.frombuffer(part.read(8 * seeds * n),
+                                            np.int64).reshape(seeds, n)
+    points = []
+    for (rows, cols), runs_instants in zip(sizes, instants):
+        vals = runs_instants.mean(axis=1).tolist()
         points.append(SweepPoint(node_count=rows * cols,
                                  instant_mean=float(np.mean(vals)),
                                  instant_min=float(np.min(vals)),
@@ -489,9 +529,9 @@ def _trace_block(times, errors, filter_outputs, targets, nodes, r0) -> bytes:
     return rows[rows != 0].tobytes()
 
 
-def _trace_workers(blocks: int) -> int:
-    """How many processes format a trace of ``blocks`` blocks: one per CPU
-    this process may run on, but no more than leaves each at least
+def _workers(blocks: int) -> int:
+    """How many processes share work of ``blocks`` blocks: one per CPU this
+    process may run on, but no more than leaves each at least
     _BLOCKS_PER_WORKER blocks, and one where the platform cannot fork."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
@@ -499,16 +539,74 @@ def _trace_workers(blocks: int) -> int:
                       blocks // _BLOCKS_PER_WORKER))
 
 
+def _shares(work: Sequence[int], workers: int) -> List[List[int]]:
+    """The indices of ``work`` dealt to ``workers`` workers, largest work
+    first (the lower index among equals), each to the least loaded worker
+    (the lowest numbered among equals), so worker 0 gets the largest."""
+    loads, shares = [0] * workers, [[] for _ in range(workers)]
+    for i in sorted(range(len(work)), key=lambda i: -work[i]):
+        w = loads.index(min(loads))
+        loads[w] += work[i]
+        shares[w].append(i)
+    return shares
+
+
 def _fork() -> int:
     with warnings.catch_warnings():
         # Python 3.12+ warns on fork in a process with threads (OpenBLAS
-        # starts some). The child is safe: it only formats bytes from
-        # arrays it reads, takes no lock, calls no BLAS, writes no stdout and
-        # always leaves through os._exit.
+        # starts some). The child is safe: it only evolves rounds and
+        # formats bytes from arrays it reads, takes no lock, calls no BLAS,
+        # writes no stdout and always leaves through os._exit.
         warnings.filterwarnings(
             "ignore", message=r".*use of fork\(\) may lead to deadlocks",
             category=DeprecationWarning)
         return os.fork()
+
+
+@contextlib.contextmanager
+def _forked(workers: int, work, directory=None):
+    """Forks a child for each w = 1..workers-1 that calls work(w, part),
+    ``part`` an unlinked temporary binary file in ``directory`` (None: the
+    default temporary directory), and leaves through os._exit: status 0
+    once work has returned and part is flushed, 1 on any exception. The
+    with-block does this process's own share, w = 0, and is given an
+    iterator over the children's parts in order of w. It reaps each child
+    in turn and yields its part rewound if the child exited 0, and raises
+    OSError otherwise. Whatever ends the with-block, an exception or parts
+    left unread, every child not yet reaped is killed (SIGKILL) and reaped,
+    and every part is closed."""
+    children = []  # (pid, part) of each child not yet reaped
+
+    def reaped():
+        while children:
+            pid, part = children[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0:
+                raise OSError(f"worker {pid} exited with status {code}")
+            part.seek(0)
+            yield part
+
+    with contextlib.ExitStack() as parts:
+        try:
+            for w in range(1, workers):
+                part = parts.enter_context(
+                    tempfile.TemporaryFile(dir=directory))
+                pid = _fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        work(w, part)
+                        part.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children.append((pid, part))
+            yield reaped()
+        finally:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 @contextlib.contextmanager
@@ -567,61 +665,37 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     Whole rounds are derived (see _derived), formatted and written a block
     at a time, so memory beyond ``trace.times`` stays near one block per
     process whatever the run length. The rounds split into one contiguous
-    span of whole blocks per worker (see _trace_workers). Each child reads
-    only ``trace.times`` and its flagged rounds (see RunTrace). This process
+    span of whole blocks per worker (see _workers). Each child reads only
+    ``trace.times`` and its flagged rounds (see RunTrace). This process
     writes span 0 to a new file that replaces ``path`` once complete (see
     _replacing); a forked child formats each later span into an unlinked
     temporary file in ``path``'s directory, which is appended in span order
-    once the child exits. A cell's text depends on its value alone (see
-    _trace_block), so the bytes are the same for any number of workers. A
-    child that fails raises OSError here."""
+    once the child exits (see _forked). A cell's text depends on its value
+    alone (see _trace_block), so the bytes are the same for any number of
+    workers. A child that fails raises OSError here."""
     n = trace.times.shape[1]
     nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)
     blocks = -(-rounds // step)
-    workers = _trace_workers(blocks)
+    workers = _workers(blocks)
     ends = [min(rounds, w * blocks // workers * step)
             for w in range(workers + 1)]
 
-    def span(fh, w):
+    def span(w, fh):
         for r0 in range(ends[w], ends[w + 1], step):
             r1 = min(r0 + step, rounds)
             fh.write(_trace_block(trace.times[r0:r1], *_derived(trace, r0, r1),
                                   trace._targets, nodes, r0))
 
-    children = []  # (pid, temporary file) of each child not yet reaped
-    with _replacing(path, "wb") as fh, contextlib.ExitStack() as parts:
+    with _replacing(path, "wb") as fh:
         fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
         fh.flush()  # a child must not inherit unwritten bytes
-        try:
-            for w in range(1, workers):
-                part = parts.enter_context(tempfile.TemporaryFile(
-                    dir=os.path.dirname(os.path.abspath(path))))
-                pid = _fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        span(part, w)
-                        part.flush()
-                        code = 0
-                    finally:
-                        os._exit(code)
-                children.append((pid, part))
-            span(fh, 0)
-            while children:
-                pid, part = children[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if code != 0:
-                    raise OSError(f"trace.csv worker {pid} exited with "
-                                  f"status {code}")
-                part.seek(0)
+        with _forked(workers, span,
+                     os.path.dirname(os.path.abspath(path))) as parts:
+            span(0, fh)
+            for part in parts:
                 shutil.copyfileobj(part, fh)
-        finally:
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def write_summary_csv(summaries: Sequence[NodeSummary], path) -> None:

@@ -36,3 +36,18 @@ def no_topology_allocation(monkeypatch):
     monkeypatch.setattr(np, "arange", _refuse_allocating)
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: _NoDraw(np.random.PCG64(seed)))
+
+
+def _refuse_evolving(*args, **kwargs):
+    raise AssertionError("started evolving a sweep that must be refused")
+
+
+@pytest.fixture
+def no_sweep_evolution(monkeypatch):
+    """Every step by which scaling_sweep draws initial clocks, evolves a
+    size or forks a worker raises AssertionError, so a sweep that should be
+    refused up front fails a test instead of running for minutes or taking
+    the machine's memory."""
+    from hopsync import harness
+    for name in ("_min_error_instants", "_rounds", "initial_clocks", "_fork"):
+        monkeypatch.setattr(harness, name, _refuse_evolving)

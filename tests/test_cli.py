@@ -156,7 +156,7 @@ def stall(times, errors, filter_outputs, targets, nodes, r0):
         time.sleep(60)
     return block(times, errors, filter_outputs, targets, nodes, r0)
 harness._trace_block = stall
-harness._trace_workers = lambda blocks: 1
+harness._workers = lambda blocks: 1
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -757,6 +757,24 @@ def test_huge_random_refused_in_one_line(no_topology_allocation, tmp_path,
     assert captured.err.startswith("error: bad topology")
     assert captured.err.count("\n") == 1
     assert "links to build or draw" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--sizes", "2x2", "--seeds", "9999999999999"), "seeds of the 2x2 grid"),
+    (("--sizes", "32x32,99999x99999", "--seeds", "8", "--rounds", "600",
+      "--p", "0.5"), "links to build or draw"),
+])
+def test_oversized_sweep_refused_before_any_run(no_sweep_evolution, tmp_path,
+                                                capsys, args, message):
+    # refused in one line before any size evolves: drawing clocks, evolving
+    # and forking are patched out, so a regression fails here instead of
+    # running until killed
+    assert run_cli("sweep", *args, "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -966,7 +966,7 @@ def test_trace_csv_matches_oracle_across_blocks():
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(harness, "_trace_workers", lambda blocks: workers)
+    monkeypatch.setattr(harness, "_workers", lambda blocks: workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -991,7 +991,7 @@ def test_trace_csv_same_bytes_for_any_worker_count(monkeypatch, workers):
 def test_trace_workers_bounded_by_cpus_and_blocks(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    counts = [harness._trace_workers(b) for b in range(2000)]
+    counts = [harness._workers(b) for b in range(2000)]
     assert counts[0] == counts[1] == 1
     assert all(1 <= w <= min(cpus, max(1, b)) for b, w in enumerate(counts))
     assert counts == sorted(counts) and counts[-1] == cpus
@@ -999,12 +999,12 @@ def test_trace_workers_bounded_by_cpus_and_blocks(monkeypatch, cpus):
 
 def test_trace_workers_bounded_by_affinity():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    assert all(1 <= harness._trace_workers(b) <= cpus for b in (1, 8, 10**6))
+    assert all(1 <= harness._workers(b) <= cpus for b in (1, 8, 10**6))
 
 
 def test_trace_workers_one_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
-    assert harness._trace_workers(10**6) == 1
+    assert harness._workers(10**6) == 1
 
 
 def test_short_trace_never_forks(monkeypatch):
@@ -1105,6 +1105,160 @@ def test_cli_failed_write_leaves_no_file(monkeypatch, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(err)
     _assert_reaped(pids)
     assert os.listdir(tmp_path) == []
+
+
+def _count_forks(monkeypatch):
+    """Wraps harness._fork; returns the list the pid of every child forked
+    is appended to."""
+    real_fork, pids = harness._fork, []
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness, "_fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", sorted(SWEEP_TEMPLATES))
+def test_sweep_same_for_any_worker_count(monkeypatch, tmp_path, name,
+                                         workers):
+    # sizes dealt to forked workers give the serial result and bytes: four
+    # sizes (8 workers is more than there are, so one forks per size but
+    # the first) and a single size, which never forks
+    template = SimConfig(topology=grid_topology(2, 2),
+                         **SWEEP_TEMPLATES[name])
+    pids = _count_forks(monkeypatch)
+    for sizes in ([(2, 2), (3, 3), (2, 4), (1, 5)], [(3, 3)]):
+        _force_workers(monkeypatch, 1)
+        serial = scaling_sweep(sizes, template, seeds=3)
+        write_sweep_csv(serial, tmp_path / "serial.csv")
+        assert pids == []
+        _force_workers(monkeypatch, workers)
+        forked = scaling_sweep(sizes, template, seeds=3)
+        write_sweep_csv(forked, tmp_path / "forked.csv")
+        assert forked == serial
+        assert ((tmp_path / "forked.csv").read_bytes()
+                == (tmp_path / "serial.csv").read_bytes())
+        assert len(pids) == min(workers, len(sizes)) - 1
+        if pids:
+            _assert_reaped(pids)
+        pids.clear()
+
+
+def test_short_sweep_never_forks(monkeypatch, tmp_path):
+    def no_fork():
+        raise AssertionError("forked for a short sweep")
+    monkeypatch.setattr(harness, "_fork", no_fork)
+    template = SimConfig(topology=grid_topology(2, 2),
+                         **SWEEP_TEMPLATES["lossy"])
+    assert scaling_sweep([(2, 2), (3, 3), (4, 4), (6, 6)], template,
+                         seeds=4).points
+    assert main(["sweep", "--sizes", "2x2,3x3,4x4,5x5", "--seeds", "5",
+                 "--rounds", "1500", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 3)])
+def test_sweep_workers_from_its_cells(monkeypatch, cpus, workers):
+    # the 1,359 ordinary nodes of 2x2..32x32, 601 rounds and 8 seeds hold
+    # 24 blocks of _SWEEP_BLOCK_CELLS: 3 workers at most, as many as the
+    # CPUs allow. Evolving is patched out: the sizes' instants are zeros
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(harness, "_min_error_instants", lambda cfg, seeds: (
+        np.zeros((len(seeds), cfg.topology.node_count), dtype=np.int64)))
+    real_forked, counts = harness._forked, []
+
+    def forked(count, work, directory=None):
+        counts.append(count)
+        return real_forked(count, work, directory)
+
+    monkeypatch.setattr(harness, "_forked", forked)
+    template = SimConfig(topology=grid_topology(2, 2), n_max=600, p=0.5)
+    sizes = [(k, k) for k in (2, 4, 8, 16, 32)]
+    result = scaling_sweep(sizes, template, seeds=8)
+    assert counts == [workers]
+    assert [p.instant_max for p in result.points] == [0.0] * 5
+
+
+def test_shares_deal_largest_first_to_least_loaded():
+    assert harness._shares([3, 15, 63, 255, 1023], 2) == [[4], [3, 2, 1, 0]]
+    assert harness._shares([5, 5, 5, 5], 3) == [[0, 3], [1], [2]]
+    assert harness._shares([4, 3, 3, 2], 2) == [[0, 3], [1, 2]]
+    assert harness._shares([7], 1) == [[0]]
+
+
+def _fail_sizes(monkeypatch, nodes, exc):
+    """Two workers, and a _min_error_instants that raises ``exc`` for the
+    size of ``nodes`` ordinary nodes; returns the list the pid of every
+    child forked is appended to."""
+    _force_workers(monkeypatch, 2)
+    real_instants = harness._min_error_instants
+
+    def instants(cfg, seeds):
+        if cfg.topology.node_count == nodes:
+            raise exc
+        return real_instants(cfg, seeds)
+
+    monkeypatch.setattr(harness, "_min_error_instants", instants)
+    return _count_forks(monkeypatch)
+
+
+# this process evolves 4x4, the larger; the child 2x2
+_FAILING_SIZES = [(2, 2), (4, 4)]
+
+
+def test_sweep_failing_child_raises_oserror_and_is_reaped(monkeypatch):
+    pids = _fail_sizes(monkeypatch, 3, RuntimeError("child fails"))
+    template = SimConfig(topology=grid_topology(2, 2), n_max=200)
+    with pytest.raises(OSError, match="worker"):
+        scaling_sweep(_FAILING_SIZES, template, seeds=2)
+    _assert_reaped(pids)
+
+
+def test_sweep_failing_parent_kills_and_reaps_children(monkeypatch):
+    pids = _fail_sizes(monkeypatch, 15, KeyError("parent fails"))
+    template = SimConfig(topology=grid_topology(2, 2), n_max=200)
+    with pytest.raises(KeyError, match="parent fails"):
+        scaling_sweep(_FAILING_SIZES, template, seeds=2)
+    _assert_reaped(pids)
+
+
+def test_cli_sweep_failing_child_exits_2(monkeypatch, tmp_path, capsys):
+    pids = _fail_sizes(monkeypatch, 3, RuntimeError("child fails"))
+    code = main(["sweep", "--sizes", "2x2,4x4", "--seeds", "2", "--rounds",
+                 "200", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: sweep failed: worker")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    _assert_reaped(pids)
+    assert os.listdir(tmp_path) == []
+
+
+def test_oversized_seeds_refused_before_any_run(no_sweep_evolution):
+    # 2x2's 4 links: 2**30 seeds draw 2**32 links a round, one more seed is
+    # too many. Drawing clocks, evolving and forking are patched out, so a
+    # regression fails here instead of running until killed
+    template = SimConfig(topology=grid_topology(2, 2))
+    for seeds in (2**30 + 1, 9999999999999):
+        with pytest.raises(ConfigInvalid, match="seeds of the 2x2 grid"):
+            scaling_sweep([(2, 2)], template, seeds=seeds)
+    with pytest.raises(AssertionError, match="started evolving"):
+        scaling_sweep([(2, 2)], template, seeds=2**30)
+
+
+def test_every_size_checked_before_any_evolves(no_sweep_evolution):
+    # a grid past the link limit, and a size whose config would overflow
+    # (N + 8 = 202 times 1e306), are refused before the sizes ahead of them
+    # evolve
+    template = SimConfig(topology=grid_topology(2, 2))
+    with pytest.raises(ValueError, match="links to build or draw"):
+        scaling_sweep([(32, 32), (99999, 99999)], template, seeds=8)
+    huge = replace(template, init_max=1e306)
+    with pytest.raises(ConfigInvalid, match="overflow"):
+        scaling_sweep([(2, 2), (14, 14)], huge, seeds=2)
 
 
 def test_written_files_replace_and_take_the_umask_mode(tmp_path, capsys):
