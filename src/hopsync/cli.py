@@ -26,8 +26,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from .detector import DetectorConfig
 from .dynamics import NotConvergent, steady_state_error
 from .harness import (ConfigInvalid, SimConfig, _default_init_max,
-                      _replacing_all, run, scaling_sweep, summarize,
-                      write_summary_csv, write_sweep_csv, write_trace_csv)
+                      _replacing_all, _run_writing_trace, scaling_sweep,
+                      summarize, write_summary_csv, write_sweep_csv)
 from .model import generate_topology, has_spanning_path
 
 EXIT_OK = 0
@@ -215,15 +215,17 @@ def _cmd_simulate(cfg: dict) -> int:
     connected = has_spanning_path(topo)
     if cfg["require-connected"] and not connected:
         return _refuse_disconnected()
-    trace = run(_sim_config(cfg, topo))
+    sim = _sim_config(cfg, topo)
     if not connected:
         print("warning: topology is not connected; some nodes never hear "
               "the gateway", file=sys.stderr)
-    summaries = summarize(trace)
     out = [os.path.join(cfg["out"], f) for f in ("trace.csv", "summary.csv")]
     with _writing(cfg["out"]), _replacing_all(out) as (trace_csv, summary_csv):
-        write_trace_csv(trace, trace_csv)
-        write_summary_csv(summaries, summary_csv)
+        # forked children format trace.csv while the run evolves and while
+        # this block makes the summary
+        with _run_writing_trace(sim, trace_csv) as trace:
+            summaries = summarize(trace)
+            write_summary_csv(summaries, summary_csv)
     _print_summary(summaries)
     return EXIT_OK
 

@@ -18,14 +18,14 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
-from .kernels import (_LOOKAHEAD, _WINDOW, _float_texts, filter_series,
-                      run_rounds)
+from .kernels import (_LOOKAHEAD, _TEXT_WIDTH, _WINDOW, _float_texts,
+                      filter_series, run_rounds)
 from .model import (_INIT_STREAM, _MAX_LINKS, Topology, _check_period,
                     _check_probability, _count, _whole, effective_matrices,
                     grid_topology)
@@ -204,14 +204,43 @@ def run(cfg: SimConfig) -> RunTrace:
     anyway: nodes the gateway does not reach never hear the reference.
     """
     times = np.empty((cfg.n_max + 1, cfg.topology.node_count))
+    for _, first in _filling(cfg, times):
+        pass
+    return _finished(cfg, times, first)
+
+
+@contextlib.contextmanager
+def _run_writing_trace(cfg: SimConfig, path):
+    """run(cfg), with write_trace_csv of it to ``path`` formatted while the
+    run evolves (see _trace_written). The with-block is given run(cfg)'s
+    RunTrace as soon as the run is done, and does its own work while forked
+    children still format; ``path`` is complete once it ends. The bytes are
+    write_trace_csv's, for any number of CPUs."""
+    times = _shared((cfg.n_max + 1, cfg.topology.node_count))
+    with _trace_written(RunTrace(config=cfg, times=times, events=()),
+                        _filling(cfg, times), path) as first:
+        yield _finished(cfg, times, first)
+
+
+def _filling(cfg: SimConfig, times: np.ndarray):
+    """Fill ``times``, an (n_max + 1, N) array, with cfg's clocks a block of
+    rounds at a time (see _rounds). After each block, yields (filled,
+    first): rounds 0..filled-1 are in ``times``, and first holds each
+    node's first polarity flip found so far, -1 where none. A flip at round
+    m is found once rounds up to m + _LOOKAHEAD are filled, and never
+    changes after."""
     for r0, clocks, _, first in _rounds(cfg, [cfg.seed], _TRACE_BLOCK_ROWS,
                                         detect=True):
         times[r0:r0 + len(clocks)] = clocks[:, 0]
-    flips = first[0]
+        yield r0 + len(clocks), first[0]
+
+
+def _finished(cfg: SimConfig, times: np.ndarray, first) -> RunTrace:
+    """The RunTrace of a filled ``times`` and each node's first flip."""
     events = tuple(
         DetectionEvent(node_id=int(i), target_round=int(m),
                        frozen_time=float(times[m + _LOOKAHEAD, i]))
-        for i, m in zip(np.flatnonzero(flips >= 0), flips[flips >= 0]))
+        for i, m in zip(np.flatnonzero(first >= 0), first[first >= 0]))
     return RunTrace(config=cfg, times=times, events=events)
 
 
@@ -262,10 +291,16 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     holding its first flip): its links go silent, so its clock holds. Once
     every node of every run has halted nothing changes again: no more rounds
     are stepped and the frozen clocks are yielded a block at a time.
-    Masks are keyed by (seed, round) and do not depend on halting, so every
-    run draws them a block of rounds at a time, a halting run ahead of the
-    round it steps, and stopping early changes no draw. A mask draw has a
-    fixed cost per call that a draw per round would pay on every round.
+    Masks are keyed by (seed, round) and do not depend on halting or on
+    how many rounds one draw holds, so stopping early changes no draw. A
+    mask draw has a fixed cost per call that a draw per round would pay on
+    every round. A halting run draws a block of rounds ahead of the round
+    it steps, since it may stop early. Any other run uses every mask it
+    draws, so it draws as many whole blocks of rounds as hold about
+    _SWEEP_BLOCK_CELLS bits, at least one, each lane (one run's round)
+    counted as its coins and its four 64-bit seed words: a network with
+    few links does not draw thousands of lanes for a few bits each (see
+    channel._mask_block).
     """
     topo, n_max, halting = cfg.topology, cfg.n_max, cfg.halt_on_detect
     n, dt, det = topo.node_count, cfg.delta_t, cfg.detector
@@ -273,6 +308,8 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     to_gateway, ev_node = ev >= n, np.minimum(ev, n - 1)
     t = np.stack([initial_clocks(replace(cfg, seed=s)) for s in seeds])
     step = max(1, cells // t.size)
+    draw = step if halting else step * max(1, _SWEEP_BLOCK_CELLS // (
+        len(seeds) * (len(eu) + 4 * 64) * step))
     first = np.full(t.shape, -1)
     tail = np.empty((0,) + t.shape)
     sign = np.zeros(t.size, np.int8)
@@ -298,8 +335,8 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
             continue
         if r0 - 1 == a0 + len(ahead):  # every mask drawn so far is used
             a0, ahead = r0 - 1, _mask_block(cfg.p, seeds, len(eu), r0 - 1,
-                                            min(r0 - 1 + step, n_max))
-        masks = ahead[r0 - 1 - a0:r0 - a0 if halting else None]
+                                            min(r0 - 1 + draw, n_max))
+        masks = ahead[r0 - 1 - a0:r0 - 1 - a0 + (1 if halting else step)]
         if halted.any():  # silence every edge touching a halted node
             masks = masks & (~halted[:, eu]
                              & (to_gateway | ~halted[:, ev_node]))
@@ -443,10 +480,12 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
             part.write(_min_error_instants(configs[i], runs).astype(
                 np.int64).tobytes())
 
-    with _forked(len(shares), evolve) as parts:
+    with _forked(evolve) as (start, reaped):
+        for _ in shares[1:]:
+            start()
         for i in shares[0]:
             instants[i] = _min_error_instants(configs[i], runs)
-        for w, part in enumerate(parts, 1):
+        for w, part in enumerate(reaped(), 1):
             for i in shares[w]:
                 n = configs[i].topology.node_count
                 instants[i] = np.frombuffer(part.read(8 * seeds * n),
@@ -480,19 +519,48 @@ def _fmt(v) -> str:
     return repr(f)
 
 
-def _int_fields(start: int, count: int) -> np.ndarray:
+def _int_fields(start: int, count: int, last: Optional[int] = None
+                ) -> np.ndarray:
     """The CSV fields ``f"{i},"`` of i = start..start+count-1 as a
-    (count, width) uint8 matrix, NUL-padded on the left."""
+    (count, width) uint8 matrix, NUL-padded on the left to the width of
+    ``last``'s field (default: the last i's)."""
+    last = start + count - 1 if last is None else last
     values = np.arange(start, start + count, dtype=np.int64)[:, None]
-    scale = 10 ** np.arange(len(str(start + count - 1)) - 1, -1, -1,
-                            dtype=np.int64)
+    scale = 10 ** np.arange(len(str(last)) - 1, -1, -1, dtype=np.int64)
     out = np.full((count, len(scale) + 1), ord(","), dtype=np.uint8)
     out[:, :-1] = values // scale % 10 + ord("0")
     out[:, :-2][values < scale[:-1]] = 0  # leading zeros
     return out
 
 
-def _trace_block(times, errors, filter_outputs, targets, nodes, r0) -> bytes:
+class _BlockWork(NamedTuple):
+    """The buffers _trace_block lays out blocks of up to ``rounds`` rounds
+    of N nodes in, rounds up to ``last`` (see _block_work)."""
+    last: int
+    texts: np.ndarray  # (3 * rounds * N + 1, 25) uint8: each text and ','
+    rows: np.ndarray   # (rounds, N, width) uint8: the rows, NUL-padded
+    # rounds * N * width bytes that hold in turn the three float columns,
+    # each cell's three texts and rows' nonzero bytes: each is last read
+    # before the next is written
+    spare: np.ndarray
+
+
+def _block_work(rounds: int, n: int, last: int, node_width: int
+                ) -> _BlockWork:
+    """A _BlockWork for blocks of up to ``rounds`` rounds of ``n`` nodes,
+    none after round ``last``, whose node fields are ``node_width`` bytes
+    wide. Its pages are touched only as blocks use them, so a block that
+    holds few distinct floats touches little of ``texts``."""
+    width = len(str(last)) + 1 + node_width + 3 * (_TEXT_WIDTH + 1) + 3
+    return _BlockWork(
+        last,
+        np.empty((3 * rounds * n + 1, _TEXT_WIDTH + 1), dtype=np.uint8),
+        np.empty((rounds, n, width), dtype=np.uint8),
+        np.empty(rounds * n * width, dtype=np.uint8))
+
+
+def _trace_block(times, errors, filter_outputs, targets, nodes, r0,
+                 work: Optional[_BlockWork] = None) -> memoryview:
     """trace.csv rows for the (rounds, N) block arrays of rounds r0, r0+1,
     ..., exactly as ``csv.writer`` wrote them: ``repr`` floats, empty
     ``filter_out`` for NaN, CRLF endings. ``targets`` holds each node's
@@ -505,28 +573,41 @@ def _trace_block(times, errors, filter_outputs, targets, nodes, r0) -> bytes:
     byte is NUL, so the nonzero bytes in order are the rows. Each distinct
     float of the three columns is formatted once, keyed by its bits so that
     -0.0 and 0.0 stay apart. Only ``filter_out``'s NaN cells are then
-    blank: a NaN clock or error still prints ``nan``."""
+    blank: a NaN clock or error still prints ``nan``.
+
+    The matrices are laid out in ``work``, made by _block_work for blocks
+    of at least these rounds, and in new buffers sized to this block when
+    it is None. Every byte a block reads from ``work`` is written by that
+    block first, so the bytes do not depend on the blocks before. Returns
+    the rows' bytes as a memoryview of a new array."""
     rounds, n = times.shape
-    uniq, inv = np.unique(np.stack([times, errors, filter_outputs]).view(
-        np.int64), return_inverse=True)
+    if work is None:
+        work = _block_work(rounds, n, r0 + rounds - 1, nodes.shape[1])
+    values = work.spare[:rounds * n * 3 * 8].view(np.float64).reshape(
+        rounds, n, 3)
+    values[..., 0], values[..., 1], values[..., 2] = (
+        times, errors, filter_outputs)
+    uniq, inv = np.unique(values.view(np.int64), return_inverse=True)
     # NumPy 1.x returns the inverse flat and 2.x in the input's shape
-    inv = inv.reshape(3, rounds, n)
+    inv = inv.reshape(rounds, n, 3)
     # each text with its ',', then a blank (just ',') for filter_out's NaN
-    text = _float_texts(uniq.view(np.float64))
-    texts = np.zeros((len(uniq) + 1, text.shape[1] + 1), dtype=np.uint8)
-    texts[:-1, :-1] = text
+    texts = work.texts[:len(uniq) + 1]
+    _float_texts(uniq.view(np.float64), out=texts[:-1, :-1])
+    texts[-1, :-1] = 0
     texts[:, -1] = ord(",")
-    inv[2][np.isnan(filter_outputs)] = len(uniq)
-    keys = _int_fields(r0, rounds)
+    inv[..., 2][np.isnan(filter_outputs)] = len(uniq)
+    cells = np.take(texts, inv, axis=0, mode="clip", out=work.spare[
+        :inv.size * texts.shape[1]].reshape(inv.shape + texts.shape[1:]))
+    keys = _int_fields(r0, rounds, work.last)
     a, b = keys.shape[1], keys.shape[1] + nodes.shape[1]
-    rows = np.empty((rounds, n, b + 3 * texts.shape[1] + 3), dtype=np.uint8)
+    rows = work.rows[:rounds]
     rows[:, :, :a] = keys[:, None]
     rows[:, :, a:b] = nodes
-    rows[:, :, b:-3] = np.take(texts, np.moveaxis(inv, 0, -1), axis=0).reshape(
-        rounds, n, -1)
+    rows[:, :, b:-3] = cells.reshape(rounds, n, -1)
     rows[:, :, -3:] = np.frombuffer(b"0\r\n", dtype=np.uint8)
     rows[targets == np.arange(r0, r0 + rounds)[:, None], -3] = ord("1")
-    return rows[rows != 0].tobytes()
+    kept = work.spare[:rows.size].view(bool).reshape(rows.shape)
+    return memoryview(rows[np.not_equal(rows, 0, out=kept)])
 
 
 def _workers(blocks: int) -> int:
@@ -563,48 +644,76 @@ def _fork() -> int:
         return os.fork()
 
 
+def _one_line(exc: BaseException) -> str:
+    """``exc`` on one line: its type's name, then its text if it has any."""
+    text = " ".join(str(exc).split())
+    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+
+
 @contextlib.contextmanager
-def _forked(workers: int, work, directory=None):
-    """Forks a child for each w = 1..workers-1 that calls work(w, part),
-    ``part`` an unlinked temporary binary file in ``directory`` (None: the
-    default temporary directory), and leaves through os._exit: status 0
-    once work has returned and part is flushed, 1 on any exception. The
-    with-block does this process's own share, w = 0, and is given an
-    iterator over the children's parts in order of w. It reaps each child
-    in turn and yields its part rewound if the child exited 0, and raises
-    OSError otherwise. Whatever ends the with-block, an exception or parts
-    left unread, every child not yet reaped is killed (SIGKILL) and reaped,
-    and every part is closed."""
-    children = []  # (pid, part) of each child not yet reaped
+def _forked(work, directory=None):
+    """Children w = 1, 2, ..., forked in that order, each when the
+    with-block calls start(part=None). Child w calls work(w, part), where
+    ``part`` is the binary file given or else an unlinked temporary one in
+    ``directory`` (None: the default temporary directory), and leaves
+    through os._exit: status 0 once work has returned and part is flushed,
+    1 on any exception, whose _one_line it first writes to a pipe that
+    this process reads. The with-block is given (start, reaped) and does
+    this process's own share. reaped() reaps each child started, in order
+    of w, and yields its part if it exited 0: a temporary part rewound, a
+    given one as the child left it. Otherwise it raises OSError naming the
+    child's exception, or its exit status where it wrote none. Whatever
+    ends the with-block, an exception or parts left unread, every child
+    not yet reaped is killed (SIGKILL) and reaped, and every pipe and
+    temporary part is closed."""
+    children = []  # (pid, part, own, cause) of each child not yet reaped
+    started = 0
 
-    def reaped():
-        while children:
-            pid, part = children[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code != 0:
-                raise OSError(f"worker {pid} exited with status {code}")
-            part.seek(0)
-            yield part
-
-    with contextlib.ExitStack() as parts:
-        try:
-            for w in range(1, workers):
-                part = parts.enter_context(
+    with contextlib.ExitStack() as stack:
+        def start(part=None):
+            nonlocal started
+            own = part is None
+            if own:
+                part = stack.enter_context(
                     tempfile.TemporaryFile(dir=directory))
+            read, write = os.pipe()
+            cause = stack.enter_context(open(read, "rb"))
+            try:
                 pid = _fork()
                 if pid == 0:
                     code = 1
                     try:
-                        work(w, part)
+                        work(started + 1, part)
                         part.flush()
                         code = 0
+                    except BaseException as exc:
+                        with contextlib.suppress(BaseException):
+                            os.set_blocking(write, False)  # never wait
+                            os.write(write, _one_line(exc).encode())
                     finally:
                         os._exit(code)
-                children.append((pid, part))
-            yield reaped()
+            finally:
+                os.close(write)  # the child's exit alone ends the pipe
+            started += 1
+            children.append((pid, part, own, cause))
+
+        def reaped():
+            while children:
+                pid, part, own, cause = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code != 0:
+                    line = cause.read().decode(errors="replace")
+                    raise OSError(f"worker {pid} failed: {line}" if line else
+                                  f"worker {pid} exited with status {code}")
+                if own:
+                    part.seek(0)
+                yield part
+
+        try:
+            yield start, reaped
         finally:
-            for pid, _ in children:
+            for pid, *_ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -662,17 +771,68 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     where the filter window is undefined; ``detected`` is 1 exactly at a
     node's flagged instant.
 
+    The writer of _run_writing_trace, given every round at once (see
+    _trace_written): the bytes are the same for any number of CPUs. A
+    child that fails raises OSError here."""
+    with _trace_written(trace, [(trace.n_max + 1, trace._targets)], path):
+        pass
+
+
+def _shared(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping: a child forked from
+    this process reads what this process writes into it after the fork.
+    A mapping too large for the address space raises MemoryError, as
+    np.empty does. mmap is imported on first use: only simulate needs it.
+    """
+    import mmap
+
+    count = math.prod(shape)
+    try:
+        buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    except (OSError, OverflowError) as err:
+        raise MemoryError(f"cannot map {count} values of {np.dtype(dtype)}: "
+                          f"{err}") from err
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
+@contextlib.contextmanager
+def _trace_written(trace: RunTrace, progress, path):
+    """Write trace.csv of ``trace``'s config and times to ``path`` while
+    ``progress`` fills the times. The with-block is given the flagged
+    rounds once ``progress`` ends, and the file is complete when it ends.
+
+    ``progress`` yields (filled, targets) as _filling does: rounds
+    0..filled-1 of ``trace.times`` are final, and targets holds each
+    node's flagged round found so far, -1 where none (see RunTrace); a
+    finished trace is one item. trace's events are not read.
+
     Whole rounds are derived (see _derived), formatted and written a block
     at a time, so memory beyond ``trace.times`` stays near one block per
     process whatever the run length. The rounds split into one contiguous
-    span of whole blocks per worker (see _workers). Each child reads only
-    ``trace.times`` and its flagged rounds (see RunTrace). This process
-    writes span 0 to a new file that replaces ``path`` once complete (see
-    _replacing); a forked child formats each later span into an unlinked
-    temporary file in ``path``'s directory, which is appended in span order
-    once the child exits (see _forked). A cell's text depends on its value
-    alone (see _trace_block), so the bytes are the same for any number of
-    workers. A child that fails raises OSError here."""
+    span of whole blocks per worker (see _workers). Span w is final once
+    rounds up to its end + _LOOKAHEAD - 1 are filled: its filter outputs
+    are then defined and every flagged round in it is found. A forked
+    child (see _forked) formats each leading span from then on while the
+    run goes on: the first straight into the new file that replaces
+    ``path`` (see _replacing), after the header, and each later one into
+    an unlinked temporary file in ``path``'s directory.
+
+    The last span is final only when ``progress`` ends, and this process
+    then does the with-block's work first. So once the with-block ends,
+    this process shares the last span with the child before it, which
+    counts the blocks it formats: it hands that child, through a pipe,
+    the leading whole blocks of the last span that even out what the two
+    have left, since both format a block in about the same time, and no
+    fixed split could know how long the run's end and the with-block
+    take. The child goes on straight after its own span, so it reads
+    rounds filled after its fork: ``trace.times`` must then be _shared,
+    or filled before it. This process formats the rest into a temporary
+    file, then appends, in span order, each child's file and its own.
+    Each span fills one set of block buffers, made once for its largest
+    block (see _block_work). A cell's text depends on its value alone
+    (see _trace_block), so the bytes are the same for any number of
+    workers. A child that fails raises OSError here. With one worker,
+    this process formats every round before the with-block."""
     n = trace.times.shape[1]
     nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
@@ -681,20 +841,64 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     workers = _workers(blocks)
     ends = [min(rounds, w * blocks // workers * step)
             for w in range(workers + 1)]
+    directory = os.path.dirname(os.path.abspath(path))
+    targets = None  # what a child forked now reads: final in its span
+    last = workers - 1  # the child that shares the last span
+    # _shared: how many blocks the last child has formatted, then the
+    # flagged rounds of the last span; and the pipe that tells it its share
+    shared = share = None
 
-    def span(w, fh):
-        for r0 in range(ends[w], ends[w + 1], step):
-            r1 = min(r0 + step, rounds)
-            fh.write(_trace_block(trace.times[r0:r1], *_derived(trace, r0, r1),
-                                  trace._targets, nodes, r0))
+    def span(r0, r1, fh, targets, count=False):
+        work = _block_work(min(step, r1 - r0), n, r1 - 1, nodes.shape[1])
+        for a in range(r0, r1, step):
+            b = min(a + step, rounds)
+            fh.write(_trace_block(trace.times[a:b], *_derived(trace, a, b),
+                                  targets, nodes, a, work))
+            if count:
+                shared[0] += 1
 
-    with _replacing(path, "wb") as fh:
+    def child(w, part):
+        if w < last:
+            span(ends[w - 1], ends[w], part, targets)
+            return
+        os.close(share[1])  # so that this process's exit ends the pipe
+        span(ends[w - 1], ends[w], part, targets, count=True)
+        end = int.from_bytes(os.read(share[0], 8), "little")
+        span(ends[w], max(end, ends[w]), part, shared[1:])
+
+    with _replacing(path, "wb") as fh, contextlib.ExitStack() as stack:
         fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
         fh.flush()  # a child must not inherit unwritten bytes
-        with _forked(workers, span,
-                     os.path.dirname(os.path.abspath(path))) as parts:
-            span(0, fh)
-            for part in parts:
+        start, reaped = stack.enter_context(_forked(child, directory))
+        w = 1  # the next child to start, for span w - 1
+        for filled, targets in progress:
+            while w < workers and filled >= min(rounds,
+                                                ends[w] + _LOOKAHEAD):
+                if w == last:
+                    shared, share = _shared((1 + n,), np.int64), os.pipe()
+                    for fd in share:
+                        stack.callback(os.close, fd)
+                start(fh if w == 1 else None)
+                w += 1
+        if workers == 1:
+            span(0, rounds, fh, targets)
+            yield targets
+            return
+        yield targets
+        # the leading whole blocks of the last span that even out what the
+        # last child and this process have left to format
+        left = len(range(ends[last - 1], ends[last], step)) - int(shared[0])
+        extra = max(0, (len(range(ends[last], rounds, step)) - left) // 2)
+        end = min(rounds, ends[last] + extra * step)
+        shared[1:] = targets
+        os.write(share[1], end.to_bytes(8, "little"))  # held open here
+        own = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+        span(end, rounds, own, targets)
+        own.seek(0)
+        for part in (*reaped(), own):
+            if part is fh:  # the first child wrote through the shared offset
+                fh.seek(0, os.SEEK_END)
+            else:
                 shutil.copyfileobj(part, fh)
 
 

@@ -193,10 +193,12 @@ def _shortest_digits(x, mag):
     return digits, k + carry
 
 
-def _float_texts(x) -> np.ndarray:
+def _float_texts(x, out=None) -> np.ndarray:
     """``repr`` of each float64 of ``x`` as ASCII bytes, one value to a row
     of a (x.size, 24) uint8 matrix, NUL-padded: 24 bytes hold repr's longest
-    texts, such as -2.2250738585072014e-308.
+    texts, such as -2.2250738585072014e-308. The matrix is ``out`` where
+    given, whatever it held before, and new otherwise; ``out`` may be a
+    strided view.
 
     Values with 1e-10 <= |x| < 1e13 that are not whole numbers and whose
     mantissa is not a power of two get their digits from _shortest_digits
@@ -204,17 +206,28 @@ def _float_texts(x) -> np.ndarray:
     numbers, NaN, infinities, values outside that range and powers of two,
     whose rounding interval is lopsided) go through ``repr``. Values are
     taken 2048 at a time, whose temporaries hold about 0.8 MB: twice that
-    is faster still, but doubles them.
+    is faster still, but doubles them. The buffers a chunk lays its text
+    out in are made once per call.
 
     The text follows ``repr``'s layout: ``dd.ddd`` for k >= 0,
     ``0.000ddd`` for -4 <= k < 0 and ``d.ddde-XX`` below, without trailing
     zeros.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    out = np.zeros((x.size, _TEXT_WIDTH), dtype=np.uint8)
+    if out is None:
+        out = np.empty((x.size, _TEXT_WIDTH), dtype=np.uint8)
     frac = np.uint64(2**52 - 1)
+    chunk = min(x.size, 2048)
+    # the row: |k|'s pair, '.-', 'e' NUL, '0' and the lead digit, then the
+    # other 16 digits as four quads
+    rows = np.empty((chunk, len(_ROW)), dtype=np.uint8)
+    rows.view(np.uint16)[:, 1:3] = np.frombuffer(_ROW[2:6], dtype=np.uint16)
+    base = np.arange(0, rows.size, len(_ROW), dtype=np.int32)[:, None]
+    ats = np.empty((chunk, _TEMPLATES.shape[1]), dtype=np.int32)
+    texts = np.empty((chunk, _TEMPLATES.shape[1]), dtype=np.uint8)
     for c0 in range(0, x.size, 2048):
         xs, cell = x[c0:c0 + 2048], out[c0:c0 + 2048]
+        row, at, text = rows[:len(xs)], ats[:len(xs)], texts[:len(xs)]
         mag = np.abs(xs)
         with np.errstate(invalid="ignore"):  # floor of a signalling NaN
             fast = ((mag >= 1e-10) & (mag < 1e13) & (np.floor(mag) != mag)
@@ -225,22 +238,19 @@ def _float_texts(x) -> np.ndarray:
             xs = np.where(fast, xs, 0.5)
             mag = np.abs(xs)
         digits, k = _shortest_digits(xs, mag)
-        # the row: |k|'s pair, '.-', 'e' NUL, '0' and the lead digit, then
-        # the other 16 digits as four quads
-        row = np.empty((len(xs), len(_ROW)), dtype=np.uint8)
         pairs, quads = row.view(np.uint16), row.view(np.uint32)
         pairs[:, 0] = _PAIRS[np.abs(k)]
-        pairs[:, 1:3] = np.frombuffer(_ROW[2:6], dtype=np.uint16)
         pairs[:, 3] = _PAIRS[digits // 10**16]
         for j, scale in enumerate((10**12, 10**8, 10**4, 1)):
             quads[:, 2 + j] = _QUADS[digits // scale % 10**4]
         # significant digits: up to the last nonzero one
         nd = 17 - np.argmax(row[:, :6:-1] != ord("0"), axis=1)
         # each value's text is its template's columns of its row
-        at = _TEMPLATES[(np.signbit(xs) * 18 + np.maximum(k, -5) + 5) * 18
-                        + nd] + np.arange(0, row.size, len(_ROW),
-                                          dtype=np.int32)[:, None]
-        cell[:, :_TEMPLATES.shape[1]] = np.take(row, at)
+        np.add(_TEMPLATES[(np.signbit(xs) * 18 + np.maximum(k, -5) + 5) * 18
+                          + nd], base[:len(xs)], out=at)
+        cell[:, :_TEMPLATES.shape[1]] = np.take(rows, at, out=text,
+                                                mode="clip")
+        cell[:, _TEMPLATES.shape[1]:] = 0
         if slow.size:
             cell[slow] = np.array(
                 [repr(v).encode() for v in x[c0 + slow].tolist()],

@@ -150,11 +150,11 @@ _STALLED_WRITE = """
 import sys, time
 from hopsync import cli, harness
 block = harness._trace_block
-def stall(times, errors, filter_outputs, targets, nodes, r0):
+def stall(times, errors, filter_outputs, targets, nodes, r0, work):
     if r0 > 0:
         open(sys.argv[1], "w").close()
         time.sleep(60)
-    return block(times, errors, filter_outputs, targets, nodes, r0)
+    return block(times, errors, filter_outputs, targets, nodes, r0, work)
 harness._trace_block = stall
 harness._workers = lambda blocks: 1
 sys.exit(cli.main(sys.argv[2:]))
@@ -742,6 +742,16 @@ def test_bad_input_refused_in_one_line(tmp_path, capsys, argv, code):
     if code == 2:
         assert captured.err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_rounds_past_any_array_exit2(tmp_path, capsys):
+    # more rounds than an array can index are out of memory, in one line:
+    # the run's clocks are a shared mapping, which cannot be that large
+    assert run_cli("simulate", "--rounds", "10000000000000000000",
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "steady-state"])

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,6 +7,7 @@ import os
 import signal
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -586,6 +588,30 @@ def test_halting_run_draws_masks_ahead(monkeypatch):
     assert len(calls) <= math.ceil(3000 / step) + 1
 
 
+def test_run_draws_masks_far_ahead(monkeypatch):
+    # a run that does not halt draws whole blocks of rounds holding about
+    # _SWEEP_BLOCK_CELLS bits of masks a call, each lane's four seed words
+    # counted, not one block: grid:30x30's 400 rounds take 4 calls, where
+    # a block at a time took 100, and are still evolved in 100 blocks.
+    # Masks are keyed by (seed, round): the clocks and the flags do not
+    # change
+    cfg = SimConfig(topology=grid_topology(30, 30), p=0.6, n_max=400)
+    calls, steps = [], []
+    draw, evolve = harness._mask_block, harness.run_rounds
+    monkeypatch.setattr(harness, "_mask_block",
+                        lambda *a: calls.append(1) or draw(*a))
+    monkeypatch.setattr(harness, "run_rounds",
+                        lambda *a, **k: steps.append(1) or evolve(*a, **k))
+    far = run(cfg)
+    assert (len(calls), len(steps)) == (4, 100)
+    calls.clear()
+    monkeypatch.setattr(harness, "_SWEEP_BLOCK_CELLS", 1)
+    near = run(cfg)
+    assert (len(calls), len(steps)) == (100, 200)
+    assert far.times.tobytes() == near.times.tobytes()
+    assert far.events == near.events
+
+
 def _stream(cfg, cells):
     """_rounds' clocks, joined over its blocks of about ``cells`` cells, and
     each node's first flip."""
@@ -834,6 +860,32 @@ def test_trace_csv_matches_csv_writer_oracle(block):
         nodes, block.r0) == _oracle_rows(*block).encode("ascii")
 
 
+# blocks of 4, 3, 1 and 2 rounds over rounds 5..104: the round field widens
+# inside the blocks of rounds 9..11 and 99..101
+_SPAN_BLOCKS = [(r0, r0 + k) for c in range(5, 105, 10)
+                for r0, k in zip((c, c + 4, c + 7, c + 8), (4, 3, 1, 2))]
+
+
+@pytest.mark.parametrize("n", [1, 3, 11])
+def test_reused_block_buffers_give_unbuffered_bytes(n):
+    # one span's buffers, sized for its largest block and its last round,
+    # filled by blocks that are shorter, whose round field is narrower or
+    # widens, and whose texts are shorter than the block's before (the
+    # 24-character fallbacks, then one and three characters): each block's
+    # bytes are those of buffers made for it alone, and csv.writer's rows
+    nodes = harness._int_fields(0, n)
+    work = harness._block_work(4, n, 104, nodes.shape[1])
+    pools = [_LONGEST, [0.5, -2.5, math.nan], _AWKWARD]
+    for i, (r0, r1) in enumerate(_SPAN_BLOCKS):
+        block = _hand_block(n, r1 - r0 - 1, pools[i % 3], i,
+                            [(r1 - r0 - 1, n - 1)], r0)
+        args = (block.times, block.errors, block.filter_outputs,
+                block.targets, nodes, r0)
+        alone = harness._trace_block(*args)
+        assert harness._trace_block(*args, work) == alone
+        assert alone == _oracle_rows(*block).encode("ascii")
+
+
 @settings(max_examples=40, deadline=None)
 @given(hand_traces())
 @example(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
@@ -1015,18 +1067,21 @@ def test_short_trace_never_forks(monkeypatch):
     assert _same_bytes_as_oracle(run(SimConfig(**REFERENCE)))
 
 
-def _fail_blocks_from(monkeypatch, first_round, exc):
-    """Two workers, 10 rounds a block on 15 nodes, and a _trace_block that
-    raises ``exc`` for blocks from ``first_round`` on; returns the list
-    the pid of every child forked is appended to."""
+def _fail_blocks(monkeypatch, upto, exc):
+    """Two workers, 10 rounds a block on 15 nodes, so that a child formats
+    rounds 0..249 of a 501-round trace and this process rounds 250..500,
+    and a _trace_block that raises ``exc`` for the blocks of rounds below
+    ``upto``: at 250 the child's alone, and at 0 every block. Returns the
+    list the pid of every child forked is appended to."""
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
     _force_workers(monkeypatch, 2)
     real_block, real_fork, pids = harness._trace_block, harness._fork, []
 
-    def block(times, errors, filter_outputs, targets, nodes, r0):
-        if r0 >= first_round:
+    def block(times, errors, filter_outputs, targets, nodes, r0, work):
+        if r0 < upto or upto == 0:
             raise exc
-        return real_block(times, errors, filter_outputs, targets, nodes, r0)
+        return real_block(times, errors, filter_outputs, targets, nodes, r0,
+                          work)
 
     def fork():
         pid = real_fork()
@@ -1046,46 +1101,51 @@ def _assert_reaped(pids):
 
 
 def test_failing_child_raises_oserror_and_is_reaped(monkeypatch, tmp_path):
-    # 501 rounds in 51 blocks: the child formats rounds 250..500
+    # 501 rounds in 51 blocks: the child formats rounds 0..249
     tr = run(SimConfig(**REFERENCE))
-    pids = _fail_blocks_from(monkeypatch, 250, RuntimeError("child fails"))
-    with pytest.raises(OSError, match="worker"):
+    pids = _fail_blocks(monkeypatch, 250, RuntimeError("child fails"))
+    with pytest.raises(OSError, match="worker .* RuntimeError: child fails"):
         write_trace_csv(tr, tmp_path / "trace.csv")
     _assert_reaped(pids)
 
 
 def test_failing_parent_kills_and_reaps_children(monkeypatch, tmp_path):
     tr = run(SimConfig(**REFERENCE))
-    pids = _fail_blocks_from(monkeypatch, 0, KeyError("parent fails"))
+    pids = _fail_blocks(monkeypatch, 0, KeyError("parent fails"))
     with pytest.raises(KeyError, match="parent fails"):
         write_trace_csv(tr, tmp_path / "trace.csv")
     _assert_reaped(pids)
 
 
 def test_cli_failing_child_exits_2(monkeypatch, tmp_path, capsys):
-    pids = _fail_blocks_from(monkeypatch, 250, RuntimeError("child fails"))
+    # the child's exception reaches the user: one line that names it, and
+    # neither a traceback nor a temporary file
+    pids = _fail_blocks(monkeypatch, 250,
+                        RuntimeError("child fails\n  on two lines"))
     code = main(["simulate", "--topology", "grid:4x4", "--rounds", "500",
                  "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: cannot write output")
-    assert "Traceback" not in err
+    assert err.endswith(": RuntimeError: child fails on two lines\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
     _assert_reaped(pids)
+    assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("first_round, exc", [
+@pytest.mark.parametrize("upto, exc", [
     (250, RuntimeError("child fails")),
     (0, KeyError("parent fails")),
     (250, KeyboardInterrupt()),
     (0, KeyboardInterrupt()),
 ])
 def test_failed_write_leaves_the_earlier_file(monkeypatch, tmp_path,
-                                              first_round, exc):
+                                              upto, exc):
     # a write that fails or is interrupted, in the parent or in a child,
     # leaves neither a truncated trace.csv nor its own temporary file
     tr = run(SimConfig(**REFERENCE))
     path = tmp_path / "trace.csv"
     path.write_bytes(b"an earlier run\r\n")
-    pids = _fail_blocks_from(monkeypatch, first_round, exc)
+    pids = _fail_blocks(monkeypatch, upto, exc)
     with pytest.raises((OSError, type(exc))):
         write_trace_csv(tr, path)
     _assert_reaped(pids)
@@ -1093,18 +1153,160 @@ def test_failed_write_leaves_the_earlier_file(monkeypatch, tmp_path,
     assert path.read_bytes() == b"an earlier run\r\n"
 
 
-@pytest.mark.parametrize("first_round, exc, code, err", [
+@pytest.mark.parametrize("upto, exc, code, err", [
     (250, RuntimeError("child fails"), 2, "error: cannot write output"),
     (0, KeyboardInterrupt(), 130, "error: interrupted\n"),
 ])
 def test_cli_failed_write_leaves_no_file(monkeypatch, tmp_path, capsys,
-                                         first_round, exc, code, err):
-    pids = _fail_blocks_from(monkeypatch, first_round, exc)
+                                         upto, exc, code, err):
+    pids = _fail_blocks(monkeypatch, upto, exc)
     assert main(["simulate", "--topology", "grid:4x4", "--rounds", "500",
                  "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err.startswith(err)
     _assert_reaped(pids)
     assert os.listdir(tmp_path) == []
+
+
+def _placed_rounds(probe, workers, step, d):
+    """The n_max of a run of ``probe``'s config cut short whose trace.csv
+    splits first at round m + d, m a flagged round of ``probe``, when
+    ``workers`` workers share it in blocks of ``step`` rounds; None where
+    no flagged round allows that. The cut run flags m too: its flag
+    depends on rounds up to m + 3 alone."""
+    shortest = probe.config.detector.k_guard + 7  # as SimConfig allows
+    for m in sorted(probe._targets[probe._targets >= 0].tolist()):
+        split = m + d
+        # workers * split rounds in whole blocks: the first span ends at split
+        if split > 0 and split % step == 0 and (
+                max(m + 3, shortest) <= workers * split - 1 <= probe.n_max):
+            return workers * split - 1
+    return None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(workers=st.sampled_from([1, 2, 3]), step=st.sampled_from([1, 2, 3]),
+       p=st.sampled_from([0.3, 1.0]), halt=st.booleans(),
+       seed=st.integers(0, 40), d=st.sampled_from([1, 0, -2]))
+@example(workers=2, step=1, p=1.0, halt=False, seed=0, d=1)
+@example(workers=2, step=1, p=0.3, halt=True, seed=1, d=0)
+@example(workers=3, step=2, p=0.3, halt=False, seed=2, d=-2)
+def test_cli_outputs_equal_the_one_process_writer(workers, step, p, halt,
+                                                  seed, d):
+    # simulate's trace.csv, formatted while the run evolves by any number
+    # of workers in blocks of any length, and its summary.csv are the
+    # bytes of write_trace_csv and write_summary_csv of run() in one
+    # process; where a flagged round lies at the first split minus one, at
+    # it or two past it, the child forked for the first span flags it
+    topo = generate_topology("grid:3x3")
+    cfg = SimConfig(topology=topo, n_max=120, p=p, seed=seed,
+                    halt_on_detect=halt)
+    n_max = _placed_rounds(run(cfg), workers, step, d) if workers > 1 else None
+    cfg = replace(cfg, n_max=40 + seed if n_max is None else n_max)
+    argv = ["simulate", "--topology", "grid:3x3", "--rounds", str(cfg.n_max),
+            "--p", str(p), "--seed", str(seed)] + (
+                ["--halt-on-detect"] if halt else [])
+    saved = harness._TRACE_BLOCK_ROWS, harness._workers
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            harness._TRACE_BLOCK_ROWS = step * topo.node_count
+            harness._workers = lambda blocks: workers
+            with open(os.devnull, "w") as null, \
+                    contextlib.redirect_stdout(null):
+                assert main(argv + ["--out", out]) == 0
+            harness._TRACE_BLOCK_ROWS = saved[0]
+            harness._workers = lambda blocks: 1
+            trace = run(cfg)
+            write_trace_csv(trace, os.path.join(out, "one_trace.csv"))
+            write_summary_csv(summarize(trace),
+                              os.path.join(out, "one_summary.csv"))
+        finally:
+            harness._TRACE_BLOCK_ROWS, harness._workers = saved
+        for name in ("trace.csv", "summary.csv"):
+            with open(os.path.join(out, name), "rb") as a, \
+                    open(os.path.join(out, f"one_{name}"), "rb") as b:
+                assert a.read() == b.read(), name
+    if n_max is not None:
+        assert (trace._targets == (n_max + 1) // workers - d).any()
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (MemoryError(), 2, "error: out of memory"),
+    (KeyboardInterrupt(), 130, "error: interrupted\n"),
+])
+def test_run_failing_after_the_fork_kills_the_children(
+        monkeypatch, tmp_path, capsys, exc, code, err):
+    # the child for rounds 0..249 is forked once rounds up to 252 are
+    # filled and stalls; the run then fails: the child is killed and
+    # reaped at once, and no file is left, temporary or not
+    monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
+    _force_workers(monkeypatch, 2)
+    pids = _count_forks(monkeypatch)
+    parent, real_block, real_rounds = os.getpid(), harness._trace_block, \
+        harness.run_rounds
+
+    def block(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real_block(*args)
+
+    def evolve(t, eu, ev, masks, dt, round0):
+        if round0 >= 300:
+            raise exc
+        return real_rounds(t, eu, ev, masks, dt, round0=round0)
+
+    monkeypatch.setattr(harness, "_trace_block", block)
+    monkeypatch.setattr(harness, "run_rounds", evolve)
+    start = time.monotonic()
+    assert main(["simulate", "--topology", "grid:4x4", "--rounds", "500",
+                 "--out", str(tmp_path)]) == code
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err.startswith(err)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert os.listdir(tmp_path) == []
+
+
+def test_last_span_shared_to_even_out(monkeypatch, tmp_path):
+    # two workers, 10 rounds a block on 15 nodes: the child formats rounds
+    # 0..89, and this process waits in the with-block until it has. The
+    # child then has nothing left, so it is handed the leading 5 of the
+    # last span's 10 blocks, rounds 90..139, which hold flagged rounds
+    # found after its fork, and this process formats rounds 140..180; the
+    # bytes are those of one process
+    monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
+    _force_workers(monkeypatch, 2)
+    log, real_block = tmp_path / "blocks", harness._trace_block
+    log.write_text("")
+
+    def block(*args):
+        out = real_block(*args)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[5]}\n")
+        return out
+
+    def rounds(mine):
+        rows = [line.split() for line in log.read_text().splitlines()]
+        return sorted(int(r0) for pid, r0 in rows
+                      if (int(pid) == os.getpid()) == mine)
+
+    monkeypatch.setattr(harness, "_trace_block", block)
+    cfg = SimConfig(**{**REFERENCE, "n_max": 180})
+    with harness._run_writing_trace(cfg, tmp_path / "trace.csv") as trace:
+        deadline = time.monotonic() + 30
+        while len(rounds(False)) < 9 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # its count follows its last block's write
+    # 130 where its ninth block was not yet counted: one left, 4 handed
+    end = min(rounds(True))
+    assert end in (130, 140)
+    assert rounds(False) == list(range(0, end, 10))
+    assert rounds(True) == list(range(end, 181, 10))
+    assert ((trace._targets >= 90) & (trace._targets < 130)).any()
+    monkeypatch.setattr(harness, "_trace_block", real_block)
+    _force_workers(monkeypatch, 1)
+    write_trace_csv(run(cfg), tmp_path / "one.csv")
+    assert ((tmp_path / "trace.csv").read_bytes()
+            == (tmp_path / "one.csv").read_bytes())
 
 
 def _count_forks(monkeypatch):
@@ -1169,17 +1371,11 @@ def test_sweep_workers_from_its_cells(monkeypatch, cpus, workers):
                         raising=False)
     monkeypatch.setattr(harness, "_min_error_instants", lambda cfg, seeds: (
         np.zeros((len(seeds), cfg.topology.node_count), dtype=np.int64)))
-    real_forked, counts = harness._forked, []
-
-    def forked(count, work, directory=None):
-        counts.append(count)
-        return real_forked(count, work, directory)
-
-    monkeypatch.setattr(harness, "_forked", forked)
+    pids = _count_forks(monkeypatch)
     template = SimConfig(topology=grid_topology(2, 2), n_max=600, p=0.5)
     sizes = [(k, k) for k in (2, 4, 8, 16, 32)]
     result = scaling_sweep(sizes, template, seeds=8)
-    assert counts == [workers]
+    assert len(pids) == workers - 1
     assert [p.instant_max for p in result.points] == [0.0] * 5
 
 

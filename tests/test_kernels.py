@@ -237,3 +237,18 @@ def test_float_reprs_across_chunks():
     x = x[rng.permutation(x.size)]
     assert _texts(kernels._float_texts(x)) == [repr(v).encode()
                                                for v in x.tolist()]
+
+
+def test_float_texts_into_a_used_buffer():
+    # into a strided view of a buffer that held 24-character texts and
+    # bytes no text has: every byte of each row is written again, the
+    # 24th column included
+    longest = _as_floats(_LONGEST)
+    short = np.array([0.5, -2.5, 1e-05, 0.1, 0.0, 3.0])[:len(longest)]
+    buffer = np.full((len(longest), 25), 0xFF, dtype=np.uint8)
+    out = buffer[:, :-1]
+    kernels._float_texts(longest, out=out)
+    assert _texts(out) == [repr(v).encode() for v in longest.tolist()]
+    got = kernels._float_texts(short, out=out[:len(short)])
+    assert np.array_equal(got, kernels._float_texts(short))
+    assert (buffer[:, -1] == 0xFF).all()
