@@ -203,7 +203,7 @@ def run(cfg: SimConfig) -> RunTrace:
     Deterministic for a fixed config. A disconnected topology is simulated
     anyway: nodes the gateway does not reach never hear the reference.
     """
-    times = np.empty((cfg.n_max + 1, cfg.topology.node_count))
+    times = _clocks(cfg)
     for _, first in _filling(cfg, times):
         pass
     return _finished(cfg, times, first)
@@ -216,10 +216,21 @@ def _run_writing_trace(cfg: SimConfig, path):
     RunTrace as soon as the run is done, and does its own work while forked
     children still format; ``path`` is complete once it ends. The bytes are
     write_trace_csv's, for any number of CPUs."""
-    times = _shared((cfg.n_max + 1, cfg.topology.node_count))
+    times = _clocks(cfg)
     with _trace_written(RunTrace(config=cfg, times=times, events=()),
                         _filling(cfg, times), path) as first:
         yield _finished(cfg, times, first)
+
+
+def _clocks(cfg: SimConfig) -> np.ndarray:
+    """An empty (n_max + 1, N) array for cfg's clocks. Too many for any
+    array raises MemoryError, as too many for memory does."""
+    shape = (cfg.n_max + 1, cfg.topology.node_count)
+    try:
+        return np.empty(shape)
+    except ValueError as err:  # more values than an array can index
+        raise MemoryError(f"cannot allocate {shape[0]} x {shape[1]} clocks: "
+                          f"{err}") from err
 
 
 def _filling(cfg: SimConfig, times: np.ndarray):
@@ -778,23 +789,6 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         pass
 
 
-def _shared(shape, dtype=np.float64) -> np.ndarray:
-    """A zeroed array in an anonymous shared mapping: a child forked from
-    this process reads what this process writes into it after the fork.
-    A mapping too large for the address space raises MemoryError, as
-    np.empty does. mmap is imported on first use: only simulate needs it.
-    """
-    import mmap
-
-    count = math.prod(shape)
-    try:
-        buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
-    except (OSError, OverflowError) as err:
-        raise MemoryError(f"cannot map {count} values of {np.dtype(dtype)}: "
-                          f"{err}") from err
-    return np.frombuffer(buffer, dtype, count).reshape(shape)
-
-
 @contextlib.contextmanager
 def _trace_written(trace: RunTrace, progress, path):
     """Write trace.csv of ``trace``'s config and times to ``path`` while
@@ -813,26 +807,17 @@ def _trace_written(trace: RunTrace, progress, path):
     rounds up to its end + _LOOKAHEAD - 1 are filled: its filter outputs
     are then defined and every flagged round in it is found. A forked
     child (see _forked) formats each leading span from then on while the
-    run goes on: the first straight into the new file that replaces
-    ``path`` (see _replacing), after the header, and each later one into
-    an unlinked temporary file in ``path``'s directory.
-
-    The last span is final only when ``progress`` ends, and this process
-    then does the with-block's work first. So once the with-block ends,
-    this process shares the last span with the child before it, which
-    counts the blocks it formats: it hands that child, through a pipe,
-    the leading whole blocks of the last span that even out what the two
-    have left, since both format a block in about the same time, and no
-    fixed split could know how long the run's end and the with-block
-    take. The child goes on straight after its own span, so it reads
-    rounds filled after its fork: ``trace.times`` must then be _shared,
-    or filled before it. This process formats the rest into a temporary
-    file, then appends, in span order, each child's file and its own.
-    Each span fills one set of block buffers, made once for its largest
-    block (see _block_work). A cell's text depends on its value alone
-    (see _trace_block), so the bytes are the same for any number of
-    workers. A child that fails raises OSError here. With one worker,
-    this process formats every round before the with-block."""
+    run goes on, reading only its copy of ``trace.times`` as it was at the
+    fork: the first straight into the new file that replaces ``path`` (see
+    _replacing), after the header, and each later one into an unlinked
+    temporary file in ``path``'s directory. The last span is final only
+    when ``progress`` ends: once the with-block ends, this process formats
+    it into a temporary file, then appends, in span order, each child's
+    file and its own. Each span fills one set of block buffers, made once
+    for its largest block (see _block_work). A cell's text depends on its
+    value alone (see _trace_block), so the bytes are the same for any
+    number of workers. A child that fails raises OSError here. With one
+    worker, this process formats every round before the with-block."""
     n = trace.times.shape[1]
     nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
@@ -842,29 +827,17 @@ def _trace_written(trace: RunTrace, progress, path):
     ends = [min(rounds, w * blocks // workers * step)
             for w in range(workers + 1)]
     directory = os.path.dirname(os.path.abspath(path))
-    targets = None  # what a child forked now reads: final in its span
-    last = workers - 1  # the child that shares the last span
-    # _shared: how many blocks the last child has formatted, then the
-    # flagged rounds of the last span; and the pipe that tells it its share
-    shared = share = None
+    targets = None  # what span reads; at a child's fork, final in its span
 
-    def span(r0, r1, fh, targets, count=False):
+    def span(r0, r1, fh):
         work = _block_work(min(step, r1 - r0), n, r1 - 1, nodes.shape[1])
         for a in range(r0, r1, step):
             b = min(a + step, rounds)
             fh.write(_trace_block(trace.times[a:b], *_derived(trace, a, b),
                                   targets, nodes, a, work))
-            if count:
-                shared[0] += 1
 
     def child(w, part):
-        if w < last:
-            span(ends[w - 1], ends[w], part, targets)
-            return
-        os.close(share[1])  # so that this process's exit ends the pipe
-        span(ends[w - 1], ends[w], part, targets, count=True)
-        end = int.from_bytes(os.read(share[0], 8), "little")
-        span(ends[w], max(end, ends[w]), part, shared[1:])
+        span(ends[w - 1], ends[w], part)
 
     with _replacing(path, "wb") as fh, contextlib.ExitStack() as stack:
         fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
@@ -874,26 +847,15 @@ def _trace_written(trace: RunTrace, progress, path):
         for filled, targets in progress:
             while w < workers and filled >= min(rounds,
                                                 ends[w] + _LOOKAHEAD):
-                if w == last:
-                    shared, share = _shared((1 + n,), np.int64), os.pipe()
-                    for fd in share:
-                        stack.callback(os.close, fd)
                 start(fh if w == 1 else None)
                 w += 1
         if workers == 1:
-            span(0, rounds, fh, targets)
+            span(0, rounds, fh)
             yield targets
             return
         yield targets
-        # the leading whole blocks of the last span that even out what the
-        # last child and this process have left to format
-        left = len(range(ends[last - 1], ends[last], step)) - int(shared[0])
-        extra = max(0, (len(range(ends[last], rounds, step)) - left) // 2)
-        end = min(rounds, ends[last] + extra * step)
-        shared[1:] = targets
-        os.write(share[1], end.to_bytes(8, "little"))  # held open here
         own = stack.enter_context(tempfile.TemporaryFile(dir=directory))
-        span(end, rounds, own, targets)
+        span(ends[-2], rounds, own)
         own.seek(0)
         for part in (*reaped(), own):
             if part is fh:  # the first child wrote through the shared offset

@@ -746,7 +746,7 @@ def test_bad_input_refused_in_one_line(tmp_path, capsys, argv, code):
 
 def test_rounds_past_any_array_exit2(tmp_path, capsys):
     # more rounds than an array can index are out of memory, in one line:
-    # the run's clocks are a shared mapping, which cannot be that large
+    # no array of the run's clocks can be that large
     assert run_cli("simulate", "--rounds", "10000000000000000000",
                    "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err

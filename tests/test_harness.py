@@ -1266,15 +1266,16 @@ def test_run_failing_after_the_fork_kills_the_children(
     assert os.listdir(tmp_path) == []
 
 
-def test_last_span_shared_to_even_out(monkeypatch, tmp_path):
-    # two workers, 10 rounds a block on 15 nodes: the child formats rounds
-    # 0..89, and this process waits in the with-block until it has. The
-    # child then has nothing left, so it is handed the leading 5 of the
-    # last span's 10 blocks, rounds 90..139, which hold flagged rounds
-    # found after its fork, and this process formats rounds 140..180; the
-    # bytes are those of one process
+@pytest.mark.parametrize("workers, ends", [(2, [0, 90, 181]),
+                                           (3, [0, 60, 120, 181])])
+def test_each_child_formats_its_span_and_this_process_the_last(
+        monkeypatch, tmp_path, workers, ends):
+    # 10 rounds a block on 15 nodes, 19 blocks: child w formats rounds
+    # ends[w - 1]..ends[w] - 1 and no more, even though this process waits
+    # in the with-block until every child has, and this process formats
+    # the whole last span; the bytes are those of one process
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
-    _force_workers(monkeypatch, 2)
+    _force_workers(monkeypatch, workers)
     log, real_block = tmp_path / "blocks", harness._trace_block
     log.write_text("")
 
@@ -1284,29 +1285,41 @@ def test_last_span_shared_to_even_out(monkeypatch, tmp_path):
             fh.write(f"{os.getpid()} {args[5]}\n")
         return out
 
-    def rounds(mine):
-        rows = [line.split() for line in log.read_text().splitlines()]
-        return sorted(int(r0) for pid, r0 in rows
-                      if (int(pid) == os.getpid()) == mine)
+    def rounds():
+        by_pid = {}
+        for pid, r0 in (line.split() for line in log.read_text().splitlines()):
+            by_pid.setdefault(int(pid), []).append(int(r0))
+        return by_pid
 
     monkeypatch.setattr(harness, "_trace_block", block)
     cfg = SimConfig(**{**REFERENCE, "n_max": 180})
-    with harness._run_writing_trace(cfg, tmp_path / "trace.csv") as trace:
+    with harness._run_writing_trace(cfg, tmp_path / "trace.csv"):
         deadline = time.monotonic() + 30
-        while len(rounds(False)) < 9 and time.monotonic() < deadline:
+        while (sum(map(len, rounds().values())) < ends[-2] // 10
+               and time.monotonic() < deadline):
             time.sleep(0.01)
-        time.sleep(0.5)  # its count follows its last block's write
-    # 130 where its ninth block was not yet counted: one left, 4 handed
-    end = min(rounds(True))
-    assert end in (130, 140)
-    assert rounds(False) == list(range(0, end, 10))
-    assert rounds(True) == list(range(end, 181, 10))
-    assert ((trace._targets >= 90) & (trace._targets < 130)).any()
+        time.sleep(0.5)  # room for a child to go on past its span
+    by_pid = rounds()
+    assert by_pid.pop(os.getpid()) == list(range(ends[-2], 181, 10))
+    assert sorted(map(sorted, by_pid.values())) == [
+        list(range(r0, r1, 10)) for r0, r1 in zip(ends, ends[1:-1])]
     monkeypatch.setattr(harness, "_trace_block", real_block)
     _force_workers(monkeypatch, 1)
     write_trace_csv(run(cfg), tmp_path / "one.csv")
     assert ((tmp_path / "trace.csv").read_bytes()
             == (tmp_path / "one.csv").read_bytes())
+
+
+def test_clocks_past_any_array_raise_memory_error():
+    # more rounds than an array can index: MemoryError, as for rounds past
+    # the memory, before anything is allocated or evolved
+    cfg = SimConfig(topology=GRID, n_max=10 ** 19)
+
+    def fails():
+        with pytest.raises(MemoryError):
+            run(cfg)
+
+    assert _traced_peak(fails)[1] < 1 << 16
 
 
 def _count_forks(monkeypatch):
