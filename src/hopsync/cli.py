@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
+import re
 import signal
 import sys
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -26,7 +28,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from .detector import DetectorConfig
 from .dynamics import NotConvergent, steady_state_error
 from .harness import (ConfigInvalid, SimConfig, _default_init_max,
-                      _replacing_all, _run_writing_trace, scaling_sweep,
+                      _replacing_all, _writing_trace, run, scaling_sweep,
                       summarize, write_summary_csv, write_sweep_csv)
 from .model import generate_topology, has_spanning_path
 
@@ -167,6 +169,24 @@ def _refuse_disconnected() -> int:
     return EXIT_DISCONNECTED
 
 
+def _flag_spelled(message: str, cfg: dict) -> str:
+    """``message``, a library check's on SimConfig or DetectorConfig fields,
+    with each field named by its flag in _OPTIONS: n_max as --rounds, c_f
+    as --cf, any other with '-' for '_'. An init-max of 100 * delta-t, as
+    by default, is named with --delta-t too."""
+    fields = {f.name for cls in (SimConfig, DetectorConfig)
+              for f in dataclasses.fields(cls)}
+    flags = {}
+    for opt in _OPTIONS:
+        name = {"rounds": "n_max", "cf": "c_f"}.get(
+            opt.key, opt.key.replace("-", "_"))
+        if name in fields:
+            flags[name] = f"--{opt.key}"
+    if cfg["init-max"] == _default_init_max(cfg["delta-t"]):
+        flags["init_max"] += " (100 * --delta-t)"
+    return re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), message)
+
+
 def _sim_config(cfg: dict, topo) -> SimConfig:
     try:
         det = DetectorConfig(c_f=cfg["cf"], k_guard=cfg["k-guard"])
@@ -175,7 +195,7 @@ def _sim_config(cfg: dict, topo) -> SimConfig:
                          init_min=cfg["init-min"], init_max=cfg["init-max"],
                          detector=det, halt_on_detect=cfg["halt-on-detect"])
     except (ConfigInvalid, ValueError) as err:
-        raise CliError(str(err))
+        raise CliError(_flag_spelled(str(err), cfg))
 
 
 def _num(v) -> str:
@@ -221,9 +241,9 @@ def _cmd_simulate(cfg: dict) -> int:
               "the gateway", file=sys.stderr)
     out = [os.path.join(cfg["out"], f) for f in ("trace.csv", "summary.csv")]
     with _writing(cfg["out"]), _replacing_all(out) as (trace_csv, summary_csv):
-        # forked children format trace.csv while the run evolves and while
-        # this block makes the summary
-        with _run_writing_trace(sim, trace_csv) as trace:
+        trace = run(sim)
+        # forked children format trace.csv while this block makes the summary
+        with _writing_trace(trace, trace_csv):
             summaries = summarize(trace)
             write_summary_csv(summaries, summary_csv)
     _print_summary(summaries)
@@ -244,7 +264,7 @@ def _cmd_steady_state(cfg: dict) -> int:
         print(f"steady state not solvable: {err}", file=sys.stderr)
         return EXIT_NOT_CONVERGENT
     except ValueError as err:
-        raise CliError(str(err))
+        raise CliError(_flag_spelled(str(err), cfg))
     print(", ".join(_num(v) for v in result.ess))
     return EXIT_OK
 

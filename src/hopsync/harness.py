@@ -111,7 +111,8 @@ class SimConfig:
 class RunTrace:
     """Complete run record: the clocks and the detection events.
 
-    times is an (n_max + 1, N) array indexed by round then node, and each
+    times is an (n_max + 1, N) float64 array indexed by round then node,
+    taken as np.asarray gives it (ValueError unless it is 2-D), and each
     event's node and target round must index it; a node has at most one
     event, its first flip (ValueError otherwise). Every reader of a finished
     run reads the events as _targets, a read-only int array of each node's
@@ -127,7 +128,12 @@ class RunTrace:
     events: Tuple[DetectionEvent, ...]
 
     def __post_init__(self):
-        rows, n = self.times.shape
+        times = np.asarray(self.times, dtype=np.float64)
+        if times.ndim != 2:
+            raise ValueError(f"times must be a 2-D array of rounds by nodes, "
+                             f"not {times.ndim}-D")
+        object.__setattr__(self, "times", times)
+        rows, n = times.shape
         targets = np.full(n, -1, dtype=np.int64)
         for e in self.events:  # DetectionEvent checks both are >= 0
             if not (e.node_id < n and e.target_round < rows):
@@ -201,53 +207,20 @@ def run(cfg: SimConfig) -> RunTrace:
     """Evolve the system for cfg.n_max rounds and run every node's detector.
 
     Deterministic for a fixed config. A disconnected topology is simulated
-    anyway: nodes the gateway does not reach never hear the reference.
+    anyway: nodes the gateway does not reach never hear the reference. The
+    clocks are filled a block of rounds at a time (see _rounds); too many
+    rounds for any array raise MemoryError, as too many for memory do.
     """
-    times = _clocks(cfg)
-    for _, first in _filling(cfg, times):
-        pass
-    return _finished(cfg, times, first)
-
-
-@contextlib.contextmanager
-def _run_writing_trace(cfg: SimConfig, path):
-    """run(cfg), with write_trace_csv of it to ``path`` formatted while the
-    run evolves (see _trace_written). The with-block is given run(cfg)'s
-    RunTrace as soon as the run is done, and does its own work while forked
-    children still format; ``path`` is complete once it ends. The bytes are
-    write_trace_csv's, for any number of CPUs."""
-    times = _clocks(cfg)
-    with _trace_written(RunTrace(config=cfg, times=times, events=()),
-                        _filling(cfg, times), path) as first:
-        yield _finished(cfg, times, first)
-
-
-def _clocks(cfg: SimConfig) -> np.ndarray:
-    """An empty (n_max + 1, N) array for cfg's clocks. Too many for any
-    array raises MemoryError, as too many for memory does."""
     shape = (cfg.n_max + 1, cfg.topology.node_count)
     try:
-        return np.empty(shape)
+        times = np.empty(shape)
     except ValueError as err:  # more values than an array can index
         raise MemoryError(f"cannot allocate {shape[0]} x {shape[1]} clocks: "
                           f"{err}") from err
-
-
-def _filling(cfg: SimConfig, times: np.ndarray):
-    """Fill ``times``, an (n_max + 1, N) array, with cfg's clocks a block of
-    rounds at a time (see _rounds). After each block, yields (filled,
-    first): rounds 0..filled-1 are in ``times``, and first holds each
-    node's first polarity flip found so far, -1 where none. A flip at round
-    m is found once rounds up to m + _LOOKAHEAD are filled, and never
-    changes after."""
     for r0, clocks, _, first in _rounds(cfg, [cfg.seed], _TRACE_BLOCK_ROWS,
                                         detect=True):
         times[r0:r0 + len(clocks)] = clocks[:, 0]
-        yield r0 + len(clocks), first[0]
-
-
-def _finished(cfg: SimConfig, times: np.ndarray, first) -> RunTrace:
-    """The RunTrace of a filled ``times`` and each node's first flip."""
+    first = first[0]
     events = tuple(
         DetectionEvent(node_id=int(i), target_round=int(m),
                        frozen_time=float(times[m + _LOOKAHEAD, i]))
@@ -664,29 +637,25 @@ def _one_line(exc: BaseException) -> str:
 @contextlib.contextmanager
 def _forked(work, directory=None):
     """Children w = 1, 2, ..., forked in that order, each when the
-    with-block calls start(part=None). Child w calls work(w, part), where
-    ``part`` is the binary file given or else an unlinked temporary one in
-    ``directory`` (None: the default temporary directory), and leaves
-    through os._exit: status 0 once work has returned and part is flushed,
-    1 on any exception, whose _one_line it first writes to a pipe that
-    this process reads. The with-block is given (start, reaped) and does
-    this process's own share. reaped() reaps each child started, in order
-    of w, and yields its part if it exited 0: a temporary part rewound, a
-    given one as the child left it. Otherwise it raises OSError naming the
-    child's exception, or its exit status where it wrote none. Whatever
-    ends the with-block, an exception or parts left unread, every child
-    not yet reaped is killed (SIGKILL) and reaped, and every pipe and
-    temporary part is closed."""
-    children = []  # (pid, part, own, cause) of each child not yet reaped
+    with-block calls start(). Child w calls work(w, part), where ``part``
+    is an unlinked temporary binary file in ``directory`` (None: the
+    default temporary directory), and leaves through os._exit: status 0
+    once work has returned and part is flushed, 1 on any exception, whose
+    _one_line it first writes to a pipe that this process reads. The
+    with-block is given (start, reaped) and does this process's own share.
+    reaped() reaps each child started, in order of w, and yields its part
+    rewound if it exited 0; otherwise it raises OSError naming the child's
+    exception, or its exit status where it wrote none. Whatever ends the
+    with-block, an exception or parts left unread, every child not yet
+    reaped is killed (SIGKILL) and reaped, and every pipe and part is
+    closed."""
+    children = []  # (pid, part, cause) of each child not yet reaped
     started = 0
 
     with contextlib.ExitStack() as stack:
-        def start(part=None):
+        def start():
             nonlocal started
-            own = part is None
-            if own:
-                part = stack.enter_context(
-                    tempfile.TemporaryFile(dir=directory))
+            part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
             read, write = os.pipe()
             cause = stack.enter_context(open(read, "rb"))
             try:
@@ -706,19 +675,18 @@ def _forked(work, directory=None):
             finally:
                 os.close(write)  # the child's exit alone ends the pipe
             started += 1
-            children.append((pid, part, own, cause))
+            children.append((pid, part, cause))
 
         def reaped():
             while children:
-                pid, part, own, cause = children[0]
+                pid, part, cause = children[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del children[0]
                 if code != 0:
                     line = cause.read().decode(errors="replace")
                     raise OSError(f"worker {pid} failed: {line}" if line else
                                   f"worker {pid} exited with status {code}")
-                if own:
-                    part.seek(0)
+                part.seek(0)
                 yield part
 
         try:
@@ -782,42 +750,31 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     where the filter window is undefined; ``detected`` is 1 exactly at a
     node's flagged instant.
 
-    The writer of _run_writing_trace, given every round at once (see
-    _trace_written): the bytes are the same for any number of CPUs. A
+    The bytes are the same for any number of CPUs (see _writing_trace). A
     child that fails raises OSError here."""
-    with _trace_written(trace, [(trace.n_max + 1, trace._targets)], path):
+    with _writing_trace(trace, path):
         pass
 
 
 @contextlib.contextmanager
-def _trace_written(trace: RunTrace, progress, path):
-    """Write trace.csv of ``trace``'s config and times to ``path`` while
-    ``progress`` fills the times. The with-block is given the flagged
-    rounds once ``progress`` ends, and the file is complete when it ends.
-
-    ``progress`` yields (filled, targets) as _filling does: rounds
-    0..filled-1 of ``trace.times`` are final, and targets holds each
-    node's flagged round found so far, -1 where none (see RunTrace); a
-    finished trace is one item. trace's events are not read.
+def _writing_trace(trace: RunTrace, path):
+    """Write trace.csv of ``trace`` to ``path`` around the with-block, which
+    does its own work while forked children format; ``path`` is complete
+    once it ends. The events are read as trace._targets.
 
     Whole rounds are derived (see _derived), formatted and written a block
     at a time, so memory beyond ``trace.times`` stays near one block per
     process whatever the run length. The rounds split into one contiguous
-    span of whole blocks per worker (see _workers). Span w is final once
-    rounds up to its end + _LOOKAHEAD - 1 are filled: its filter outputs
-    are then defined and every flagged round in it is found. A forked
-    child (see _forked) formats each leading span from then on while the
-    run goes on, reading only its copy of ``trace.times`` as it was at the
-    fork: the first straight into the new file that replaces ``path`` (see
-    _replacing), after the header, and each later one into an unlinked
-    temporary file in ``path``'s directory. The last span is final only
-    when ``progress`` ends: once the with-block ends, this process formats
-    it into a temporary file, then appends, in span order, each child's
-    file and its own. Each span fills one set of block buffers, made once
-    for its largest block (see _block_work). A cell's text depends on its
-    value alone (see _trace_block), so the bytes are the same for any
-    number of workers. A child that fails raises OSError here. With one
-    worker, this process formats every round before the with-block."""
+    span of whole blocks per worker (see _workers). Before the with-block,
+    a forked child (see _forked) starts on each span w >= 1, formatting it
+    into an unlinked temporary file in ``path``'s directory. Once the
+    with-block ends, this process writes the header and span 0 straight
+    into the new file that replaces ``path`` (see _replacing), then
+    appends, in span order, each child's file. Each span fills one set of
+    block buffers, made once for its largest block (see _block_work). A
+    cell's text depends on its value alone (see _trace_block), so the
+    bytes are the same for any number of workers. A child that fails
+    raises OSError here."""
     n = trace.times.shape[1]
     nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
@@ -826,41 +783,24 @@ def _trace_written(trace: RunTrace, progress, path):
     workers = _workers(blocks)
     ends = [min(rounds, w * blocks // workers * step)
             for w in range(workers + 1)]
-    directory = os.path.dirname(os.path.abspath(path))
-    targets = None  # what span reads; at a child's fork, final in its span
 
-    def span(r0, r1, fh):
+    def span(w, fh):
+        r0, r1 = ends[w], ends[w + 1]
         work = _block_work(min(step, r1 - r0), n, r1 - 1, nodes.shape[1])
         for a in range(r0, r1, step):
             b = min(a + step, rounds)
             fh.write(_trace_block(trace.times[a:b], *_derived(trace, a, b),
-                                  targets, nodes, a, work))
+                                  trace._targets, nodes, a, work))
 
-    def child(w, part):
-        span(ends[w - 1], ends[w], part)
-
-    with _replacing(path, "wb") as fh, contextlib.ExitStack() as stack:
-        fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
-        fh.flush()  # a child must not inherit unwritten bytes
-        start, reaped = stack.enter_context(_forked(child, directory))
-        w = 1  # the next child to start, for span w - 1
-        for filled, targets in progress:
-            while w < workers and filled >= min(rounds,
-                                                ends[w] + _LOOKAHEAD):
-                start(fh if w == 1 else None)
-                w += 1
-        if workers == 1:
-            span(0, rounds, fh)
-            yield targets
-            return
-        yield targets
-        own = stack.enter_context(tempfile.TemporaryFile(dir=directory))
-        span(ends[-2], rounds, own)
-        own.seek(0)
-        for part in (*reaped(), own):
-            if part is fh:  # the first child wrote through the shared offset
-                fh.seek(0, os.SEEK_END)
-            else:
+    with _forked(span, os.path.dirname(os.path.abspath(path))) as (start,
+                                                                   reaped):
+        for _ in range(1, workers):
+            start()
+        yield
+        with _replacing(path, "wb") as fh:
+            fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
+            span(0, fh)
+            for part in reaped():
                 shutil.copyfileobj(part, fh)
 
 

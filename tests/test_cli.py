@@ -176,7 +176,9 @@ def test_terminated_write_leaves_no_file(tmp_path):
                     break
                 time.sleep(0.05)
             assert stalled.exists()
-            assert [p.endswith(".tmp") for p in os.listdir(out)] == [True]
+            # trace.csv's new file, and summary.csv's, written before it
+            names = os.listdir(out)
+            assert names and all(p.endswith(".tmp") for p in names)
             proc.send_signal(signal.SIGTERM)
             _, err = proc.communicate(timeout=60)
         finally:
@@ -647,7 +649,37 @@ def test_failed_summary_leaves_both_earlier_files(tmp_path, monkeypatch,
 def test_negative_delta_t_flag_is_refused_by_config(capsys):
     assert run_cli("simulate", "--delta-t", "-1e-3") == 2
     assert capsys.readouterr().err == \
-        "error: delta_t must be positive and finite\n"
+        "error: --delta-t must be positive and finite\n"
+
+
+# a value the library refuses is named by its flag, not by the library
+# field: a default init-max of 100 * delta-t names the --delta-t it came from
+_FLAG_NAMED = [
+    (["simulate", "--rounds", "10"],
+     "--rounds must be at least --k-guard + 7"),
+    (["simulate", "--k-guard", "-1"], "--k-guard must be a nonnegative integer"),
+    (["simulate", "--cf", "2"], "--cf must lie in [0.95, 1.05]"),
+    (["simulate", "--delta-t", "0"], "--delta-t must be positive and finite"),
+    (["simulate", "--init-min", "5", "--init-max", "1"],
+     "--init-min must not exceed --init-max"),
+    (["simulate", "--init-max", "inf"],
+     "--init-min and --init-max must be finite"),
+    (["simulate", "--delta-t", "1e308"],
+     "--init-min and --init-max (100 * --delta-t) must be finite"),
+    (["sweep", "--sizes", "2x2", "--rounds", "10"],
+     "--rounds must be at least --k-guard + 7"),
+    (["steady-state", "--delta-t", "0"],
+     "--delta-t must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _FLAG_NAMED,
+                         ids=[" ".join(a) for a, _ in _FLAG_NAMED])
+def test_refused_value_named_by_its_flag(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_number_option_without_a_value_still_exits2(capsys):

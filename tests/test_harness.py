@@ -204,6 +204,20 @@ def test_run_trace_refuses_a_repeated_node():
     assert replace(tr, events=twice[:1]).events == twice[:1]
 
 
+def test_run_trace_takes_times_as_a_float_array():
+    # a nested list is the array it spells; times of any other rank than
+    # rounds by nodes are refused by name
+    cfg = SimConfig(topology=line_topology(3), n_max=20)
+    tr = run(cfg)
+    listed = RunTrace(config=cfg, times=tr.times.tolist(), events=tr.events)
+    assert listed.times.dtype == np.float64
+    assert np.array_equal(listed.times, tr.times)
+    assert summarize(listed) == summarize(tr)
+    for times in (tr.times[:, 0], tr.times[None]):
+        with pytest.raises(ValueError, match="times must be a 2-D array"):
+            RunTrace(config=cfg, times=times, events=())
+
+
 def test_disconnected_flagged_but_simulated():
     topo = Topology(node_count=3, edges=((0, 3), (1, 2)))
     cfg = SimConfig(topology=topo, n_max=50)
@@ -1067,18 +1081,18 @@ def test_short_trace_never_forks(monkeypatch):
     assert _same_bytes_as_oracle(run(SimConfig(**REFERENCE)))
 
 
-def _fail_blocks(monkeypatch, upto, exc):
-    """Two workers, 10 rounds a block on 15 nodes, so that a child formats
-    rounds 0..249 of a 501-round trace and this process rounds 250..500,
-    and a _trace_block that raises ``exc`` for the blocks of rounds below
-    ``upto``: at 250 the child's alone, and at 0 every block. Returns the
-    list the pid of every child forked is appended to."""
+def _fail_blocks(monkeypatch, since, exc):
+    """Two workers, 10 rounds a block on 15 nodes, so that this process
+    formats rounds 0..249 of a 501-round trace and a child rounds 250..500,
+    and a _trace_block that raises ``exc`` for the blocks of rounds from
+    ``since`` on: at 250 the child's alone, and at 0 every block. Returns
+    the list the pid of every child forked is appended to."""
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
     _force_workers(monkeypatch, 2)
     real_block, real_fork, pids = harness._trace_block, harness._fork, []
 
     def block(times, errors, filter_outputs, targets, nodes, r0, work):
-        if r0 < upto or upto == 0:
+        if r0 >= since:
             raise exc
         return real_block(times, errors, filter_outputs, targets, nodes, r0,
                           work)
@@ -1101,7 +1115,7 @@ def _assert_reaped(pids):
 
 
 def test_failing_child_raises_oserror_and_is_reaped(monkeypatch, tmp_path):
-    # 501 rounds in 51 blocks: the child formats rounds 0..249
+    # 501 rounds in 51 blocks: the child formats rounds 250..500
     tr = run(SimConfig(**REFERENCE))
     pids = _fail_blocks(monkeypatch, 250, RuntimeError("child fails"))
     with pytest.raises(OSError, match="worker .* RuntimeError: child fails"):
@@ -1132,20 +1146,20 @@ def test_cli_failing_child_exits_2(monkeypatch, tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("upto, exc", [
+@pytest.mark.parametrize("since, exc", [
     (250, RuntimeError("child fails")),
     (0, KeyError("parent fails")),
     (250, KeyboardInterrupt()),
     (0, KeyboardInterrupt()),
 ])
 def test_failed_write_leaves_the_earlier_file(monkeypatch, tmp_path,
-                                              upto, exc):
+                                              since, exc):
     # a write that fails or is interrupted, in the parent or in a child,
     # leaves neither a truncated trace.csv nor its own temporary file
     tr = run(SimConfig(**REFERENCE))
     path = tmp_path / "trace.csv"
     path.write_bytes(b"an earlier run\r\n")
-    pids = _fail_blocks(monkeypatch, upto, exc)
+    pids = _fail_blocks(monkeypatch, since, exc)
     with pytest.raises((OSError, type(exc))):
         write_trace_csv(tr, path)
     _assert_reaped(pids)
@@ -1153,13 +1167,13 @@ def test_failed_write_leaves_the_earlier_file(monkeypatch, tmp_path,
     assert path.read_bytes() == b"an earlier run\r\n"
 
 
-@pytest.mark.parametrize("upto, exc, code, err", [
+@pytest.mark.parametrize("since, exc, code, err", [
     (250, RuntimeError("child fails"), 2, "error: cannot write output"),
     (0, KeyboardInterrupt(), 130, "error: interrupted\n"),
 ])
 def test_cli_failed_write_leaves_no_file(monkeypatch, tmp_path, capsys,
-                                         upto, exc, code, err):
-    pids = _fail_blocks(monkeypatch, upto, exc)
+                                         since, exc, code, err):
+    pids = _fail_blocks(monkeypatch, since, exc)
     assert main(["simulate", "--topology", "grid:4x4", "--rounds", "500",
                  "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err.startswith(err)
@@ -1192,11 +1206,11 @@ def _placed_rounds(probe, workers, step, d):
 @example(workers=3, step=2, p=0.3, halt=False, seed=2, d=-2)
 def test_cli_outputs_equal_the_one_process_writer(workers, step, p, halt,
                                                   seed, d):
-    # simulate's trace.csv, formatted while the run evolves by any number
-    # of workers in blocks of any length, and its summary.csv are the
-    # bytes of write_trace_csv and write_summary_csv of run() in one
-    # process; where a flagged round lies at the first split minus one, at
-    # it or two past it, the child forked for the first span flags it
+    # simulate's trace.csv, formatted by any number of workers in blocks
+    # of any length, and its summary.csv are the bytes of write_trace_csv
+    # and write_summary_csv of run() in one process; a flagged round is
+    # placed at the first split minus one, at it or two past it, where its
+    # filter window straddles two spans
     topo = generate_topology("grid:3x3")
     cfg = SimConfig(topology=topo, n_max=120, p=p, seed=seed,
                     halt_on_detect=halt)
@@ -1233,47 +1247,38 @@ def test_cli_outputs_equal_the_one_process_writer(workers, step, p, halt,
     (MemoryError(), 2, "error: out of memory"),
     (KeyboardInterrupt(), 130, "error: interrupted\n"),
 ])
-def test_run_failing_after_the_fork_kills_the_children(
+def test_run_failing_forks_nothing_and_leaves_no_file(
         monkeypatch, tmp_path, capsys, exc, code, err):
-    # the child for rounds 0..249 is forked once rounds up to 252 are
-    # filled and stalls; the run then fails: the child is killed and
-    # reaped at once, and no file is left, temporary or not
+    # the run is done before the writer forks: one that fails ends the
+    # command with no child started and no file left, temporary or not
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
     _force_workers(monkeypatch, 2)
-    pids = _count_forks(monkeypatch)
-    parent, real_block, real_rounds = os.getpid(), harness._trace_block, \
-        harness.run_rounds
+    real_rounds = harness.run_rounds
 
-    def block(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return real_block(*args)
+    def no_fork():
+        raise AssertionError("forked before the run was done")
 
     def evolve(t, eu, ev, masks, dt, round0):
         if round0 >= 300:
             raise exc
         return real_rounds(t, eu, ev, masks, dt, round0=round0)
 
-    monkeypatch.setattr(harness, "_trace_block", block)
+    monkeypatch.setattr(harness, "_fork", no_fork)
     monkeypatch.setattr(harness, "run_rounds", evolve)
-    start = time.monotonic()
     assert main(["simulate", "--topology", "grid:4x4", "--rounds", "500",
                  "--out", str(tmp_path)]) == code
-    assert time.monotonic() - start < 30
     assert capsys.readouterr().err.startswith(err)
-    assert len(pids) == 1
-    _assert_reaped(pids)
     assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("workers, ends", [(2, [0, 90, 181]),
                                            (3, [0, 60, 120, 181])])
-def test_each_child_formats_its_span_and_this_process_the_last(
+def test_each_child_formats_its_span_and_this_process_the_first(
         monkeypatch, tmp_path, workers, ends):
     # 10 rounds a block on 15 nodes, 19 blocks: child w formats rounds
-    # ends[w - 1]..ends[w] - 1 and no more, even though this process waits
-    # in the with-block until every child has, and this process formats
-    # the whole last span; the bytes are those of one process
+    # ends[w]..ends[w + 1] - 1 while this process waits in the with-block,
+    # which writes nothing to the file; once the block ends, this process
+    # formats rounds 0..ends[1] - 1; the bytes are those of one process
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
     _force_workers(monkeypatch, workers)
     log, real_block = tmp_path / "blocks", harness._trace_block
@@ -1293,19 +1298,22 @@ def test_each_child_formats_its_span_and_this_process_the_last(
 
     monkeypatch.setattr(harness, "_trace_block", block)
     cfg = SimConfig(**{**REFERENCE, "n_max": 180})
-    with harness._run_writing_trace(cfg, tmp_path / "trace.csv"):
+    trace = run(cfg)
+    with harness._writing_trace(trace, tmp_path / "trace.csv"):
         deadline = time.monotonic() + 30
-        while (sum(map(len, rounds().values())) < ends[-2] // 10
+        while (sum(map(len, rounds().values())) < (181 - ends[1] + 9) // 10
                and time.monotonic() < deadline):
             time.sleep(0.01)
         time.sleep(0.5)  # room for a child to go on past its span
+        assert os.getpid() not in rounds()
+        assert os.listdir(tmp_path) == ["blocks"]
     by_pid = rounds()
-    assert by_pid.pop(os.getpid()) == list(range(ends[-2], 181, 10))
+    assert by_pid.pop(os.getpid()) == list(range(0, ends[1], 10))
     assert sorted(map(sorted, by_pid.values())) == [
-        list(range(r0, r1, 10)) for r0, r1 in zip(ends, ends[1:-1])]
+        list(range(r0, r1, 10)) for r0, r1 in zip(ends[1:], ends[2:])]
     monkeypatch.setattr(harness, "_trace_block", real_block)
     _force_workers(monkeypatch, 1)
-    write_trace_csv(run(cfg), tmp_path / "one.csv")
+    write_trace_csv(trace, tmp_path / "one.csv")
     assert ((tmp_path / "trace.csv").read_bytes()
             == (tmp_path / "one.csv").read_bytes())
 
