@@ -170,12 +170,14 @@ def _refuse_disconnected() -> int:
 
 
 def _flag_spelled(message: str, cfg: dict) -> str:
-    """``message``, a library check's on SimConfig or DetectorConfig fields,
-    with each field named by its flag in _OPTIONS: n_max as --rounds, c_f
-    as --cf, any other with '-' for '_'. An init-max of 100 * delta-t, as
-    by default, is named with --delta-t too."""
-    fields = {f.name for cls in (SimConfig, DetectorConfig)
-              for f in dataclasses.fields(cls)}
+    """``message``, a library check's on SimConfig or DetectorConfig fields
+    or on scaling_sweep's seeds, with each named by its flag in _OPTIONS:
+    n_max as --rounds, c_f as --cf, any other with '-' for '_'. A name
+    right after a number counts things, as in "4294967296 seeds of the 2x2
+    grid", and stays a word. An init-max of 100 * delta-t, as by default,
+    is named with --delta-t too."""
+    fields = {"seeds"} | {f.name for cls in (SimConfig, DetectorConfig)
+                          for f in dataclasses.fields(cls)}
     flags = {}
     for opt in _OPTIONS:
         name = {"rounds": "n_max", "cf": "c_f"}.get(
@@ -184,7 +186,8 @@ def _flag_spelled(message: str, cfg: dict) -> str:
             flags[name] = f"--{opt.key}"
     if cfg["init-max"] == _default_init_max(cfg["delta-t"]):
         flags["init_max"] += " (100 * --delta-t)"
-    return re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), message)
+    return re.sub(r"(?<!\d )\b\w+", lambda m: flags.get(m[0], m[0]),
+                  message)
 
 
 def _sim_config(cfg: dict, topo) -> SimConfig:
@@ -299,7 +302,7 @@ def _cmd_sweep(cfg: dict) -> int:
         template = _sim_config(cfg, generate_topology(f"grid:{rows}x{cols}"))
         result = scaling_sweep(sizes, template, seeds=cfg["seeds"])
     except ValueError as err:
-        raise CliError(str(err))
+        raise CliError(_flag_spelled(str(err), cfg))
     except OSError as err:  # a forked worker failed (see scaling_sweep)
         raise CliError(f"sweep failed: {err}")
     with _writing(cfg["out"]):

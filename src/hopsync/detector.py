@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import _LOOKAHEAD, _WINDOW, filter_series
+from .kernels import _LOOKAHEAD, _WINDOW, _error, filter_series
 from .model import _check_period, _count
 
 
@@ -138,7 +138,8 @@ def detect(series, cfg: DetectorConfig, node_id: int = 0,
 
 
 def node_filter_input(clock_series, delta_t: float) -> np.ndarray:
-    """Rectified detrended series |t_i(n) - n*delta_t|, the detector input.
+    """Rectified detrended series |t_i(n) - n*delta_t|, the detector input:
+    |e| of kernels._error, so it has the bits of a run's |e|.
 
     A node computes this from its own clock, the exchange period, and its
     round counter. The error dip becomes a V-shaped extremum here, so the
@@ -150,8 +151,7 @@ def node_filter_input(clock_series, delta_t: float) -> np.ndarray:
     if t.ndim != 1:
         raise ValueError("clock series must be one-dimensional")
     _check_period(delta_t)
-    n = np.arange(t.shape[0], dtype=np.float64)
-    return np.abs(t - n * delta_t)
+    return np.abs(_error(delta_t, np.arange(t.shape[0]), t))
 
 
 class OnlineDetector:

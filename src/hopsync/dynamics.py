@@ -16,6 +16,7 @@ from typing import Union
 
 import numpy as np
 
+from .kernels import _error
 from .model import (SystemMatrices, Topology, _averaging_entries,
                     _check_period, _count, _hop_levels)
 
@@ -87,7 +88,7 @@ def step(state: ClockState, mats: SystemMatrices) -> ClockState:
 
 
 def error_of(state: ClockState) -> ErrorState:
-    return ErrorState(errors=state.delta_t * state.round - state.times)
+    return ErrorState(errors=_error(state.delta_t, state.round, state.times))
 
 
 def error_step(err: ErrorState, mats: SystemMatrices, delta_t: float) -> ErrorState:

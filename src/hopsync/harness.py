@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
-from .kernels import (_LOOKAHEAD, _TEXT_WIDTH, _WINDOW, _float_texts,
+from .kernels import (_LOOKAHEAD, _TEXT_WIDTH, _WINDOW, _error, _float_texts,
                       filter_series, run_rounds)
 from .model import (_INIT_STREAM, _MAX_LINKS, Topology, _check_period,
                     _check_probability, _count, _whole, effective_matrices,
@@ -228,13 +228,6 @@ def run(cfg: SimConfig) -> RunTrace:
     return RunTrace(config=cfg, times=times, events=events)
 
 
-def _error(dt: float, rounds, clocks) -> np.ndarray:
-    """The error e = dt*r - t of ``clocks`` at ``rounds`` (broadcast against
-    ``clocks``): the one place it is written, so every reader of a run's
-    error gets the same bits."""
-    return dt * np.float64(rounds) - clocks
-
-
 def _derived(trace: RunTrace, r0: int, r1: int):
     """Rounds r0..r1-1 of ``trace``'s errors and filter outputs, as
     (r1 - r0, N) arrays read from times[max(0, r0 - 3):r1 + 3] alone.
@@ -267,8 +260,8 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     where none), as in detector._first_flips, found in the filter of |e|;
     without it first stays -1. The last six |e| rows and each column's
     polarity are carried between blocks, so no output depends on the block
-    length. The detector input |t - n*delta_t| is |e|: the two differences
-    are exact negatives.
+    length. The detector input (see detector.node_filter_input) is this
+    |e|.
 
     A halting run (it needs ``detect``) steps one round per block. A node
     halts at the round its detector fires (the last sample of the window
@@ -464,12 +457,10 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
             part.write(_min_error_instants(configs[i], runs).astype(
                 np.int64).tobytes())
 
-    with _forked(evolve) as (start, reaped):
-        for _ in shares[1:]:
-            start()
+    with _forked(evolve, len(shares) - 1) as reaped:
         for i in shares[0]:
             instants[i] = _min_error_instants(configs[i], runs)
-        for w, part in enumerate(reaped(), 1):
+        for w, part in enumerate(reaped, 1):
             for i in shares[w]:
                 n = configs[i].topology.node_count
                 instants[i] = np.frombuffer(part.read(8 * seeds * n),
@@ -635,64 +626,61 @@ def _one_line(exc: BaseException) -> str:
 
 
 @contextlib.contextmanager
-def _forked(work, directory=None):
-    """Children w = 1, 2, ..., forked in that order, each when the
-    with-block calls start(). Child w calls work(w, part), where ``part``
-    is an unlinked temporary binary file in ``directory`` (None: the
-    default temporary directory), and leaves through os._exit: status 0
-    once work has returned and part is flushed, 1 on any exception, whose
-    _one_line it first writes to a pipe that this process reads. The
-    with-block is given (start, reaped) and does this process's own share.
-    reaped() reaps each child started, in order of w, and yields its part
-    rewound if it exited 0; otherwise it raises OSError naming the child's
+def _forked(work, children: int, directory=None):
+    """Children w = 1..``children``, forked in that order as the with-block
+    is entered. Child w calls work(w, part), where ``part`` is an unlinked
+    temporary binary file in ``directory`` (None: the default temporary
+    directory), and leaves through os._exit: status 0 once work has
+    returned and part is flushed, 1 on any exception, whose _one_line it
+    first writes to a pipe that this process reads. The with-block, given
+    the iterator ``reaped``, does this process's own share while they run.
+    ``reaped`` reaps each child in order of w and yields its part rewound
+    if it exited 0; otherwise it raises OSError naming the child's
     exception, or its exit status where it wrote none. Whatever ends the
-    with-block, an exception or parts left unread, every child not yet
-    reaped is killed (SIGKILL) and reaped, and every pipe and part is
-    closed."""
-    children = []  # (pid, part, cause) of each child not yet reaped
-    started = 0
+    with-block, a failed fork, an exception or parts left unread, every
+    child not yet reaped is killed (SIGKILL) and reaped, and every pipe and
+    part is closed."""
+    live = []  # (pid, part, cause) of each child not yet reaped
+
+    def reaped():
+        while live:
+            pid, part, cause = live[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del live[0]
+            if code != 0:
+                line = cause.read().decode(errors="replace")
+                raise OSError(f"worker {pid} failed: {line}" if line else
+                              f"worker {pid} exited with status {code}")
+            part.seek(0)
+            yield part
 
     with contextlib.ExitStack() as stack:
-        def start():
-            nonlocal started
-            part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
-            read, write = os.pipe()
-            cause = stack.enter_context(open(read, "rb"))
-            try:
-                pid = _fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        work(started + 1, part)
-                        part.flush()
-                        code = 0
-                    except BaseException as exc:
-                        with contextlib.suppress(BaseException):
-                            os.set_blocking(write, False)  # never wait
-                            os.write(write, _one_line(exc).encode())
-                    finally:
-                        os._exit(code)
-            finally:
-                os.close(write)  # the child's exit alone ends the pipe
-            started += 1
-            children.append((pid, part, cause))
-
-        def reaped():
-            while children:
-                pid, part, cause = children[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if code != 0:
-                    line = cause.read().decode(errors="replace")
-                    raise OSError(f"worker {pid} failed: {line}" if line else
-                                  f"worker {pid} exited with status {code}")
-                part.seek(0)
-                yield part
-
         try:
-            yield start, reaped
+            for w in range(1, children + 1):
+                part = stack.enter_context(
+                    tempfile.TemporaryFile(dir=directory))
+                read, write = os.pipe()
+                cause = stack.enter_context(open(read, "rb"))
+                try:
+                    pid = _fork()
+                    if pid == 0:
+                        code = 1
+                        try:
+                            work(w, part)
+                            part.flush()
+                            code = 0
+                        except BaseException as exc:
+                            with contextlib.suppress(BaseException):
+                                os.set_blocking(write, False)  # never wait
+                                os.write(write, _one_line(exc).encode())
+                        finally:
+                            os._exit(code)
+                finally:
+                    os.close(write)  # the child's exit alone ends the pipe
+                live.append((pid, part, cause))
+            yield reaped()
         finally:
-            for pid, *_ in children:
+            for pid, *_ in live:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -792,15 +780,13 @@ def _writing_trace(trace: RunTrace, path):
             fh.write(_trace_block(trace.times[a:b], *_derived(trace, a, b),
                                   trace._targets, nodes, a, work))
 
-    with _forked(span, os.path.dirname(os.path.abspath(path))) as (start,
-                                                                   reaped):
-        for _ in range(1, workers):
-            start()
+    with _forked(span, workers - 1,
+                 os.path.dirname(os.path.abspath(path))) as reaped:
         yield
         with _replacing(path, "wb") as fh:
             fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
             span(0, fh)
-            for part in reaped():
+            for part in reaped:
                 shutil.copyfileobj(part, fh)
 
 

@@ -1,10 +1,10 @@
-"""The NumPy hot kernels: round evolution, the seven-tap filter and the
-float formatting of trace.csv.
+"""The NumPy hot kernels: round evolution, the error, the seven-tap filter
+and the float formatting of trace.csv.
 
-Every run, sweep and detector calls the first two, so their floating-point
-results define the simulator's output bytes. The reference paths
-(dynamics.step, dynamics.error_step, harness.run_error_recursion) evolve the
-dense matrices instead, and the tests compare them against these.
+Every run, sweep and detector calls the first three, so their
+floating-point results define the simulator's output bytes. The reference
+paths (dynamics.step, dynamics.error_step, harness.run_error_recursion)
+evolve the dense matrices instead, and the tests compare them against these.
 _float_texts prints trace.csv's floats with ``repr``'s digits, as ASCII bytes
 in a NumPy matrix, and the tests compare it against ``repr``.
 
@@ -130,6 +130,13 @@ def filter_series(x, c_f):
     d2 = c_f * x[5:-1] - x[1:-5]
     d3 = c_f * x[4:-2] - x[:-6]
     return 0.2 * (d1 + d3) + 0.5 * d2
+
+
+def _error(dt: float, rounds, clocks) -> np.ndarray:
+    """The error e = dt*r - t of ``clocks`` at ``rounds`` (broadcast against
+    ``clocks``): the one place it is written, so every reader of a clock's
+    error, the detector's input |e| included, gets the same bits."""
+    return dt * np.float64(rounds) - clocks
 
 
 def _shortest_digits(x, mag):

@@ -668,6 +668,7 @@ _FLAG_NAMED = [
      "--init-min and --init-max (100 * --delta-t) must be finite"),
     (["sweep", "--sizes", "2x2", "--rounds", "10"],
      "--rounds must be at least --k-guard + 7"),
+    (["sweep", "--sizes", "2x2", "--seeds", "0"], "--seeds must be at least 1"),
     (["steady-state", "--delta-t", "0"],
      "--delta-t must be positive and finite"),
 ]
@@ -806,6 +807,10 @@ def test_huge_random_refused_in_one_line(no_topology_allocation, tmp_path,
     (("--sizes", "2x2", "--seeds", "9999999999999"), "seeds of the 2x2 grid"),
     (("--sizes", "32x32,99999x99999", "--seeds", "8", "--rounds", "600",
       "--p", "0.5"), "links to build or draw"),
+    # the count of seeds reads as prose, not as the --seeds flag
+    (("--sizes", "2x2", "--seeds", "1073741825"),
+     "error: 1073741825 seeds of the 2x2 grid draw 4294967300 links a "
+     "round, more than the 4294967296 allowed"),
 ])
 def test_oversized_sweep_refused_before_any_run(no_sweep_evolution, tmp_path,
                                                 capsys, args, message):

@@ -11,8 +11,8 @@ from hopsync.detector import (DetectionEvent, DetectorConfig, OnlineDetector,
                               filter_response, node_filter_input,
                               scan_polarity)
 from hopsync.dynamics import steady_state_error
-from hopsync.harness import SimConfig, run, summarize
-from hopsync.model import build_matrices, grid_topology
+from hopsync.harness import RunTrace, SimConfig, run, summarize
+from hopsync.model import build_matrices, grid_topology, line_topology
 
 CF1 = DetectorConfig(c_f=1.0)
 DEFAULT = DetectorConfig()
@@ -193,6 +193,29 @@ def test_node_filter_input_rejects_bad_delta_t(delta_t):
     with pytest.raises(ValueError,
                        match="^delta_t must be positive and finite$"):
         node_filter_input(np.ones(10), delta_t)
+
+
+# +-0.0, NaN, +-inf, subnormals and the largest double, drawn among any
+# float64 clocks
+_ODD_CLOCKS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5e-310,
+               1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(clocks=st.lists(st.lists(st.one_of(st.sampled_from(_ODD_CLOCKS),
+                                          st.floats()),
+                                min_size=3, max_size=3),
+                       min_size=1, max_size=40),
+       delta_t=st.sampled_from([1.0, 0.001, 0.1, 5e-324]))
+def test_node_filter_input_is_the_runs_abs_error(clocks, delta_t):
+    # a node's detector input is the |e| a run reads, bit for bit
+    trace = RunTrace(config=SimConfig(topology=line_topology(2),
+                                      delta_t=delta_t),
+                     times=clocks, events=())
+    for i in range(trace.times.shape[1]):
+        got = node_filter_input(trace.times[:, i], delta_t)
+        want = np.abs(trace.errors[:, i])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_scan_first_flip():

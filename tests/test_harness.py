@@ -1344,6 +1344,48 @@ def _count_forks(monkeypatch):
     return pids
 
 
+def test_forked_forks_every_child_on_entry(monkeypatch):
+    # every child is forked before the with-block's first statement, so the
+    # children work while the block does this process's share (the trace
+    # writer's children format while this process makes the summary), and
+    # the parts come back in order of w
+    pids = _count_forks(monkeypatch)
+
+    def work(w, part):
+        part.write(f"child {w}".encode())
+
+    with harness._forked(work, 3) as reaped:
+        forked = list(pids)
+        for pid in forked:
+            os.kill(pid, 0)  # forked and not yet reaped
+        parts = [part.read() for part in reaped]
+    assert len(forked) == 3
+    assert parts == [b"child 1", b"child 2", b"child 3"]
+    _assert_reaped(forked)
+    with harness._forked(work, 0) as reaped:
+        assert list(reaped) == []
+    assert pids == forked
+
+
+def test_forked_failing_fork_kills_the_children_before_it(monkeypatch):
+    # the second fork fails on entry: the first child is killed and reaped
+    # and the with-block never runs
+    pids = _count_forks(monkeypatch)
+    counted = harness._fork
+
+    def fork():
+        if pids:
+            raise OSError("no more processes")
+        return counted()
+
+    monkeypatch.setattr(harness, "_fork", fork)
+    with pytest.raises(OSError, match="no more processes"):
+        with harness._forked(lambda w, part: time.sleep(60), 3):
+            raise AssertionError("the with-block ran")
+    _assert_reaped(pids)
+    assert len(pids) == 1
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 @pytest.mark.parametrize("name", sorted(SWEEP_TEMPLATES))
 def test_sweep_same_for_any_worker_count(monkeypatch, tmp_path, name,
