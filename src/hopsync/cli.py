@@ -28,8 +28,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from .detector import DetectorConfig
 from .dynamics import NotConvergent, steady_state_error
 from .harness import (ConfigInvalid, SimConfig, _default_init_max,
-                      _replacing_all, _writing_trace, run, scaling_sweep,
-                      summarize, write_summary_csv, write_sweep_csv)
+                      _replacing_all, run, scaling_sweep, summarize,
+                      write_summary_csv, write_sweep_csv, write_trace_csv)
 from .model import generate_topology, has_spanning_path
 
 EXIT_OK = 0
@@ -245,10 +245,9 @@ def _cmd_simulate(cfg: dict) -> int:
     out = [os.path.join(cfg["out"], f) for f in ("trace.csv", "summary.csv")]
     with _writing(cfg["out"]), _replacing_all(out) as (trace_csv, summary_csv):
         trace = run(sim)
-        # forked children format trace.csv while this block makes the summary
-        with _writing_trace(trace, trace_csv):
-            summaries = summarize(trace)
-            write_summary_csv(summaries, summary_csv)
+        summaries = summarize(trace)
+        write_summary_csv(summaries, summary_csv)
+        write_trace_csv(trace, trace_csv)
     _print_summary(summaries)
     return EXIT_OK
 

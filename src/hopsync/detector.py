@@ -119,9 +119,11 @@ def detect(series, cfg: DetectorConfig, node_id: int = 0,
     Returns the event for the first accepted polarity change, or None when
     the rule never fires (including series too short to produce any output).
     frozen_time is taken from ``clocks`` at the decision round when given.
-    A series that is not one-dimensional, or ``clocks`` that are not one
-    value per sample, raise ValueError.
+    A series that is not one-dimensional, ``clocks`` that are not one value
+    per sample, or a node_id that is not a nonnegative integer raise
+    ValueError, whether or not the rule fires.
     """
+    node_id = _count(node_id, "node_id")
     x = np.asarray(series, dtype=np.float64)
     if clocks is not None and np.shape(clocks) != x.shape[:1]:
         raise ValueError(
@@ -159,12 +161,15 @@ class OnlineDetector:
 
     push() returns the DetectionEvent the moment the rule fires, and None
     before that and forever after. Produces exactly the same decision as the
-    offline detect() on the same series.
+    offline detect() on the same series. A node_id that is not a
+    nonnegative integer raises ValueError here, before any sample, and a
+    sample or clock that float() refuses raises at its push, before the
+    detector's state changes, so no event is lost.
     """
 
     def __init__(self, cfg: DetectorConfig, node_id: int = 0):
         self.cfg = cfg
-        self.node_id = node_id
+        self.node_id = _count(node_id, "node_id")
         self._window = []
         self._count = 0
         self._prev_sign = np.zeros(1, np.int8)
@@ -173,7 +178,8 @@ class OnlineDetector:
     def push(self, sample: float, clock: float = math.nan) -> Optional[DetectionEvent]:
         if self._fired:
             return None
-        self._window.append(float(sample))
+        sample, clock = float(sample), float(clock)
+        self._window.append(sample)
         if len(self._window) > _WINDOW:
             self._window.pop(0)
         self._count += 1
@@ -185,6 +191,7 @@ class OnlineDetector:
                                               self._prev_sign)
         if found[0] < 0:
             return None
+        event = DetectionEvent(node_id=self.node_id, target_round=m,
+                               frozen_time=clock)
         self._fired = True
-        return DetectionEvent(node_id=self.node_id, target_round=m,
-                              frozen_time=float(clock))
+        return event

@@ -112,11 +112,12 @@ class RunTrace:
     """Complete run record: the clocks and the detection events.
 
     times is an (n_max + 1, N) float64 array indexed by round then node,
-    taken as np.asarray gives it (ValueError unless it is 2-D), and each
-    event's node and target round must index it; a node has at most one
-    event, its first flip (ValueError otherwise). Every reader of a finished
-    run reads the events as _targets, a read-only int array of each node's
-    flagged round, -1 where it has none.
+    taken as np.asarray gives it (ValueError unless it is 2-D with at least
+    one round and one node), and each event's node and target round must
+    index it; a node has at most one event, its first flip (ValueError
+    otherwise). Every reader of a finished run reads the events as
+    _targets, a read-only int array of each node's flagged round, -1 where
+    it has none.
     errors and filter_outputs, arrays of the same shape, are derived from
     times, the config's delta_t and its detector's c_f each time they are
     read (see _error and _derived); filter_outputs is NaN where the filter
@@ -129,9 +130,9 @@ class RunTrace:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 2:
-            raise ValueError(f"times must be a 2-D array of rounds by nodes, "
-                             f"not {times.ndim}-D")
+        if times.ndim != 2 or 0 in times.shape:
+            raise ValueError(f"times must be a 2-D array of at least one round "
+                             f"by one node, not of shape {times.shape}")
         object.__setattr__(self, "times", times)
         rows, n = times.shape
         targets = np.full(n, -1, dtype=np.int64)
@@ -734,35 +735,23 @@ def _replacing(path, mode: str, **kwargs):
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    """Rows are (round, node) pairs, round-major. ``filter_out`` is empty
-    where the filter window is undefined; ``detected`` is 1 exactly at a
-    node's flagged instant.
-
-    The bytes are the same for any number of CPUs (see _writing_trace). A
-    child that fails raises OSError here."""
-    with _writing_trace(trace, path):
-        pass
-
-
-@contextlib.contextmanager
-def _writing_trace(trace: RunTrace, path):
-    """Write trace.csv of ``trace`` to ``path`` around the with-block, which
-    does its own work while forked children format; ``path`` is complete
-    once it ends. The events are read as trace._targets.
+    """Write trace.csv of ``trace`` to ``path``. Rows are (round, node)
+    pairs, round-major. ``filter_out`` is empty where the filter window is
+    undefined; ``detected`` is 1 exactly at a node's flagged instant (the
+    events are read as trace._targets).
 
     Whole rounds are derived (see _derived), formatted and written a block
     at a time, so memory beyond ``trace.times`` stays near one block per
     process whatever the run length. The rounds split into one contiguous
-    span of whole blocks per worker (see _workers). Before the with-block,
-    a forked child (see _forked) starts on each span w >= 1, formatting it
-    into an unlinked temporary file in ``path``'s directory. Once the
-    with-block ends, this process writes the header and span 0 straight
-    into the new file that replaces ``path`` (see _replacing), then
+    span of whole blocks per worker (see _workers). A forked child (see
+    _forked) formats each span w >= 1 into an unlinked temporary file in
+    ``path``'s directory, while this process writes the header and span 0
+    straight into the new file that replaces ``path`` (see _replacing), then
     appends, in span order, each child's file. Each span fills one set of
     block buffers, made once for its largest block (see _block_work). A
-    cell's text depends on its value alone (see _trace_block), so the
-    bytes are the same for any number of workers. A child that fails
-    raises OSError here."""
+    cell's text depends on its value alone (see _trace_block), so the bytes
+    are the same for any number of workers. A child that fails raises
+    OSError here."""
     n = trace.times.shape[1]
     nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
@@ -781,13 +770,12 @@ def _writing_trace(trace: RunTrace, path):
                                   trace._targets, nodes, a, work))
 
     with _forked(span, workers - 1,
-                 os.path.dirname(os.path.abspath(path))) as reaped:
-        yield
-        with _replacing(path, "wb") as fh:
-            fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
-            span(0, fh)
-            for part in reaped:
-                shutil.copyfileobj(part, fh)
+                 os.path.dirname(os.path.abspath(path))) as reaped, \
+            _replacing(path, "wb") as fh:
+        fh.write((",".join(_TRACE_HEADER) + "\r\n").encode("ascii"))
+        span(0, fh)
+        for part in reaped:
+            shutil.copyfileobj(part, fh)
 
 
 def write_summary_csv(summaries: Sequence[NodeSummary], path) -> None:

@@ -265,6 +265,33 @@ def test_detect_rounds_and_frozen_time():
     assert event.frozen_time == clocks[event.detect_round]
 
 
+@pytest.mark.parametrize("node_id", [-1, 1.5, math.nan])
+def test_bad_node_id_is_refused_whether_or_not_the_rule_fires(node_id):
+    # the online detector refuses it before any sample, so no event is lost
+    # at the firing one; detect refuses it on a series that never fires too
+    m = np.arange(40, dtype=float)
+    with pytest.raises(ValueError, match="node_id"):
+        OnlineDetector(DEFAULT, node_id=node_id)
+    for x in (-((m - 15.0) ** 2), m, m[:3]):
+        with pytest.raises(ValueError, match="node_id"):
+            detect(x, CF1, node_id=node_id)
+
+
+def test_online_bad_clock_at_the_firing_sample_keeps_the_event():
+    # the clock is refused before the window or the polarity moves, so the
+    # same sample pushed again with a good clock still fires
+    m = np.arange(40, dtype=float)
+    x = -((m - 15.0) ** 2)
+    want = detect(x, CF1, clocks=m)
+    online = OnlineDetector(CF1)
+    for i in range(want.detect_round):
+        assert online.push(x[i], clock=m[i]) is None
+    with pytest.raises(ValueError):
+        online.push(x[want.detect_round], clock="bad")
+    assert online.push(x[want.detect_round],
+                       clock=m[want.detect_round]) == want
+
+
 def test_node_filter_input_rectifies_deviation():
     # |clock - round*delta_t|: V-shaped through a crossing, so the filter
     # sees an extremum there; the signed deviation would stay monotone

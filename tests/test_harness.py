@@ -206,14 +206,15 @@ def test_run_trace_refuses_a_repeated_node():
 
 def test_run_trace_takes_times_as_a_float_array():
     # a nested list is the array it spells; times of any other rank than
-    # rounds by nodes are refused by name
+    # rounds by nodes, or with no round or no node, are refused by name
     cfg = SimConfig(topology=line_topology(3), n_max=20)
     tr = run(cfg)
     listed = RunTrace(config=cfg, times=tr.times.tolist(), events=tr.events)
     assert listed.times.dtype == np.float64
     assert np.array_equal(listed.times, tr.times)
     assert summarize(listed) == summarize(tr)
-    for times in (tr.times[:, 0], tr.times[None]):
+    for times in (tr.times[:, 0], tr.times[None], tr.times[:, :0],
+                  tr.times[:0]):
         with pytest.raises(ValueError, match="times must be a 2-D array"):
             RunTrace(config=cfg, times=times, events=())
 
@@ -1276,9 +1277,8 @@ def test_run_failing_forks_nothing_and_leaves_no_file(
 def test_each_child_formats_its_span_and_this_process_the_first(
         monkeypatch, tmp_path, workers, ends):
     # 10 rounds a block on 15 nodes, 19 blocks: child w formats rounds
-    # ends[w]..ends[w + 1] - 1 while this process waits in the with-block,
-    # which writes nothing to the file; once the block ends, this process
-    # formats rounds 0..ends[1] - 1; the bytes are those of one process
+    # ends[w]..ends[w + 1] - 1 and this process rounds 0..ends[1] - 1; the
+    # bytes are those of one process
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 150)
     _force_workers(monkeypatch, workers)
     log, real_block = tmp_path / "blocks", harness._trace_block
@@ -1299,14 +1299,7 @@ def test_each_child_formats_its_span_and_this_process_the_first(
     monkeypatch.setattr(harness, "_trace_block", block)
     cfg = SimConfig(**{**REFERENCE, "n_max": 180})
     trace = run(cfg)
-    with harness._writing_trace(trace, tmp_path / "trace.csv"):
-        deadline = time.monotonic() + 30
-        while (sum(map(len, rounds().values())) < (181 - ends[1] + 9) // 10
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        time.sleep(0.5)  # room for a child to go on past its span
-        assert os.getpid() not in rounds()
-        assert os.listdir(tmp_path) == ["blocks"]
+    write_trace_csv(trace, tmp_path / "trace.csv")
     by_pid = rounds()
     assert by_pid.pop(os.getpid()) == list(range(0, ends[1], 10))
     assert sorted(map(sorted, by_pid.values())) == [
@@ -1347,8 +1340,8 @@ def _count_forks(monkeypatch):
 def test_forked_forks_every_child_on_entry(monkeypatch):
     # every child is forked before the with-block's first statement, so the
     # children work while the block does this process's share (the trace
-    # writer's children format while this process makes the summary), and
-    # the parts come back in order of w
+    # writer's children format their spans while this process formats span
+    # 0), and the parts come back in order of w
     pids = _count_forks(monkeypatch)
 
     def work(w, part):
