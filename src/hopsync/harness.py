@@ -63,7 +63,9 @@ class SimConfig:
     """Everything a run needs: topology, timing, channel, seed, detector.
 
     init_max defaults to _default_init_max(delta_t) when not given; initial
-    clocks are uniform draws from [init_min, init_max].
+    clocks are uniform draws from [init_min, init_max]. halt_on_detect is
+    stored as a bool and taken only as one (0 and 1 included). A topology or
+    detector of another type raises TypeError.
     """
 
     topology: Topology
@@ -77,6 +79,15 @@ class SimConfig:
     halt_on_detect: bool = False
 
     def __post_init__(self):
+        for name, kind in (("topology", Topology),
+                           ("detector", DetectorConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}")
+        flag = self.halt_on_detect
+        if not (isinstance(flag, (int, np.integer, np.bool_))
+                and flag in (0, 1)):
+            raise ConfigInvalid("halt_on_detect must be true or false")
+        object.__setattr__(self, "halt_on_detect", bool(flag))
         _check_period(self.delta_t, ConfigInvalid)
         if self.init_max is None:
             object.__setattr__(self, "init_max", _default_init_max(self.delta_t))
@@ -115,9 +126,9 @@ class RunTrace:
     taken as np.asarray gives it (ValueError unless it is 2-D with at least
     one round and one node), and each event's node and target round must
     index it; a node has at most one event, its first flip (ValueError
-    otherwise). Every reader of a finished run reads the events as
-    _targets, a read-only int array of each node's flagged round, -1 where
-    it has none.
+    otherwise). A config or an event of another type raises TypeError.
+    Every reader of a finished run reads the events as _targets, a
+    read-only int array of each node's flagged round, -1 where it has none.
     errors and filter_outputs, arrays of the same shape, are derived from
     times, the config's delta_t and its detector's c_f each time they are
     read (see _error and _derived); filter_outputs is NaN where the filter
@@ -129,6 +140,8 @@ class RunTrace:
     events: Tuple[DetectionEvent, ...]
 
     def __post_init__(self):
+        if not isinstance(self.config, SimConfig):
+            raise TypeError("config must be a SimConfig")
         times = np.asarray(self.times, dtype=np.float64)
         if times.ndim != 2 or 0 in times.shape:
             raise ValueError(f"times must be a 2-D array of at least one round "
@@ -137,6 +150,8 @@ class RunTrace:
         rows, n = times.shape
         targets = np.full(n, -1, dtype=np.int64)
         for e in self.events:  # DetectionEvent checks both are >= 0
+            if not isinstance(e, DetectionEvent):
+                raise TypeError("events must hold DetectionEvents")
             if not (e.node_id < n and e.target_round < rows):
                 raise ValueError(
                     f"event at node {e.node_id}, round {e.target_round} lies "
@@ -272,13 +287,12 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     Masks are keyed by (seed, round) and do not depend on halting or on
     how many rounds one draw holds, so stopping early changes no draw. A
     mask draw has a fixed cost per call that a draw per round would pay on
-    every round. A halting run draws a block of rounds ahead of the round
-    it steps, since it may stop early. Any other run uses every mask it
-    draws, so it draws as many whole blocks of rounds as hold about
-    _SWEEP_BLOCK_CELLS bits, at least one, each lane (one run's round)
-    counted as its coins and its four 64-bit seed words: a network with
-    few links does not draw thousands of lanes for a few bits each (see
-    channel._mask_block).
+    every round, so every run draws as many whole steps of rounds as hold
+    about _SWEEP_BLOCK_CELLS bits, at least one step, each lane (one run's
+    round) counted as its coins and its four 64-bit seed words: a network
+    with few links does not draw thousands of lanes for a few bits each
+    (see channel._mask_block). Each step takes its rounds from the front of
+    the masks drawn but not yet stepped.
     """
     topo, n_max, halting = cfg.topology, cfg.n_max, cfg.halt_on_detect
     n, dt, det = topo.node_count, cfg.delta_t, cfg.detector
@@ -286,13 +300,14 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     to_gateway, ev_node = ev >= n, np.minimum(ev, n - 1)
     t = np.stack([initial_clocks(replace(cfg, seed=s)) for s in seeds])
     step = max(1, cells // t.size)
-    draw = step if halting else step * max(1, _SWEEP_BLOCK_CELLS // (
-        len(seeds) * (len(eu) + 4 * 64) * step))
+    unit = 1 if halting else step  # the rounds one run_rounds call steps
+    draw = unit * max(1, _SWEEP_BLOCK_CELLS // (
+        len(seeds) * (len(eu) + 4 * 64) * unit))
     first = np.full(t.shape, -1)
     tail = np.empty((0,) + t.shape)
     sign = np.zeros(t.size, np.int8)
     r0, block = 0, t[None]
-    a0, ahead = 0, np.empty((0, len(seeds), len(eu)), dtype=bool)
+    ahead = np.empty((0, len(seeds), len(eu)), dtype=bool)
     while True:
         err = _error(dt, np.arange(r0, r0 + len(block))[:, None, None], block)
         np.abs(err, out=err)
@@ -311,10 +326,10 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
         if halted.all():
             block = np.broadcast_to(t, (min(step, n_max + 1 - r0),) + t.shape)
             continue
-        if r0 - 1 == a0 + len(ahead):  # every mask drawn so far is used
-            a0, ahead = r0 - 1, _mask_block(cfg.p, seeds, len(eu), r0 - 1,
-                                            min(r0 - 1 + draw, n_max))
-        masks = ahead[r0 - 1 - a0:r0 - 1 - a0 + (1 if halting else step)]
+        if not len(ahead):
+            ahead = _mask_block(cfg.p, seeds, len(eu), r0 - 1,
+                                min(r0 - 1 + draw, n_max))
+        masks, ahead = ahead[:unit], ahead[unit:]
         if halted.any():  # silence every edge touching a halted node
             masks = masks & (~halted[:, eu]
                              & (to_gateway | ~halted[:, ev_node]))
@@ -426,11 +441,11 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
     than leave a size's per-round mask draw of seeds x links within
     _MAX_LINKS. Whole sizes are then dealt to _workers processes (at most
     one per size), largest estimated work first (see _shares): this
-    process evolves its own share, and each forked child writes its sizes'
-    (seeds, N) int64 min-|e| rounds to a file that is read back here (see
-    _forked). A size's rounds do not depend on the process that evolved
-    them, so the result is the same for any number of workers. A child
-    that fails raises OSError here.
+    process evolves its own share, and each forked child saves its sizes'
+    (seeds, N) min-|e| rounds with np.save to a file that is read back here
+    with np.load (see _forked). A size's rounds do not depend on the
+    process that evolved them, so the result is the same for any number of
+    workers. A child that fails raises OSError here.
     """
     seeds = _whole(seeds, "seeds", ConfigInvalid)
     if seeds < 1:
@@ -446,6 +461,8 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
                 f"{seeds * links} links a round, more than the {_MAX_LINKS} "
                 "allowed")
         configs.append(cfg)
+    if not configs:
+        raise ConfigInvalid("sizes must name at least one grid")
     runs = range(template.seed, template.seed + seeds)
     work = [cfg.topology.node_count * (cfg.n_max + 1) * seeds
             for cfg in configs]
@@ -455,21 +472,18 @@ def scaling_sweep(sizes: Sequence[Tuple[int, int]], template: SimConfig,
 
     def evolve(w, part):
         for i in shares[w]:
-            part.write(_min_error_instants(configs[i], runs).astype(
-                np.int64).tobytes())
+            np.save(part, _min_error_instants(configs[i], runs))
 
     with _forked(evolve, len(shares) - 1) as reaped:
         for i in shares[0]:
             instants[i] = _min_error_instants(configs[i], runs)
         for w, part in enumerate(reaped, 1):
             for i in shares[w]:
-                n = configs[i].topology.node_count
-                instants[i] = np.frombuffer(part.read(8 * seeds * n),
-                                            np.int64).reshape(seeds, n)
+                instants[i] = np.load(part)
     points = []
-    for (rows, cols), runs_instants in zip(sizes, instants):
+    for cfg, runs_instants in zip(configs, instants):
         vals = runs_instants.mean(axis=1).tolist()
-        points.append(SweepPoint(node_count=rows * cols,
+        points.append(SweepPoint(node_count=cfg.topology.total_nodes,
                                  instant_mean=float(np.mean(vals)),
                                  instant_min=float(np.min(vals)),
                                  instant_max=float(np.max(vals))))

@@ -59,6 +59,9 @@ _MAX_LINKS = 2**32
 # random_topology draws its pairs in whole rows of about this many pairs at a
 # time, so its memory follows the edges kept, not the N(N-1)/2 pairs drawn.
 _PAIR_CHUNK = 1 << 20
+# Node ids are int64, the gateway's (node_count) and the out-of-range id
+# node_count + 1 among them.
+_MAX_NODE_COUNT = 2**63 - 2
 
 
 def _check_links(count: int) -> None:
@@ -96,6 +99,8 @@ class Topology:
 
     def __post_init__(self):
         n = _count(self.node_count, "node_count")
+        if n > _MAX_NODE_COUNT:
+            raise ValueError(f"node_count must be at most {_MAX_NODE_COUNT}")
         object.__setattr__(self, "node_count", n)
         e = _pairs(self.edges, n)
         fault = _edge_fault(n, e[:, 0], e[:, 1])
@@ -133,11 +138,12 @@ class Topology:
 
 
 def _pairs(edges, n: int) -> np.ndarray:
-    """``edges`` as (E, 2) int64; an id beyond int64 stays out of 0..n."""
-    try:
-        e = np.asarray(edges, dtype=np.int64)
-    except OverflowError:
-        e = np.clip(np.asarray(edges, dtype=object), -1, n + 1)
+    """``edges`` as (E, 2) int64; ValueError unless every id is a whole
+    number (see _whole). An id beyond int64 stays out of 0..n."""
+    e = np.asarray(edges)
+    if e.dtype.kind not in "biu":
+        e = np.clip(np.array([[_whole(i, "node id") for i in pair]
+                              for pair in edges], dtype=object), -1, n + 1)
     return e.astype(np.int64, copy=False).reshape(len(edges), 2)
 
 
@@ -276,7 +282,7 @@ def _canonicalize(total: int, gateway: int, edges) -> Topology:
 def _resolve_gateway(gateway, total: int) -> int:
     if gateway == "corner" or gateway is None:
         return 0
-    g = int(gateway)
+    g = _whole(gateway, "gateway index", InvalidPlacement)
     if not (0 <= g < total):
         raise InvalidPlacement(f"gateway index {g} out of range for {total} nodes")
     return g
@@ -419,8 +425,9 @@ def load_topology(path) -> Topology:
             if tag == "N":
                 first[tag] = ln
                 n = _int_field(path, ln, parts[0], "node count")
-                if n < 0:
-                    raise ValueError(f"{path}:{ln}: negative node count {n}")
+                if not 0 <= n <= _MAX_NODE_COUNT:
+                    raise ValueError(f"{path}:{ln}: node count {n} out of "
+                                     f"range 0..{_MAX_NODE_COUNT}")
             elif tag == "G":
                 first[tag] = ln
                 gw = (None if parts[0] == "gw"

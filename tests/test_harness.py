@@ -103,6 +103,31 @@ def test_config_rejects_overflow():
         scaling_sweep([(2, 2), (3, 3)], template, seeds=2)
 
 
+def test_config_halt_on_detect_is_true_or_false():
+    # 2 once stepped one round at a time and froze no node (2 & True is 0),
+    # and a string raised NumPy's TypeError inside the run
+    for value in (2, -1, 0.5, 1.0, "no", "true", None):
+        with pytest.raises(ConfigInvalid, match="halt_on_detect must be"):
+            SimConfig(topology=GRID, halt_on_detect=value)
+    for value, want in ((0, False), (1, True), (np.True_, True),
+                        (np.False_, False), (True, True)):
+        cfg = SimConfig(topology=GRID, halt_on_detect=value)
+        assert cfg.halt_on_detect is want
+
+
+def test_fields_of_the_wrong_type_raise_type_error():
+    # not an AttributeError from deep inside the constructor
+    with pytest.raises(TypeError, match="topology must be a Topology"):
+        SimConfig(topology="grid:2x2")
+    with pytest.raises(TypeError, match="detector must be a DetectorConfig"):
+        SimConfig(topology=GRID, detector=None)
+    cfg = SimConfig(topology=GRID)
+    with pytest.raises(TypeError, match="events must hold DetectionEvents"):
+        RunTrace(config=cfg, times=np.zeros((3, 15)), events=(1,))
+    with pytest.raises(TypeError, match="config must be a SimConfig"):
+        RunTrace(config=None, times=np.zeros((3, 15)), events=())
+
+
 def test_initial_clocks_seeded_range():
     cfg = SimConfig(topology=GRID, seed=5)
     t0 = initial_clocks(cfg)
@@ -419,6 +444,36 @@ def test_sweep_point_fields():
     assert result.r_squared is not None
 
 
+def test_sweep_refuses_no_sizes():
+    template = SimConfig(topology=grid_topology(2, 2), n_max=100)
+    with pytest.raises(ConfigInvalid, match="sizes must name at least one"):
+        scaling_sweep([], template)
+
+
+def test_sweep_reads_sizes_once():
+    # an iterator of sizes gives the points its list gives
+    template = SimConfig(topology=grid_topology(2, 2), n_max=100)
+    sizes = [(2, 2), (3, 3)]
+    assert (scaling_sweep(iter(sizes), template, seeds=2)
+            == scaling_sweep(sizes, template, seeds=2))
+
+
+def test_halting_sweep_draws_about_a_sweep_block(monkeypatch):
+    # a halting run steps one round a block and draws as many rounds of
+    # masks as hold about _SWEEP_BLOCK_CELLS bits, each lane counted as
+    # grid:2x2's 4 links and its four 64-bit seed words, not a whole
+    # evolution block of rounds for each of the 8 seeds
+    template = SimConfig(topology=grid_topology(2, 2), n_max=20000, p=0.5,
+                         halt_on_detect=True)
+    draws = []
+    draw = harness._mask_block
+    monkeypatch.setattr(harness, "_mask_block",
+                        lambda *a: draws.append(a[4] - a[3]) or draw(*a))
+    scaling_sweep([(2, 2)], template, seeds=8)
+    assert draws
+    assert max(draws) <= harness._SWEEP_BLOCK_CELLS // (8 * (4 + 4 * 64))
+
+
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -590,8 +645,8 @@ def test_long_halting_golden_hashes(tmp_path, monkeypatch, name):
 
 
 def test_halting_run_draws_masks_ahead(monkeypatch):
-    # a halting run steps one round a block but draws its masks a block of
-    # rounds at a time, not a round at a time
+    # a halting run steps one round a block but draws its masks many rounds
+    # at a time, not a round at a time
     kwargs = HALT_RUNS["line6_some_halt"][0]
     cfg = SimConfig(**kwargs, seed=0, n_max=3000, halt_on_detect=True)
     calls = []
@@ -637,12 +692,20 @@ def _stream(cfg, cells):
     return np.concatenate(clocks), first
 
 
-def test_halting_stream_independent_of_mask_lookahead():
-    # masks drawn a round at a time or run()'s block of rounds ahead; the
-    # filter outputs are a function of the clocks, so the clocks cover them
+def test_halting_stream_independent_of_mask_lookahead(monkeypatch):
+    # masks drawn about _SWEEP_BLOCK_CELLS bits ahead or, with a budget of
+    # one bit, a round at a time; the filter outputs are a function of the
+    # clocks, so the clocks cover them
     cfg = SimConfig(**HALT_RUNS["line6_some_halt"][0], seed=0, n_max=1500,
                     halt_on_detect=True)
-    one, ahead = _stream(cfg, 1), _stream(cfg, harness._TRACE_BLOCK_ROWS)
+    ahead = _stream(cfg, harness._TRACE_BLOCK_ROWS)
+    draws = []
+    draw = harness._mask_block
+    monkeypatch.setattr(harness, "_mask_block",
+                        lambda *a: draws.append(a[4] - a[3]) or draw(*a))
+    monkeypatch.setattr(harness, "_SWEEP_BLOCK_CELLS", 1)
+    one = _stream(cfg, harness._TRACE_BLOCK_ROWS)
+    assert set(draws) == {1}
     assert np.array_equal(one[0], ahead[0])
     assert np.array_equal(one[1], ahead[1])
     assert (one[1] >= 0).any()

@@ -184,6 +184,11 @@ def test_invalid_gateway_placement():
         grid_topology(2, 2, gateway=9)
     with pytest.raises(InvalidPlacement):
         line_topology(3, gateway=-1)
+    # an index that is not a whole number is not truncated to one
+    for gateway in (1.5, 3.7, "2", float("nan")):
+        with pytest.raises(InvalidPlacement, match="must be an integer"):
+            grid_topology(2, 2, gateway=gateway)
+    assert grid_topology(2, 2, gateway=1.0) == grid_topology(2, 2, gateway=1)
 
 
 def test_topology_validation():
@@ -328,6 +333,19 @@ def test_file_topology_refuses_a_gateway(tmp_path):
             generate_topology(f"file:{path}", gateway=gateway)
     assert generate_topology(f"file:{path}", gateway="corner") == \
         ring_topology(5)
+
+
+def test_node_count_past_int64_ids_refused(tmp_path):
+    # the gateway's id, node_count, and node_count + 1 must be int64: a
+    # larger count once raised OverflowError, in a file with a large id too
+    big = model._MAX_NODE_COUNT
+    assert Topology(big, [(0, big)]).edges == ((0, big),)
+    with pytest.raises(ValueError, match="node_count must be at most"):
+        Topology(big + 1, [(0, 2**64)])
+    path = tmp_path / "big.topo"
+    path.write_text(f"N {big + 1}\nG gw\nE 0 {2**64}\n")
+    with pytest.raises(ValueError, match=f":1: node count {big + 1} out of"):
+        load_topology(path)
 
 
 def test_neighbors_include_gateway():
@@ -489,6 +507,18 @@ def test_edge_check_matches_loop(tmp_path, case):
         with pytest.raises(ValueError, match=(
                 f"^{re.escape(str(path))}:{k + 3}: {re.escape(reason)}$")):
             load_topology(path)
+
+
+def test_topology_refuses_ids_that_are_not_whole():
+    # 1.5 was once truncated to node 1; a whole float is its integer, and
+    # an int array keeps its ids
+    for edges in ([(0, 1.5), (1, 3)], [(0, "1")], [(0, None)],
+                  np.array([[0.0, 0.5]])):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            Topology(3, edges)
+    assert Topology(3, [(0, 1.0), (3, 1)]).edges == ((0, 1), (1, 3))
+    assert Topology(3, np.array([[3, 1], [0, 1]], np.int32)).edges == \
+        ((0, 1), (1, 3))
 
 
 @st.composite
