@@ -51,7 +51,7 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_probability(self.p, "p")
+        object.__setattr__(self, "p", _check_probability(self.p, "p"))
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
 
 

@@ -349,29 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(raw: str) -> bool:
-    try:
-        float(raw)
-    except ValueError:
-        return False
-    return True
-
-
 def _attach_values(argv: Sequence[str]) -> List[str]:
-    """``argv`` with each value that argparse would take for a flag
-    attached to its option, ``--key value`` as ``--key=value``: a number
-    given to a number option (``-1e-3``, ``-inf``), and any argument that
-    starts with a single ``-`` given to a string option (``--out
-    -results``). An argument that starts with ``--`` stays a flag."""
-    number_flags = {f"--{opt.key}" for opt in _OPTIONS
-                    if opt.parse in (int, float)}
-    string_flags = {"--config"} | {f"--{opt.key}" for opt in _OPTIONS
-                                   if opt.parse is str}
+    """``argv`` with each argument that starts with a single ``-`` and
+    follows an option that takes a value attached to it, ``--key value`` as
+    ``--key=value``: argparse then hands it to that option's own parser
+    (``-1e-3``, ``-inf``, ``--out -results``) instead of reading it as a
+    flag. An argument that starts with ``--`` stays a flag."""
+    takes_value = {"--config"} | {f"--{opt.key}" for opt in _OPTIONS
+                                  if opt.parse is not _bool}
     out: List[str] = []
     for arg in argv:
-        if out and (out[-1] in number_flags and _is_number(arg)
-                    or out[-1] in string_flags and arg.startswith("-")
-                    and not arg.startswith("--")):
+        if (out and out[-1] in takes_value and arg.startswith("-")
+                and not arg.startswith("--")):
             out[-1] += f"={arg}"
         else:
             out.append(arg)

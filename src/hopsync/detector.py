@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import _LOOKAHEAD, _WINDOW, _error, filter_series
-from .model import _check_period, _count
+from .model import _check_period, _count, _real
 
 
 class SeriesTooShort(ValueError):
@@ -30,6 +30,7 @@ class DetectorConfig:
     k_guard: int = 11
 
     def __post_init__(self):
+        object.__setattr__(self, "c_f", _real(self.c_f, "c_f"))
         if not (0.95 <= self.c_f <= 1.05):
             raise ValueError("c_f must lie in [0.95, 1.05]")
         object.__setattr__(self, "k_guard", _count(self.k_guard, "k_guard"))
@@ -52,6 +53,8 @@ class DetectionEvent:
         object.__setattr__(self, "node_id", _count(self.node_id, "node_id"))
         object.__setattr__(self, "target_round",
                            _count(self.target_round, "target_round"))
+        object.__setattr__(self, "frozen_time",
+                           _real(self.frozen_time, "frozen_time"))
 
     @property
     def detect_round(self) -> int:
@@ -152,7 +155,7 @@ def node_filter_input(clock_series, delta_t: float) -> np.ndarray:
     t = np.asarray(clock_series, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("clock series must be one-dimensional")
-    _check_period(delta_t)
+    delta_t = _check_period(delta_t)
     return np.abs(_error(delta_t, np.arange(t.shape[0]), t))
 
 

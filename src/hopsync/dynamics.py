@@ -43,7 +43,7 @@ class ClockState:
         t = np.asarray(self.times, dtype=np.float64)
         if t.ndim != 1:
             raise ValueError("times must be a vector")
-        _check_period(self.delta_t)
+        object.__setattr__(self, "delta_t", _check_period(self.delta_t))
         object.__setattr__(self, "round", _count(self.round, "round"))
         t = t.copy()
         t.setflags(write=False)
@@ -72,6 +72,8 @@ class SteadyStateResult:
 
     def __post_init__(self):
         e = np.asarray(self.ess, dtype=np.float64).copy()
+        if e.ndim != 1:
+            raise ValueError("ess must be a vector")
         e.setflags(write=False)
         object.__setattr__(self, "ess", e)
 
@@ -94,7 +96,7 @@ def error_of(state: ClockState) -> ErrorState:
 def error_step(err: ErrorState, mats: SystemMatrices, delta_t: float) -> ErrorState:
     """One application of the error recursion E' = a @ E + delta_t * 1;
     delta_t must be positive and finite."""
-    _check_period(delta_t)
+    delta_t = _check_period(delta_t)
     if mats.n != err.errors.shape[0]:
         raise DimensionMismatch(
             f"matrices are {mats.n}x{mats.n} but error vector has {err.errors.shape[0]} entries")
@@ -117,7 +119,7 @@ def steady_state_error(system: Union[Topology, SystemMatrices],
     raises it too. Raises ValueError unless delta_t is positive and finite,
     and for a network with no ordinary node.
     """
-    _check_period(delta_t)
+    delta_t = _check_period(delta_t)
     if isinstance(system, Topology):
         n = system.node_count
         rows, cols, vals, b = _averaging_entries(
@@ -145,7 +147,7 @@ def steady_state_error(system: Union[Topology, SystemMatrices],
     level = level[:n] - 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _solve_by_levels(level, rows, cols, vals, float(delta_t))
+            x = _solve_by_levels(level, rows, cols, vals, delta_t)
     except np.linalg.LinAlgError as err:
         raise NotConvergent(f"(I - a) is singular: {err}") from None
     if not np.all(np.isfinite(x)):

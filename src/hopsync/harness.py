@@ -27,8 +27,8 @@ from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import (_LOOKAHEAD, _TEXT_WIDTH, _WINDOW, _error, _float_texts,
                       filter_series, run_rounds)
 from .model import (_INIT_STREAM, _MAX_LINKS, Topology, _check_period,
-                    _check_probability, _count, _whole, effective_matrices,
-                    grid_topology)
+                    _check_probability, _count, _real, _whole,
+                    effective_matrices, grid_topology)
 
 _TRACE_HEADER = ["round", "node", "clock", "error", "filter_out", "detected"]
 _SUMMARY_HEADER = ["node", "min_error_instant", "min_error_value",
@@ -88,14 +88,19 @@ class SimConfig:
                 and flag in (0, 1)):
             raise ConfigInvalid("halt_on_detect must be true or false")
         object.__setattr__(self, "halt_on_detect", bool(flag))
-        _check_period(self.delta_t, ConfigInvalid)
+        object.__setattr__(self, "delta_t",
+                           _check_period(self.delta_t, ConfigInvalid))
         if self.init_max is None:
             object.__setattr__(self, "init_max", _default_init_max(self.delta_t))
+        for name in ("init_min", "init_max"):
+            object.__setattr__(self, name, _real(getattr(self, name), name,
+                                                 ConfigInvalid))
         if not (math.isfinite(self.init_min) and math.isfinite(self.init_max)):
             raise ConfigInvalid("init_min and init_max must be finite")
         if self.init_min > self.init_max:
             raise ConfigInvalid("init_min must not exceed init_max")
-        _check_probability(self.p, "p", ConfigInvalid)
+        object.__setattr__(self, "p",
+                           _check_probability(self.p, "p", ConfigInvalid))
         object.__setattr__(self, "seed", _count(self.seed, "seed",
                                                 ConfigInvalid))
         object.__setattr__(self, "n_max", _whole(self.n_max, "n_max",
@@ -295,9 +300,8 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     the masks drawn but not yet stepped.
     """
     topo, n_max, halting = cfg.topology, cfg.n_max, cfg.halt_on_detect
-    n, dt, det = topo.node_count, cfg.delta_t, cfg.detector
+    dt, det = cfg.delta_t, cfg.detector
     eu, ev = topo.edge_arrays()
-    to_gateway, ev_node = ev >= n, np.minimum(ev, n - 1)
     t = np.stack([initial_clocks(replace(cfg, seed=s)) for s in seeds])
     step = max(1, cells // t.size)
     unit = 1 if halting else step  # the rounds one run_rounds call steps
@@ -331,8 +335,9 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
                                 min(r0 - 1 + draw, n_max))
         masks, ahead = ahead[:unit], ahead[unit:]
         if halted.any():  # silence every edge touching a halted node
-            masks = masks & (~halted[:, eu]
-                             & (to_gateway | ~halted[:, ev_node]))
+            live = np.concatenate(  # the gateway's column: it never halts
+                [~halted, np.ones((len(seeds), 1), dtype=bool)], axis=1)
+            masks = masks & live[:, eu] & live[:, ev]
         block = run_rounds(t, eu, ev, masks, dt, round0=r0 - 1)[1:]
         t = block[-1]
 

@@ -7,6 +7,7 @@ files may spell the gateway as the literal ``gw`` or as that integer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -37,17 +38,33 @@ def _count(value, name: str, error=ValueError) -> int:
     return n
 
 
-def _check_period(delta_t, error=ValueError) -> None:
-    """``error`` unless the round period ``delta_t`` is positive and
-    finite."""
+def _real(value, name: str, error=ValueError) -> float:
+    """``value`` as a float; TypeError unless it is a real number and not a
+    bool, ``error`` if it is past the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must be finite") from None
+
+
+def _check_period(delta_t, error=ValueError) -> float:
+    """The round period ``delta_t`` as a float (see _real); ``error`` unless
+    it is positive and finite."""
+    delta_t = _real(delta_t, "delta_t", error)
     if not (math.isfinite(delta_t) and delta_t > 0):
         raise error("delta_t must be positive and finite")
+    return delta_t
 
 
-def _check_probability(value, name: str, error=ValueError) -> None:
-    """``error`` unless ``value`` is a probability, in [0, 1]."""
+def _check_probability(value, name: str, error=ValueError) -> float:
+    """``value`` as a float (see _real); ``error`` unless it is a
+    probability, in [0, 1]."""
+    value = _real(value, name, error)
     if not (0.0 <= value <= 1.0):
         raise error(f"{name} must be in [0, 1]")
+    return value
 
 
 # The most links a generated topology may build or draw: one per edge of a
@@ -172,15 +189,17 @@ class SystemMatrices:
     """Averaging matrix ``a`` over ordinary nodes and gateway weight vector ``b``.
 
     Row i of (a | b) is stochastic: each neighbor of node i, the gateway
-    included, carries weight 1/C_i where C_i is the neighbor count.
+    included, carries weight 1/C_i where C_i is the neighbor count. Both are
+    held as read-only views of the arrays given, which are not copied and
+    stay writeable: a later write to them shows in the matrices.
     """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+        a = np.asarray(self.a, dtype=np.float64).view()
+        b = np.asarray(self.b, dtype=np.float64).view()
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
             raise ValueError("a must be square and b its matching vector")
         a.setflags(write=False)
@@ -293,6 +312,7 @@ def grid_topology(rows: int, cols: int, gateway="corner") -> Topology:
 
     ``gateway`` is a row-major index or "corner" (index 0, the top-left cell).
     """
+    rows, cols = _whole(rows, "rows"), _whole(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
     _check_links(rows * (cols - 1) + cols * (rows - 1))
@@ -307,6 +327,7 @@ def grid_topology(rows: int, cols: int, gateway="corner") -> Topology:
 
 def line_topology(n: int, gateway="corner") -> Topology:
     """Path on n total nodes; "corner" places the gateway at an end."""
+    n = _whole(n, "n")
     if n < 2:
         raise ValueError("a line needs at least 2 total nodes")
     _check_links(n - 1)
@@ -315,6 +336,7 @@ def line_topology(n: int, gateway="corner") -> Topology:
 
 
 def ring_topology(n: int, gateway="corner") -> Topology:
+    n = _whole(n, "n")
     if n < 3:
         raise ValueError("a ring needs at least 3 total nodes")
     _check_links(n)
@@ -329,12 +351,13 @@ def random_topology(n: int, edge_prob: float, seed: int, gateway="corner") -> To
     complete graph regardless of seed. More than _MAX_LINKS pairs raise
     ValueError before anything is drawn.
     """
+    n = _whole(n, "n")
     if n < 2:
         raise ValueError("a random topology needs at least 2 total nodes")
-    _check_probability(edge_prob, "edge_prob")
+    edge_prob = _check_probability(edge_prob, "edge_prob")
     _check_links(n * (n - 1) // 2)
     g = _resolve_gateway(gateway, n)
-    rng = np.random.default_rng([int(seed), _TOPOLOGY_STREAM])
+    rng = np.random.default_rng([_count(seed, "seed"), _TOPOLOGY_STREAM])
     # One draw per pair (i, j), i < j, in row-major order: pair (i, j) is
     # draw ends[i] - n + j, where ends[i] counts the pairs of rows 0..i.
     # Generator.random gives the same doubles drawn whole or in pieces, so

@@ -615,6 +615,46 @@ def test_out_starting_with_a_dash(tmp_path, monkeypatch, capsys):
     assert "\nout=-results\n" in capsys.readouterr().out
 
 
+# every option that takes a value; and arguments that start with a single
+# dash, which that option's parser takes or refuses, and others
+_VALUE_FLAGS = ["--config"] + [f"--{opt.key}" for opt in cli._OPTIONS
+                               if opt.parse is not cli._bool]
+_TOKENS = ["-1", "-0", "-1e-3", "-inf", "-nan", "-.5", "-0x1p-3", "-1_0",
+           "-x", "-results", "-", "-h", "5", "corner", "grid:2x2"]
+
+
+def _exit_and_output(capsys, *argv):
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", _VALUE_FLAGS)
+def test_value_apart_or_attached_alike(tmp_path, monkeypatch, capsys, flag):
+    # an argument after an option that takes a value is its value, whether
+    # or not it starts with a single dash: "--key tok" does what
+    # "--key=tok" does, and that option's parser takes or refuses it
+    monkeypatch.chdir(tmp_path)
+    for tok in _TOKENS:
+        apart = _exit_and_output(capsys, "sweep", flag, tok, "--dump-config")
+        attached = _exit_and_output(capsys, "sweep", f"{flag}={tok}",
+                                    "--dump-config")
+        assert apart == attached, tok
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--gateway", "expected 'corner' or a node index, got '-x'"),
+    ("--delta-t", "invalid float value: '-x'"),
+    ("--rounds", "invalid int value: '-x'"),
+])
+def test_single_dash_value_refused_by_its_parser(capsys, flag, message):
+    code, captured = _exit_and_output(capsys, "simulate", flag, "-x")
+    assert code == 2
+    assert f"argument {flag}: {message}" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--dump-config", "--dump"])
 def test_string_option_followed_by_a_flag_still_exits2(capsys, flag):
     # "--dump" is argparse's abbreviation of --dump-config

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hopsync import dynamics
 from hopsync.dynamics import (ClockState, DimensionMismatch, ErrorState,
-                              NotConvergent, error_of, error_step,
-                              steady_state_error, step)
+                              NotConvergent, SteadyStateResult, error_of,
+                              error_step, steady_state_error, step)
 from hopsync.harness import SimConfig, run
 from hopsync.model import (SystemMatrices, Topology, _averaging_entries,
                            _hop_levels, build_matrices, effective_matrices,
@@ -404,3 +404,5 @@ def test_state_validation():
         ClockState(times=np.ones((2, 1)), round=0, delta_t=1.0)
     with pytest.raises(ValueError, match="^errors must be a vector$"):
         ErrorState(errors=np.ones((1, 2)))
+    with pytest.raises(ValueError, match="^ess must be a vector$"):
+        SteadyStateResult([[1.0, 2.0]])

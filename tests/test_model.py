@@ -151,6 +151,41 @@ def test_size_or_shape_refused(call, match):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: grid_topology(2, 2.5), "cols must be an integer"),
+    (lambda: grid_topology("2", 2), "rows must be an integer"),
+    (lambda: line_topology(3.5), "n must be an integer"),
+    (lambda: ring_topology("4"), "n must be an integer"),
+    (lambda: random_topology(5.5, 0.5, seed=0), "n must be an integer"),
+    (lambda: random_topology(5, 0.5, seed=1.5), "seed must be an integer"),
+    (lambda: random_topology(5, 0.5, seed=-1),
+     "seed must be a nonnegative integer"),
+], ids=["grid_cols", "grid_rows", "line", "ring", "random_n",
+        "random_seed_fraction", "random_seed_negative"])
+def test_generator_count_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_generators_take_whole_floats():
+    # as SimConfig takes n_max=100.0 for 100
+    assert grid_topology(2, 2.0) == grid_topology(2, 2)
+    assert line_topology(3.0) == line_topology(3)
+    assert ring_topology(4.0) == ring_topology(4)
+    assert random_topology(6.0, 0.5, seed=3.0) == random_topology(6, 0.5,
+                                                                  seed=3)
+
+
+def test_matrices_leave_the_given_arrays_writeable():
+    # the matrices hold read-only views, not copies of a dense N x N array
+    a, b = np.eye(2), np.zeros(2)
+    mats = SystemMatrices(a, b)
+    a[0, 0] = 0.25
+    b[1] = 0.5
+    assert not mats.a.flags.writeable and not mats.b.flags.writeable
+    assert mats.a[0, 0] == 0.25 and mats.b[1] == 0.5
+
+
 def test_link_limit_is_inclusive():
     # 2**32 links pass the check; one more is refused
     model._check_links(2**32)
