@@ -21,6 +21,15 @@ from .model import (SystemMatrices, Topology, _averaging_entries,
                     _check_period, _count, _hop_levels)
 
 
+def _vector(value, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``value``; ValueError unless it is 1-D."""
+    v = np.asarray(value, dtype=np.float64).copy()
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a vector")
+    v.setflags(write=False)
+    return v
+
+
 class DimensionMismatch(ValueError):
     """State and matrices disagree on the node count."""
 
@@ -40,14 +49,9 @@ class ClockState:
     delta_t: float
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        if t.ndim != 1:
-            raise ValueError("times must be a vector")
+        object.__setattr__(self, "times", _vector(self.times, "times"))
         object.__setattr__(self, "delta_t", _check_period(self.delta_t))
         object.__setattr__(self, "round", _count(self.round, "round"))
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
 
 
 @dataclass(frozen=True)
@@ -57,11 +61,7 @@ class ErrorState:
     errors: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.errors, dtype=np.float64).copy()
-        if e.ndim != 1:
-            raise ValueError("errors must be a vector")
-        e.setflags(write=False)
-        object.__setattr__(self, "errors", e)
+        object.__setattr__(self, "errors", _vector(self.errors, "errors"))
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,7 @@ class SteadyStateResult:
     ess: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.ess, dtype=np.float64).copy()
-        if e.ndim != 1:
-            raise ValueError("ess must be a vector")
-        e.setflags(write=False)
-        object.__setattr__(self, "ess", e)
+        object.__setattr__(self, "ess", _vector(self.ess, "ess"))
 
 
 def step(state: ClockState, mats: SystemMatrices) -> ClockState:

@@ -125,24 +125,23 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Complete run record: the clocks and the detection events.
+    """Complete run record: the clocks and each node's stop.
 
     times is an (n_max + 1, N) float64 array indexed by round then node,
     taken as np.asarray gives it (ValueError unless it is 2-D with at least
-    one round and one node), and each event's node and target round must
-    index it; a node has at most one event, its first flip (ValueError
-    otherwise). A config or an event of another type raises TypeError.
-    Every reader of a finished run reads the events as _targets, a
-    read-only int array of each node's flagged round, -1 where it has none.
-    errors and filter_outputs, arrays of the same shape, are derived from
-    times, the config's delta_t and its detector's c_f each time they are
-    read (see _error and _derived); filter_outputs is NaN where the filter
-    window is undefined.
+    one round and one node). targets[i] is node i's flagged round, -1 where
+    it has none, stored as a read-only int64 copy: TypeError unless it is an
+    integer (not bool) array, ValueError unless its shape is (N,) and each
+    value is -1 or in 0..n_max - 3, since a stop at m is decided at round
+    m + 3, which the trace must hold. A config of another type raises
+    TypeError. events, errors and filter_outputs are derived from these
+    each time they are read; filter_outputs is NaN where the filter window
+    is undefined (see _error and _derived).
     """
 
     config: SimConfig
     times: np.ndarray
-    events: Tuple[DetectionEvent, ...]
+    targets: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.config, SimConfig):
@@ -153,24 +152,34 @@ class RunTrace:
                              f"by one node, not of shape {times.shape}")
         object.__setattr__(self, "times", times)
         rows, n = times.shape
-        targets = np.full(n, -1, dtype=np.int64)
-        for e in self.events:  # DetectionEvent checks both are >= 0
-            if not isinstance(e, DetectionEvent):
-                raise TypeError("events must hold DetectionEvents")
-            if not (e.node_id < n and e.target_round < rows):
-                raise ValueError(
-                    f"event at node {e.node_id}, round {e.target_round} lies "
-                    f"outside the trace's nodes 0..{n - 1} and rounds "
-                    f"0..{rows - 1}")
-            if targets[e.node_id] >= 0:
-                raise ValueError(f"node {e.node_id} has more than one event")
-            targets[e.node_id] = e.target_round
+        targets = np.asarray(self.targets)
+        if targets.dtype.kind not in "iu":
+            raise TypeError("targets must be an integer array")
+        if targets.shape != (n,):
+            raise ValueError(f"targets must have shape ({n},), one round per "
+                             f"node, not {targets.shape}")
+        last = max(-1, rows - 1 - _LOOKAHEAD)  # -1 is always allowed
+        if int(targets.min()) < -1 or int(targets.max()) > last:
+            raise ValueError(
+                f"targets must each be -1 or a round m whose decision round "
+                f"m + 3 is in the trace's rounds 0..{rows - 1}")
+        targets = targets.astype(np.int64)
         targets.flags.writeable = False
-        object.__setattr__(self, "_targets", targets)
+        object.__setattr__(self, "targets", targets)
 
     @property
     def n_max(self) -> int:
         return self.times.shape[0] - 1
+
+    @property
+    def events(self) -> Tuple[DetectionEvent, ...]:
+        """One DetectionEvent per node with a target, in node order, whose
+        frozen_time is the node's clock at its decision round."""
+        nodes = np.flatnonzero(self.targets >= 0)
+        rounds = self.targets[nodes]
+        frozen = self.times[rounds + _LOOKAHEAD, nodes]
+        return tuple(map(DetectionEvent, nodes.tolist(), rounds.tolist(),
+                         frozen.tolist()))
 
     @property
     def errors(self) -> np.ndarray:
@@ -241,12 +250,7 @@ def run(cfg: SimConfig) -> RunTrace:
     for r0, clocks, _, first in _rounds(cfg, [cfg.seed], _TRACE_BLOCK_ROWS,
                                         detect=True):
         times[r0:r0 + len(clocks)] = clocks[:, 0]
-    first = first[0]
-    events = tuple(
-        DetectionEvent(node_id=int(i), target_round=int(m),
-                       frozen_time=float(times[m + _LOOKAHEAD, i]))
-        for i, m in zip(np.flatnonzero(first >= 0), first[first >= 0]))
-    return RunTrace(config=cfg, times=times, events=events)
+    return RunTrace(config=cfg, times=times, targets=first[0])
 
 
 def _derived(trace: RunTrace, r0: int, r1: int):
@@ -398,7 +402,7 @@ def summarize(trace: RunTrace) -> List[NodeSummary]:
                            times[r0:r0 + step])))
         for r0 in range(0, rows, step))
     # a node without a target gathers the last round, which is never read
-    targets = trace._targets
+    targets = trace.targets
     picked = np.abs(_error(dt, targets,
                            times[targets, np.arange(times.shape[1])]))
     last = np.abs(_error(dt, trace.n_max, times[-1]))
@@ -532,6 +536,7 @@ class _BlockWork(NamedTuple):
     """The buffers _trace_block lays out blocks of up to ``rounds`` rounds
     of N nodes in, rounds up to ``last`` (see _block_work)."""
     last: int
+    nodes: np.ndarray  # _int_fields(0, N): each node's field and ','
     texts: np.ndarray  # (3 * rounds * N + 1, 25) uint8: each text and ','
     rows: np.ndarray   # (rounds, N, width) uint8: the rows, NUL-padded
     # rounds * N * width bytes that hold in turn the three float columns,
@@ -540,27 +545,27 @@ class _BlockWork(NamedTuple):
     spare: np.ndarray
 
 
-def _block_work(rounds: int, n: int, last: int, node_width: int
-                ) -> _BlockWork:
+def _block_work(rounds: int, n: int, last: int) -> _BlockWork:
     """A _BlockWork for blocks of up to ``rounds`` rounds of ``n`` nodes,
-    none after round ``last``, whose node fields are ``node_width`` bytes
-    wide. Its pages are touched only as blocks use them, so a block that
-    holds few distinct floats touches little of ``texts``."""
-    width = len(str(last)) + 1 + node_width + 3 * (_TEXT_WIDTH + 1) + 3
+    none after round ``last``. Its pages are touched only as blocks use
+    them, so a block that holds few distinct floats touches little of
+    ``texts``."""
+    nodes = _int_fields(0, n)
+    width = len(str(last)) + 1 + nodes.shape[1] + 3 * (_TEXT_WIDTH + 1) + 3
     return _BlockWork(
-        last,
+        last, nodes,
         np.empty((3 * rounds * n + 1, _TEXT_WIDTH + 1), dtype=np.uint8),
         np.empty((rounds, n, width), dtype=np.uint8),
         np.empty(rounds * n * width, dtype=np.uint8))
 
 
-def _trace_block(times, errors, filter_outputs, targets, nodes, r0,
-                 work: Optional[_BlockWork] = None) -> memoryview:
+def _trace_block(times, errors, filter_outputs, targets, r0,
+                 work: _BlockWork) -> memoryview:
     """trace.csv rows for the (rounds, N) block arrays of rounds r0, r0+1,
     ..., exactly as ``csv.writer`` wrote them: ``repr`` floats, empty
     ``filter_out`` for NaN, CRLF endings. ``targets`` holds each node's
     flagged round, -1 where it has none (see RunTrace): ``detected`` is 1
-    where it equals the row's round. ``nodes`` is _int_fields(0, N).
+    where it equals the row's round.
 
     Each row is laid out in one (rounds, N, width) uint8 matrix of
     fixed-width, NUL-padded fields: the round and the node with their ','
@@ -571,13 +576,11 @@ def _trace_block(times, errors, filter_outputs, targets, nodes, r0,
     blank: a NaN clock or error still prints ``nan``.
 
     The matrices are laid out in ``work``, made by _block_work for blocks
-    of at least these rounds, and in new buffers sized to this block when
-    it is None. Every byte a block reads from ``work`` is written by that
-    block first, so the bytes do not depend on the blocks before. Returns
-    the rows' bytes as a memoryview of a new array."""
+    of at least these rounds of these N nodes. Every byte a block reads
+    from ``work`` is written by that block first, so the bytes do not
+    depend on the blocks before. Returns the rows' bytes as a memoryview of
+    a new array."""
     rounds, n = times.shape
-    if work is None:
-        work = _block_work(rounds, n, r0 + rounds - 1, nodes.shape[1])
     values = work.spare[:rounds * n * 3 * 8].view(np.float64).reshape(
         rounds, n, 3)
     values[..., 0], values[..., 1], values[..., 2] = (
@@ -594,10 +597,10 @@ def _trace_block(times, errors, filter_outputs, targets, nodes, r0,
     cells = np.take(texts, inv, axis=0, mode="clip", out=work.spare[
         :inv.size * texts.shape[1]].reshape(inv.shape + texts.shape[1:]))
     keys = _int_fields(r0, rounds, work.last)
-    a, b = keys.shape[1], keys.shape[1] + nodes.shape[1]
+    a, b = keys.shape[1], keys.shape[1] + work.nodes.shape[1]
     rows = work.rows[:rounds]
     rows[:, :, :a] = keys[:, None]
-    rows[:, :, a:b] = nodes
+    rows[:, :, a:b] = work.nodes
     rows[:, :, b:-3] = cells.reshape(rounds, n, -1)
     rows[:, :, -3:] = np.frombuffer(b"0\r\n", dtype=np.uint8)
     rows[targets == np.arange(r0, r0 + rounds)[:, None], -3] = ord("1")
@@ -756,8 +759,8 @@ def _replacing(path, mode: str, **kwargs):
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Write trace.csv of ``trace`` to ``path``. Rows are (round, node)
     pairs, round-major. ``filter_out`` is empty where the filter window is
-    undefined; ``detected`` is 1 exactly at a node's flagged instant (the
-    events are read as trace._targets).
+    undefined; ``detected`` is 1 exactly at a node's flagged instant, its
+    entry of trace.targets.
 
     Whole rounds are derived (see _derived), formatted and written a block
     at a time, so memory beyond ``trace.times`` stays near one block per
@@ -772,7 +775,6 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     are the same for any number of workers. A child that fails raises
     OSError here."""
     n = trace.times.shape[1]
-    nodes = _int_fields(0, n)
     rounds = trace.n_max + 1
     step = max(1, _TRACE_BLOCK_ROWS // n)
     blocks = -(-rounds // step)
@@ -782,11 +784,11 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
     def span(w, fh):
         r0, r1 = ends[w], ends[w + 1]
-        work = _block_work(min(step, r1 - r0), n, r1 - 1, nodes.shape[1])
+        work = _block_work(min(step, r1 - r0), n, r1 - 1)
         for a in range(r0, r1, step):
             b = min(a + step, rounds)
             fh.write(_trace_block(trace.times[a:b], *_derived(trace, a, b),
-                                  trace._targets, nodes, a, work))
+                                  trace.targets, a, work))
 
     with _forked(span, workers - 1,
                  os.path.dirname(os.path.abspath(path))) as reaped, \

@@ -20,7 +20,10 @@ _TOPOLOGY_STREAM = 2  # random_topology's edges
 
 
 def _whole(value, name: str, error=ValueError) -> int:
-    """``value`` as an int; ``error`` unless it is a whole number."""
+    """``value`` as an int; TypeError for a bool, ``error`` unless it is a
+    whole number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not a bool")
     try:
         if int(value) == value:
             return int(value)
@@ -156,9 +159,10 @@ class Topology:
 
 def _pairs(edges, n: int) -> np.ndarray:
     """``edges`` as (E, 2) int64; ValueError unless every id is a whole
-    number (see _whole). An id beyond int64 stays out of 0..n."""
+    number, TypeError for a bool (see _whole). An id beyond int64 stays out
+    of 0..n."""
     e = np.asarray(edges)
-    if e.dtype.kind not in "biu":
+    if e.dtype.kind not in "iu":
         e = np.clip(np.array([[_whole(i, "node id") for i in pair]
                               for pair in edges], dtype=object), -1, n + 1)
     return e.astype(np.int64, copy=False).reshape(len(edges), 2)

@@ -150,11 +150,11 @@ _STALLED_WRITE = """
 import sys, time
 from hopsync import cli, harness
 block = harness._trace_block
-def stall(times, errors, filter_outputs, targets, nodes, r0, work):
+def stall(times, errors, filter_outputs, targets, r0, work):
     if r0 > 0:
         open(sys.argv[1], "w").close()
         time.sleep(60)
-    return block(times, errors, filter_outputs, targets, nodes, r0, work)
+    return block(times, errors, filter_outputs, targets, r0, work)
 harness._trace_block = stall
 harness._workers = lambda blocks: 1
 sys.exit(cli.main(sys.argv[2:]))

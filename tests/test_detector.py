@@ -211,7 +211,7 @@ def test_node_filter_input_is_the_runs_abs_error(clocks, delta_t):
     # a node's detector input is the |e| a run reads, bit for bit
     trace = RunTrace(config=SimConfig(topology=line_topology(2),
                                       delta_t=delta_t),
-                     times=clocks, events=())
+                     times=clocks, targets=[-1] * 3)
     for i in range(trace.times.shape[1]):
         got = node_filter_input(trace.times[:, i], delta_t)
         want = np.abs(trace.errors[:, i])

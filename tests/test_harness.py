@@ -121,11 +121,9 @@ def test_fields_of_the_wrong_type_raise_type_error():
         SimConfig(topology="grid:2x2")
     with pytest.raises(TypeError, match="detector must be a DetectorConfig"):
         SimConfig(topology=GRID, detector=None)
-    cfg = SimConfig(topology=GRID)
-    with pytest.raises(TypeError, match="events must hold DetectionEvents"):
-        RunTrace(config=cfg, times=np.zeros((3, 15)), events=(1,))
     with pytest.raises(TypeError, match="config must be a SimConfig"):
-        RunTrace(config=None, times=np.zeros((3, 15)), events=())
+        RunTrace(config=None, times=np.zeros((3, 15)),
+                 targets=np.full(15, -1))
 
 
 def test_initial_clocks_seeded_range():
@@ -198,35 +196,28 @@ def test_single_node_constant_error_no_detection():
     assert tr.events == ()
 
 
-@pytest.mark.parametrize("node_id, target_round", [
-    (0, 25), (5, 3), (2, 0), (0, 21)])
-def test_run_trace_refuses_events_outside_times(node_id, target_round):
-    # line:3 has N = 2 and n_max = 20: an event past either names no cell
-    # of times, and a reader would take another cell, or none, for it
+@pytest.mark.parametrize("targets, error, match", [
+    (np.full((1, 2), -1), ValueError, "shape"),
+    (np.full(3, -1), ValueError, "shape"),
+    (np.array([-1.0, 5.0]), TypeError, "integer array"),
+    (np.array([False, True]), TypeError, "integer array"),
+    ([-1, -2], ValueError, "-1 or a round"),
+    ([18, -1], ValueError, "-1 or a round"),
+    (np.array([2**64 - 1, 0], dtype=np.uint64), ValueError, "-1 or a round")])
+def test_run_trace_refuses_bad_targets(targets, error, match):
+    # line:3 has N = 2 and n_max = 20: a stop at m is decided at m + 3, so
+    # each node's target is -1 or a round 0..17; one round per node, so a
+    # node cannot stop twice
     cfg = SimConfig(topology=line_topology(3), n_max=20)
     tr = run(cfg)
-    event = DetectionEvent(node_id=node_id, target_round=target_round,
-                           frozen_time=0.0)
-    with pytest.raises(ValueError, match="outside the trace"):
-        RunTrace(config=cfg, times=tr.times, events=(event,))
-    with pytest.raises(ValueError, match="outside the trace"):
-        replace(tr, events=(event,))
-    last = DetectionEvent(node_id=1, target_round=20, frozen_time=0.0)
-    assert summarize(replace(tr, events=(last,)))[1].detected_instant == 20
-
-
-def test_run_trace_refuses_a_repeated_node():
-    # a node stops once: with two events summarize would keep one of them
-    # while write_trace_csv flagged both
-    cfg = SimConfig(topology=line_topology(3), n_max=20)
-    tr = run(cfg)
-    twice = tuple(DetectionEvent(node_id=1, target_round=r, frozen_time=0.0)
-                  for r in (5, 9))
-    with pytest.raises(ValueError, match="node 1 has more than one event"):
-        RunTrace(config=cfg, times=tr.times, events=twice)
-    with pytest.raises(ValueError, match="more than one event"):
-        replace(tr, events=twice[:1] + (twice[0],))
-    assert replace(tr, events=twice[:1]).events == twice[:1]
+    with pytest.raises(error, match=match):
+        RunTrace(config=cfg, times=tr.times, targets=targets)
+    with pytest.raises(error, match=match):
+        replace(tr, targets=targets)
+    last = replace(tr, targets=[-1, 17])
+    assert last.targets.dtype == np.int64 and not last.targets.flags.writeable
+    assert summarize(last)[1].detected_instant == 17
+    assert last.events == (DetectionEvent(1, 17, tr.times[20, 1]),)
 
 
 def test_run_trace_takes_times_as_a_float_array():
@@ -234,14 +225,15 @@ def test_run_trace_takes_times_as_a_float_array():
     # rounds by nodes, or with no round or no node, are refused by name
     cfg = SimConfig(topology=line_topology(3), n_max=20)
     tr = run(cfg)
-    listed = RunTrace(config=cfg, times=tr.times.tolist(), events=tr.events)
+    listed = RunTrace(config=cfg, times=tr.times.tolist(),
+                      targets=tr.targets)
     assert listed.times.dtype == np.float64
     assert np.array_equal(listed.times, tr.times)
     assert summarize(listed) == summarize(tr)
     for times in (tr.times[:, 0], tr.times[None], tr.times[:, :0],
                   tr.times[:0]):
         with pytest.raises(ValueError, match="times must be a 2-D array"):
-            RunTrace(config=cfg, times=times, events=())
+            RunTrace(config=cfg, times=times, targets=tr.targets)
 
 
 def test_disconnected_flagged_but_simulated():
@@ -483,7 +475,7 @@ def test_trace_csv_and_summary_take_n_from_the_arrays(tmp_path):
     # a trace is written from its clocks' shape, not its config's n_max or
     # topology: every (round, node) cell of the 10 x 5 clocks, 5 summary rows
     t = np.arange(50.).reshape(10, 5)
-    trace = RunTrace(config=_HAND_CONFIG, times=t, events=())
+    trace = RunTrace(config=_HAND_CONFIG, times=t, targets=np.full(5, -1))
     write_trace_csv(trace, tmp_path / "trace.csv")
     rows = _read_csv(tmp_path / "trace.csv")[1:]
     assert [(int(r[0]), int(r[1]), float(r[2])) for r in rows] == [
@@ -800,13 +792,24 @@ def _hand_cells(n, n_max, pool, seed, count):
 
 
 def _hand_trace(n, n_max, pool, seed, events):
-    """A RunTrace of _HAND_CONFIG whose clocks are drawn from ``pool``, with
-    an event at each (target_round, node_id) of ``events``."""
+    """A RunTrace of _HAND_CONFIG whose clocks are drawn from ``pool``,
+    flagging each (target_round, node_id) of ``events``."""
     times, = _hand_cells(n, n_max, pool, seed, 1)
-    return RunTrace(
-        config=_HAND_CONFIG, times=times,
-        events=tuple(DetectionEvent(node_id=i, target_round=r, frozen_time=0.0)
-                     for r, i in sorted(events, key=lambda e: e[1])))
+    targets = np.full(n, -1)
+    for r, i in events:
+        targets[i] = r
+    return RunTrace(config=_HAND_CONFIG, times=times, targets=targets)
+
+
+def _fresh_block(block, work=None):
+    """_trace_block's bytes of ``block``, laid out in ``work`` or, where it
+    is None, in buffers made for this block alone."""
+    rounds, n = block.times.shape
+    if work is None:
+        work = harness._block_work(rounds, n, block.r0 + rounds - 1)
+    return harness._trace_block(block.times, block.errors,
+                                block.filter_outputs, block.targets, block.r0,
+                                work)
 
 
 class _Block(NamedTuple):
@@ -862,19 +865,23 @@ def _same_bytes_as_oracle(trace):
 
 
 @st.composite
-def _hand_shapes(draw):
-    """(n, n_max, pool, events) of a hand trace or block."""
+def _hand_shapes(draw, last=0):
+    """(n, n_max, pool, events) of a hand trace or block, whose events flag
+    rounds up to ``last`` before n_max."""
     n = draw(st.sampled_from([1, 2, 3, 7, 900, 4097]))
     n_max = draw(st.integers(0, 3 if n > 4096 else 40))
     pool = _AWKWARD + draw(st.lists(st.floats(), max_size=8))
-    nodes = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 5)))
-    events = [(draw(st.integers(0, n_max)), i) for i in nodes]
+    nodes = draw(st.sets(st.integers(0, n - 1),
+                         max_size=min(n, 5) if n_max >= last else 0))
+    events = [(draw(st.integers(0, n_max - last)), i) for i in nodes]
     return n, n_max, pool, events
 
 
 @st.composite
 def hand_traces(draw):
-    n, n_max, pool, events = draw(_hand_shapes())
+    # a trace flags no round past n_max - 3 (see RunTrace): hand blocks
+    # flag those rows
+    n, n_max, pool, events = draw(_hand_shapes(last=3))
     return _hand_trace(n, n_max, pool, draw(st.integers(0, 2**32)), events)
 
 
@@ -932,10 +939,7 @@ _LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -5e-324,
 def test_trace_csv_matches_csv_writer_oracle(block):
     # a block's bytes, from any three columns of any floats, are the rows
     # csv.writer wrote; targets outside the block do not show
-    nodes = harness._int_fields(0, block.times.shape[1])
-    assert harness._trace_block(
-        block.times, block.errors, block.filter_outputs, block.targets,
-        nodes, block.r0) == _oracle_rows(*block).encode("ascii")
+    assert _fresh_block(block) == _oracle_rows(*block).encode("ascii")
 
 
 # blocks of 4, 3, 1 and 2 rounds over rounds 5..104: the round field widens
@@ -951,22 +955,19 @@ def test_reused_block_buffers_give_unbuffered_bytes(n):
     # widens, and whose texts are shorter than the block's before (the
     # 24-character fallbacks, then one and three characters): each block's
     # bytes are those of buffers made for it alone, and csv.writer's rows
-    nodes = harness._int_fields(0, n)
-    work = harness._block_work(4, n, 104, nodes.shape[1])
+    work = harness._block_work(4, n, 104)
     pools = [_LONGEST, [0.5, -2.5, math.nan], _AWKWARD]
     for i, (r0, r1) in enumerate(_SPAN_BLOCKS):
         block = _hand_block(n, r1 - r0 - 1, pools[i % 3], i,
                             [(r1 - r0 - 1, n - 1)], r0)
-        args = (block.times, block.errors, block.filter_outputs,
-                block.targets, nodes, r0)
-        alone = harness._trace_block(*args)
-        assert harness._trace_block(*args, work) == alone
+        alone = _fresh_block(block)
+        assert _fresh_block(block, work) == alone
         assert alone == _oracle_rows(*block).encode("ascii")
 
 
 @settings(max_examples=40, deadline=None)
 @given(hand_traces())
-@example(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
+@example(_hand_trace(1, 30, _AWKWARD, 1, [(27, 0)]))
 @example(_hand_trace(7, 40, [math.nan, -0.0, 1e16, math.inf], 2, [(3, 6)]))
 def test_hand_trace_csv_matches_oracle(trace):
     # clocks of any floats: the columns derived block by block are the
@@ -1107,9 +1108,9 @@ def test_trace_csv_same_bytes_for_any_worker_count(monkeypatch, workers):
     # halting run's blocks repeat most values, the p = 0.7 run's few
     monkeypatch.setattr(harness, "_TRACE_BLOCK_ROWS", 32)
     _force_workers(monkeypatch, workers)
-    traces = [_hand_trace(2048, 5, _AWKWARD, 5, [(1, 2047), (2, 0), (5, 5)]),
-              _hand_trace(3, 40, _AWKWARD, 6, [(39, 1), (0, 2)]),
-              _hand_trace(1, 30, _AWKWARD, 7, [(30, 0)]),
+    traces = [_hand_trace(2048, 5, _AWKWARD, 5, [(1, 2047), (2, 0), (2, 5)]),
+              _hand_trace(3, 40, _AWKWARD, 6, [(37, 1), (0, 2)]),
+              _hand_trace(1, 30, _AWKWARD, 7, [(27, 0)]),
               run(SimConfig(**{**REFERENCE, "p": 0.7})),
               run(SimConfig(**{**REFERENCE, "p": 0.5,
                                "halt_on_detect": True}))]
@@ -1141,7 +1142,7 @@ def test_short_trace_never_forks(monkeypatch):
     def no_fork():
         raise AssertionError("forked for a short trace")
     monkeypatch.setattr(harness, "_fork", no_fork)
-    assert _same_bytes_as_oracle(_hand_trace(1, 30, _AWKWARD, 1, [(30, 0)]))
+    assert _same_bytes_as_oracle(_hand_trace(1, 30, _AWKWARD, 1, [(27, 0)]))
     assert _same_bytes_as_oracle(run(SimConfig(**REFERENCE)))
 
 
@@ -1155,11 +1156,10 @@ def _fail_blocks(monkeypatch, since, exc):
     _force_workers(monkeypatch, 2)
     real_block, real_fork, pids = harness._trace_block, harness._fork, []
 
-    def block(times, errors, filter_outputs, targets, nodes, r0, work):
+    def block(times, errors, filter_outputs, targets, r0, work):
         if r0 >= since:
             raise exc
-        return real_block(times, errors, filter_outputs, targets, nodes, r0,
-                          work)
+        return real_block(times, errors, filter_outputs, targets, r0, work)
 
     def fork():
         pid = real_fork()
@@ -1252,7 +1252,7 @@ def _placed_rounds(probe, workers, step, d):
     no flagged round allows that. The cut run flags m too: its flag
     depends on rounds up to m + 3 alone."""
     shortest = probe.config.detector.k_guard + 7  # as SimConfig allows
-    for m in sorted(probe._targets[probe._targets >= 0].tolist()):
+    for m in sorted(probe.targets[probe.targets >= 0].tolist()):
         split = m + d
         # workers * split rounds in whole blocks: the first span ends at split
         if split > 0 and split % step == 0 and (
@@ -1304,7 +1304,7 @@ def test_cli_outputs_equal_the_one_process_writer(workers, step, p, halt,
                     open(os.path.join(out, f"one_{name}"), "rb") as b:
                 assert a.read() == b.read(), name
     if n_max is not None:
-        assert (trace._targets == (n_max + 1) // workers - d).any()
+        assert (trace.targets == (n_max + 1) // workers - d).any()
 
 
 @pytest.mark.parametrize("exc, code, err", [
@@ -1350,7 +1350,7 @@ def test_each_child_formats_its_span_and_this_process_the_first(
     def block(*args):
         out = real_block(*args)
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {args[5]}\n")
+            fh.write(f"{os.getpid()} {args[4]}\n")
         return out
 
     def rounds():

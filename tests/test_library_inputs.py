@@ -29,7 +29,6 @@ def _valid(*values):
 
 
 GRID = grid_topology(2, 2)
-EVENT = DetectionEvent(node_id=0, target_round=1, frozen_time=0.0)
 IDS = _valid(0, 1, 2, 3)
 # each field's valid values; a field whose list or tuple can also hold odd
 # values has a (valid, odd) pair of strategies, any other draws ODD when odd
@@ -48,10 +47,9 @@ FIELDS = {
                                min_size=1, max_size=4))),
     RunTrace: dict(
         config=_valid(SimConfig(GRID)),
-        times=_valid(np.zeros((4, 3)), [[0.0, 1.0]]),
-        events=(_valid((), (EVENT,)),
-                ODDS | st.lists(_valid(EVENT) | ODDS, min_size=1,
-                                max_size=2).map(tuple))),
+        times=_valid(np.zeros((5, 3)), [[0.0, 1.0, 2.0]] * 6),
+        targets=(_valid(np.full(3, -1), [0, -1, 1]),
+                 ODDS | st.lists(IDS | ODDS, min_size=1, max_size=4))),
     DetectionEvent: dict(node_id=_valid(0, 2), target_round=_valid(0, 5),
                          frozen_time=_valid(0.0, 1.5)),
     ChannelModel: dict(p=_valid(1.0, 0.5), seed=_valid(0, 2**70)),
@@ -101,8 +99,8 @@ def _cases(draw, kind):
 @example(case=(SimConfig, dict(topology="grid:2x2")))
 @example(case=(SimConfig, dict(topology=GRID, detector=None)))
 @example(case=(DetectorConfig, dict(c_f=True)))
-@example(case=(RunTrace, dict(config=SimConfig(GRID), times=np.zeros((4, 3)),
-                              events=(1,))))
+@example(case=(RunTrace, dict(config=SimConfig(GRID), times=np.zeros((5, 3)),
+                              targets=np.array([True, False, False]))))
 def test_constructs_or_refuses_by_value_or_type(case):
     kind, kwargs = case
     try:
@@ -117,6 +115,9 @@ def test_constructs_or_refuses_by_value_or_type(case):
     for name in ARRAYS.get(made, ()):
         array = getattr(value, name)
         assert array.dtype == np.float64 and not array.flags.writeable, name
+    if kind is RunTrace:
+        assert value.targets.dtype == np.int64
+        assert not value.targets.flags.writeable
     if kind is SimConfig:
         # a flag, stored as the bool it spells
         assert value.halt_on_detect is bool(kwargs["halt_on_detect"])
@@ -145,6 +146,25 @@ def test_constructs_or_refuses_by_value_or_type(case):
 def test_real_field_refuses_a_bool_or_a_string(call, name):
     # a bool is an int to Python, but no period, probability, gain or clock
     with pytest.raises(TypeError, match=f"^{name} must be a real number$"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: grid_topology(True, 2), "rows"),
+    (lambda: line_topology(np.True_), "n"),
+    (lambda: ChannelModel(1.0, seed=True), "seed"),
+    (lambda: SimConfig(GRID, seed=True), "seed"),
+    (lambda: SimConfig(GRID, n_max=np.True_), "n_max"),
+    (lambda: DetectionEvent(True, 1, 0.0), "node_id"),
+    (lambda: DetectionEvent(0, np.False_, 0.0), "target_round"),
+    (lambda: DetectorConfig(k_guard=False), "k_guard"),
+    (lambda: Topology(3, np.array([[True, False]])), "node id"),
+    (lambda: Topology(3, ((np.True_, np.False_),)), "node id"),
+])
+def test_count_field_refuses_a_bool(call, name):
+    # a bool is an int to Python, but no count, seed, round or node id
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not a "
+                                        f"bool$"):
         call()
 
 
