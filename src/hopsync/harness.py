@@ -27,7 +27,7 @@ from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import (_LOOKAHEAD, _TEXT_WIDTH, _WINDOW, _error, _float_texts,
                       filter_series, run_rounds)
 from .model import (_INIT_STREAM, _MAX_LINKS, Topology, _check_period,
-                    _check_probability, _count, _real, _whole,
+                    _check_probability, _count, _holds_bool, _real, _whole,
                     effective_matrices, grid_topology)
 
 _TRACE_HEADER = ["round", "node", "clock", "error", "filter_out", "detected"]
@@ -131,9 +131,9 @@ class RunTrace:
     taken as np.asarray gives it (ValueError unless it is 2-D with at least
     one round and one node). targets[i] is node i's flagged round, -1 where
     it has none, stored as a read-only int64 copy: TypeError unless it is an
-    integer (not bool) array, ValueError unless its shape is (N,) and each
-    value is -1 or in 0..n_max - 3, since a stop at m is decided at round
-    m + 3, which the trace must hold. A config of another type raises
+    integer array with no bool in it, ValueError unless its shape is (N,)
+    and each value is -1 or in 0..n_max - 3, since a stop at m is decided at
+    round m + 3, which the trace must hold. A config of another type raises
     TypeError. events, errors and filter_outputs are derived from these
     each time they are read; filter_outputs is NaN where the filter window
     is undefined (see _error and _derived).
@@ -153,7 +153,8 @@ class RunTrace:
         object.__setattr__(self, "times", times)
         rows, n = times.shape
         targets = np.asarray(self.targets)
-        if targets.dtype.kind not in "iu":
+        if (targets.dtype.kind not in "iu"
+                or _holds_bool(self.targets, targets)):
             raise TypeError("targets must be an integer array")
         if targets.shape != (n,):
             raise ValueError(f"targets must have shape ({n},), one round per "

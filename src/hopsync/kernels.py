@@ -9,17 +9,15 @@ _float_texts prints trace.csv's floats with ``repr``'s digits, as ASCII bytes
 in a NumPy matrix, and the tests compare it against ``repr``.
 
 run_rounds evolves one network or a batch of S independent runs of it (one
-per seed) as one state with a leading seed axis. Each round sums neighbor
-values with one np.bincount over flattened ``seed * N + node`` bins and
-counts them with another. The contributions are laid out as all low-side
-ones (each available edge u < v adds v's value to u), seed-major in edge
-order, then all high-side ones (v gains u's value) in the same order. A bin
-belongs to one seed, so it accumulates in edge order, low side first, exactly
-as one np.add.at pass per side over a single run did: a batch of S runs is
-bit for bit S single runs. A link that is down still has its place in that
-order, adding +0.0 to the sum and weight 0 to the count: a running sum that
-starts at +0.0 is never -0.0, so adding +0.0 changes no bit, NaN and
-infinities included. Keep that order when editing run_rounds.
+per seed) as one state with a leading seed axis. Each round sums the values
+its up links carry with one np.bincount over flattened ``seed * N + node``
+bins and counts them with another. The contributions are laid out as all
+low-side ones (each edge u < v adds v's value to u), seed-major in edge
+order, then all high-side ones (v gains u's value) in the same order, and a
+round keeps those whose link is up. A bin belongs to one seed, so each node
+adds its up links' values in edge order, low side first, exactly as one
+np.add.at pass per side over a single run did: a batch of S runs is bit for
+bit S single runs. Keep that order when editing run_rounds.
 """
 from __future__ import annotations
 
@@ -85,31 +83,29 @@ def run_rounds(times0, edges_u, edges_v, masks, delta_t, *, round0=0):
     cells = s_count * n
     # Every (seed, edge) contribution, low side then high side: its bin, its
     # entry in ``pick`` (where its link's mask bit sits) and its value's
-    # position in ``flat``. ``flat`` holds the +0.0 a down link adds, then
-    # each seed's clocks followed by the gateway's.
+    # position in ``flat``, which holds each seed's clocks followed by the
+    # gateway's. A round keeps those whose link is up, so each node adds its
+    # up links' values in edge order, low side first.
     high = np.flatnonzero(edges_v < n)
     seed = np.arange(s_count)[:, None]
     bins = np.concatenate([(seed * n + edges_u).ravel(),
                            (seed * n + edges_v[high]).ravel()])
-    src = 1 + np.concatenate([(seed * (n + 1) + edges_v).ravel(),
-                              (seed * (n + 1) + edges_u[high]).ravel()])
+    src = np.concatenate([(seed * (n + 1) + edges_v).ravel(),
+                          (seed * (n + 1) + edges_u[high]).ravel()])
     pick = np.concatenate([np.arange(s_count * n_edges),
                            (seed * n_edges + high).ravel()])
-    flat = np.zeros(1 + s_count * (n + 1))
-    text = flat[1:].reshape(s_count, n + 1)
-    t = text[:, :n]
+    flat = np.empty((s_count, n + 1))
+    t = flat[:, :n]
     t[:] = times0
-    up = np.empty(len(bins), dtype=bool)
-    at = np.empty(len(bins), dtype=np.int64)
-    vals = np.empty(len(bins))
     out = np.empty((rounds + 1, s_count, n), dtype=np.float64)
     out[0] = times0
     for rnd in range(rounds):
-        np.take(masks[rnd].ravel(), pick, out=up)
-        text[:, n] = delta_t * (round0 + rnd)
-        np.take(flat, np.multiply(src, up, out=at), out=vals)
-        sums = np.bincount(bins, weights=vals, minlength=cells)
-        counts = np.bincount(bins, weights=up, minlength=cells)
+        live = np.flatnonzero(masks[rnd].ravel()[pick])
+        flat[:, n] = delta_t * (round0 + rnd)
+        into = bins[live]
+        sums = np.bincount(into, weights=flat.ravel()[src[live]],
+                           minlength=cells)
+        counts = np.bincount(into, minlength=cells)
         out[rnd + 1] = np.where(counts > 0, sums / np.maximum(counts, 1),
                                 t.ravel()).reshape(s_count, n)
         t[:] = out[rnd + 1]

@@ -6,6 +6,7 @@ files may spell the gateway as the literal ``gw`` or as that integer.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -157,12 +158,23 @@ class Topology:
         return self._ends
 
 
+def _holds_bool(values, array) -> bool:
+    """Whether ``values``, which np.asarray read as the integer array
+    ``array``, has a bool element that it read as 0 or 1. An ndarray has
+    none."""
+    if isinstance(values, np.ndarray) or array.ndim == 0:
+        return False
+    for _ in range(array.ndim - 1):
+        values = itertools.chain.from_iterable(values)
+    return not {bool, np.bool_}.isdisjoint(map(type, values))
+
+
 def _pairs(edges, n: int) -> np.ndarray:
     """``edges`` as (E, 2) int64; ValueError unless every id is a whole
-    number, TypeError for a bool (see _whole). An id beyond int64 stays out
-    of 0..n."""
+    number, TypeError for a bool (see _whole), also among ints. An id beyond
+    int64 stays out of 0..n."""
     e = np.asarray(edges)
-    if e.dtype.kind not in "iu":
+    if e.dtype.kind not in "iu" or _holds_bool(edges, e):
         e = np.clip(np.array([[_whole(i, "node id") for i in pair]
                               for pair in edges], dtype=object), -1, n + 1)
     return e.astype(np.int64, copy=False).reshape(len(edges), 2)

@@ -128,32 +128,42 @@ def _star(k):
        runs=st.integers(1, 5), rounds=st.integers(0, 30),
        link_p=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
        round0=st.integers(0, 10**6),
-       dt=st.sampled_from([1e-3, 1.0, 0.37, 2.0**-20]))
+       dt=st.sampled_from([1e-3, 1.0, 0.37, 2.0**-20]),
+       nonfinite=st.booleans())
 @example(n=2, prob=1.0, star=False, seed=0, runs=5, rounds=3, link_p=0.0,
-         round0=0, dt=1.0)
+         round0=0, dt=1.0, nonfinite=False)
 @example(n=9, prob=0.0, star=True, seed=1, runs=3, rounds=12, link_p=0.5,
-         round0=7, dt=1e-3)
+         round0=7, dt=1e-3, nonfinite=False)
+@example(n=12, prob=0.4, star=False, seed=3, runs=4, rounds=20, link_p=0.5,
+         round0=0, dt=1e-3, nonfinite=True)
 def test_batched_rounds_equal_single_runs(n, prob, star, seed, runs, rounds,
-                                          link_p, round0, dt):
+                                          link_p, round0, dt, nonfinite):
     # S runs with a leading seed axis are bit for bit S single runs of the
     # old np.add.at kernel, whatever the topology, links and round offset;
-    # the (N,) / (rounds, E) call shape gives the same bits too
+    # the (N,) / (rounds, E) call shape gives the same bits too. NaN and
+    # infinite clocks keep their bits as well (inf - inf makes a NaN, which
+    # would warn as invalid)
     topo = _star(n - 1) if star else random_topology(n, prob, seed=seed)
     eu, ev = topo.edge_arrays()
     k = topo.node_count
     rng = np.random.default_rng(seed)
     t0 = rng.normal(scale=rng.choice([1e-3, 1.0, 1e6]), size=(runs, k))
     t0[rng.random((runs, k)) < 0.1] = -0.0
+    if nonfinite:
+        odd = rng.random((runs, k)) < 0.15
+        t0[odd] = rng.choice([np.nan, np.inf, -np.inf], size=odd.sum())
     masks = rng.random((rounds, runs, len(eu))) < link_p
-    got = kernels.run_rounds(t0, eu, ev, masks, dt, round0=round0)
-    assert got.shape == (rounds + 1, runs, k)
-    for j in range(runs):
-        want = _oracle_run_rounds(t0[j], eu, ev, k, masks[:, j], dt, round0)
-        assert got[:, j].tobytes() == want.tobytes()  # -0.0 included
-        single = kernels.run_rounds(t0[j], eu, ev, masks[:, j], dt,
-                                    round0=round0)
-        assert single.shape == (rounds + 1, k)
-        assert single.tobytes() == want.tobytes()
+    with np.errstate(invalid="ignore"):
+        got = kernels.run_rounds(t0, eu, ev, masks, dt, round0=round0)
+        assert got.shape == (rounds + 1, runs, k)
+        for j in range(runs):
+            want = _oracle_run_rounds(t0[j], eu, ev, k, masks[:, j], dt,
+                                      round0)
+            assert got[:, j].tobytes() == want.tobytes()  # -0.0 included
+            single = kernels.run_rounds(t0[j], eu, ev, masks[:, j], dt,
+                                        round0=round0)
+            assert single.shape == (rounds + 1, k)
+            assert single.tobytes() == want.tobytes()
 
 
 def _bits(values):

@@ -160,12 +160,21 @@ def test_real_field_refuses_a_bool_or_a_string(call, name):
     (lambda: DetectorConfig(k_guard=False), "k_guard"),
     (lambda: Topology(3, np.array([[True, False]])), "node id"),
     (lambda: Topology(3, ((np.True_, np.False_),)), "node id"),
+    # np.asarray reads these as int64 arrays, True as 1
+    (lambda: Topology(3, [(True, 2)]), "node id"),
+    (lambda: Topology(3, [[0, 1], [np.True_, 2]]), "node id"),
 ])
 def test_count_field_refuses_a_bool(call, name):
     # a bool is an int to Python, but no count, seed, round or node id
     with pytest.raises(TypeError, match=f"^{name} must be an integer, not a "
                                         f"bool$"):
         call()
+
+
+def test_targets_refuse_a_bool_among_ints():
+    # np.asarray reads [True, -1, -1] as an int64 array, True as 1
+    with pytest.raises(TypeError, match="^targets must be an integer array$"):
+        RunTrace(SimConfig(GRID), np.zeros((5, 3)), targets=[True, -1, -1])
 
 
 def test_frozen_time_may_be_nan():
