@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ChannelModel, _mask_block, sample_masks
 from .detector import DetectionEvent, DetectorConfig, _first_flips
 from .kernels import (_LOOKAHEAD, _TEXT_WIDTH, _WINDOW, _error, _float_texts,
-                      filter_series, run_rounds)
+                      _tables, filter_series, run_rounds)
 from .model import (_INIT_STREAM, _MAX_LINKS, Topology, _check_period,
                     _check_probability, _count, _holds_bool, _real, _whole,
                     effective_matrices, grid_topology)
@@ -239,8 +239,9 @@ def run(cfg: SimConfig) -> RunTrace:
 
     Deterministic for a fixed config. A disconnected topology is simulated
     anyway: nodes the gateway does not reach never hear the reference. The
-    clocks are filled a block of rounds at a time (see _rounds); too many
-    rounds for any array raise MemoryError, as too many for memory do.
+    clocks are evolved straight into the trace's array a block of rounds at
+    a time (see _rounds); too many rounds for any array raise MemoryError,
+    as too many for memory do.
     """
     shape = (cfg.n_max + 1, cfg.topology.node_count)
     try:
@@ -248,9 +249,9 @@ def run(cfg: SimConfig) -> RunTrace:
     except ValueError as err:  # more values than an array can index
         raise MemoryError(f"cannot allocate {shape[0]} x {shape[1]} clocks: "
                           f"{err}") from err
-    for r0, clocks, _, first in _rounds(cfg, [cfg.seed], _TRACE_BLOCK_ROWS,
-                                        detect=True):
-        times[r0:r0 + len(clocks)] = clocks[:, 0]
+    for _, _, first in _rounds(cfg, [cfg.seed], _TRACE_BLOCK_ROWS,
+                               detect=True, times=times):
+        pass
     return RunTrace(config=cfg, times=times, targets=first[0])
 
 
@@ -275,25 +276,34 @@ def _derived(trace: RunTrace, r0: int, r1: int):
     return err[r0 - a:r1 - a], out
 
 
-def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
+def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool,
+            times: Optional[np.ndarray] = None):
     """Evolve ``cfg`` once per seed in ``seeds`` as one (runs, N) state over
     rounds 0..n_max, a block of whole rounds at a time: about ``cells``
     (round, run, node) cells, at least one round.
 
-    Yields (r0, clocks, err, first): the clocks of rounds r0, r0+1, ... as a
-    (rounds, runs, N) array and err their |e| (see _error). With
-    ``detect``, first holds each node's first polarity flip so far (-1
-    where none), as in detector._first_flips, found in the filter of |e|;
-    without it first stays -1. The last six |e| rows and each column's
-    polarity are carried between blocks, so no output depends on the block
-    length. The detector input (see detector.node_filter_input) is this
-    |e|.
+    Yields (r0, err, first): err is the |e| (see _error) of rounds r0,
+    r0+1, ... as a (rounds, runs, N) array. With ``detect``, first holds
+    each node's first polarity flip so far (-1 where none), as in
+    detector._first_flips, found in the filter of |e|; without it first
+    stays -1. The last six |e| rows and each column's polarity are carried
+    between blocks, so no output depends on the block length. The detector
+    input (see detector.node_filter_input) is this |e|.
+
+    The working set is made once per stream: run_rounds' tables and one
+    buffer of min(block rounds, n_max + 1) + 1 rows of (runs, N) cells.
+    run_rounds writes each block's clocks into ``times``, an (n_max + 1, N)
+    array for one seed, where given, and otherwise into the buffer, whose
+    row 0 holds the state the block steps from. Their |e| is computed into
+    the buffer's next rows, over those clocks once the last row is saved as
+    the next state. So each yielded array is valid until the stream's next
+    step, and a caller that keeps one must copy it.
 
     A halting run (it needs ``detect``) steps one round per block. A node
     halts at the round its detector fires (the last sample of the window
     holding its first flip): its links go silent, so its clock holds. Once
     every node of every run has halted nothing changes again: no more rounds
-    are stepped and the frozen clocks are yielded a block at a time.
+    are stepped and the frozen clocks are written a block at a time.
     Masks are keyed by (seed, round) and do not depend on halting or on
     how many rounds one draw holds, so stopping early changes no draw. A
     mask draw has a fixed cost per call that a draw per round would pay on
@@ -312,13 +322,25 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
     unit = 1 if halting else step  # the rounds one run_rounds call steps
     draw = unit * max(1, _SWEEP_BLOCK_CELLS // (
         len(seeds) * (len(eu) + 4 * 64) * unit))
+    tables = _tables(len(seeds), t.shape[1], eu, ev)
+    buf = np.empty((min(step, n_max + 1) + 1,) + t.shape)
+
+    def rows(r0, count):
+        """Where round r0 - 1 and the ``count`` rounds after it go."""
+        if times is None:
+            return buf[:count + 1]
+        return times[r0 - 1:r0 + count, None]
+
     first = np.full(t.shape, -1)
     tail = np.empty((0,) + t.shape)
     sign = np.zeros(t.size, np.int8)
     r0, block = 0, t[None]
+    if times is not None:
+        times[0] = t[0]
     ahead = np.empty((0, len(seeds), len(eu)), dtype=bool)
     while True:
-        err = _error(dt, np.arange(r0, r0 + len(block))[:, None, None], block)
+        err = _error(dt, np.arange(r0, r0 + len(block))[:, None, None], block,
+                     out=buf[1:len(block) + 1])
         np.abs(err, out=err)
         if detect:
             x = np.concatenate([tail, err])
@@ -327,13 +349,14 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
                                        r0 - len(tail) + _LOOKAHEAD, sign)
             first = np.where(first < 0, found.reshape(t.shape), first)
             tail = x[1 - _WINDOW:]
-        yield r0, block, err, first
+        yield r0, err, first
         r0 += len(block)
         if r0 > n_max:
             return
         halted = halting & (first >= 0)
         if halted.all():
-            block = np.broadcast_to(t, (min(step, n_max + 1 - r0),) + t.shape)
+            block = rows(r0, min(step, n_max + 1 - r0))[1:]
+            block[:] = t
             continue
         if not len(ahead):
             ahead = _mask_block(cfg.p, seeds, len(eu), r0 - 1,
@@ -343,8 +366,9 @@ def _rounds(cfg: SimConfig, seeds: Sequence[int], cells: int, detect: bool):
             live = np.concatenate(  # the gateway's column: it never halts
                 [~halted, np.ones((len(seeds), 1), dtype=bool)], axis=1)
             masks = masks & live[:, eu] & live[:, ev]
-        block = run_rounds(t, eu, ev, masks, dt, round0=r0 - 1)[1:]
-        t = block[-1]
+        block = run_rounds(t, eu, ev, masks, dt, round0=r0 - 1,
+                           out=rows(r0, len(masks)), tables=tables)[1:]
+        t[:] = block[-1]
 
 
 def run_error_recursion(cfg: SimConfig) -> np.ndarray:
@@ -374,11 +398,21 @@ def _min_rounds(blocks):
     r0, r0+1, ..., and the round it is reached at.
 
     Over any split into blocks, ties go to the earliest round and a NaN wins
-    over any number, as one np.argmin over all rows decides.
+    over any number, as one np.argmin over all rows decides. A block is
+    not copied, as np.argmin along its first axis would: its minimum is
+    found first, then the first row holding it (its first NaN in a column
+    that holds one), through one bool array laid out column by column.
     """
     best = best_at = None
     for r0, block in blocks:
-        at = np.argmin(block, axis=0)
+        low = block.min(axis=0)
+        cols = block.reshape(len(block), -1)
+        hit = np.equal(cols.T, low.reshape(-1, 1),
+                       out=np.empty(cols.shape[::-1], dtype=bool))
+        nan = np.flatnonzero(np.isnan(low))
+        if nan.size:
+            hit[nan] = np.isnan(cols[:, nan].T)
+        at = hit.argmax(axis=1).reshape(low.shape)
         low = np.take_along_axis(block, at[None], axis=0)[0]
         at += r0
         if best is not None:
@@ -431,7 +465,7 @@ def _min_error_instants(cfg: SimConfig, seeds: Sequence[int]) -> np.ndarray:
     running per-(run, node) minimum, so no RunTrace is built and no detector
     runs unless nodes halt.
     """
-    return _min_rounds((r0, err) for r0, _, err, _ in _rounds(
+    return _min_rounds((r0, err) for r0, err, _ in _rounds(
         cfg, seeds, _SWEEP_BLOCK_CELLS, detect=cfg.halt_on_detect))[1]
 
 

@@ -17,7 +17,7 @@ order, then all high-side ones (v gains u's value) in the same order, and a
 round keeps those whose link is up. A bin belongs to one seed, so each node
 adds its up links' values in edge order, low side first, exactly as one
 np.add.at pass per side over a single run did: a batch of S runs is bit for
-bit S single runs. Keep that order when editing run_rounds.
+bit S single runs. Keep that order when editing _tables or run_rounds.
 """
 from __future__ import annotations
 
@@ -58,7 +58,30 @@ _POW5 = 5 ** np.arange(28, dtype=np.uint64)
 _TEXT_WIDTH = 24
 
 
-def run_rounds(times0, edges_u, edges_v, masks, delta_t, *, round0=0):
+def _tables(s_count, n, edges_u, edges_v):
+    """run_rounds' contribution tables for ``s_count`` runs of ``n`` nodes
+    over these edges, as (bins, src, pick).
+
+    Every (seed, edge) contribution, low side then high side, has its bin,
+    its entry in ``pick`` (where its link's mask bit sits in a round's
+    flattened (S, E) masks) and its value's position in run_rounds'
+    ``flat``, which holds each seed's clocks followed by the gateway's. A
+    round keeps those whose link is up, so each node adds its up links'
+    values in edge order, low side first.
+    """
+    high = np.flatnonzero(edges_v < n)
+    seed = np.arange(s_count)[:, None]
+    bins = np.concatenate([(seed * n + edges_u).ravel(),
+                           (seed * n + edges_v[high]).ravel()])
+    src = np.concatenate([(seed * (n + 1) + edges_v).ravel(),
+                          (seed * (n + 1) + edges_u[high]).ravel()])
+    pick = np.concatenate([np.arange(s_count * len(edges_u)),
+                           (seed * len(edges_u) + high).ravel()])
+    return bins, src, pick
+
+
+def run_rounds(times0, edges_u, edges_v, masks, delta_t, *, round0=0,
+               out=None, tables=None):
     """Evolve node clocks over len(masks) synchronous rounds.
 
     times0: float64[N] initial clocks, or float64[S, N] for S runs at once.
@@ -66,6 +89,12 @@ def run_rounds(times0, edges_u, edges_v, masks, delta_t, *, round0=0):
     masks: bool[rounds, E] per-round availability, or bool[rounds, S, E] with
         one row per run when times0 has a seed axis.
     round0: absolute round number of times0, for resumed calls.
+    out: where the result is written, of the result's shape, if given (it
+        may be a strided view, and times0 may be its row 0); a new array
+        otherwise.
+    tables: _tables(S, N, edges_u, edges_v) (S = 1 for a 1-D times0), if
+        given: a caller that steps the same network many times makes them
+        once; they are made here otherwise.
     Returns float64[rounds+1, N] (or [rounds+1, S, N]) with row n the clocks
     at round n.
 
@@ -77,28 +106,21 @@ def run_rounds(times0, edges_u, edges_v, masks, delta_t, *, round0=0):
     masks = np.asarray(masks, dtype=bool)
     if times0.ndim == 1:
         return run_rounds(times0[None], edges_u, edges_v, masks[:, None],
-                          delta_t, round0=round0)[:, 0]
+                          delta_t, round0=round0, tables=tables,
+                          out=None if out is None else out[:, None])[:, 0]
     s_count, n = times0.shape
-    rounds, n_edges = masks.shape[0], len(edges_u)
-    cells = s_count * n
-    # Every (seed, edge) contribution, low side then high side: its bin, its
-    # entry in ``pick`` (where its link's mask bit sits) and its value's
-    # position in ``flat``, which holds each seed's clocks followed by the
-    # gateway's. A round keeps those whose link is up, so each node adds its
-    # up links' values in edge order, low side first.
-    high = np.flatnonzero(edges_v < n)
-    seed = np.arange(s_count)[:, None]
-    bins = np.concatenate([(seed * n + edges_u).ravel(),
-                           (seed * n + edges_v[high]).ravel()])
-    src = np.concatenate([(seed * (n + 1) + edges_v).ravel(),
-                          (seed * (n + 1) + edges_u[high]).ravel()])
-    pick = np.concatenate([np.arange(s_count * n_edges),
-                           (seed * n_edges + high).ravel()])
+    rounds, cells = masks.shape[0], s_count * n
+    if out is None:
+        out = np.empty((rounds + 1, s_count, n), dtype=np.float64)
+    elif out.shape != (rounds + 1, s_count, n):
+        raise ValueError(f"out must have shape {(rounds + 1, s_count, n)}, "
+                         f"not {out.shape}")
+    bins, src, pick = (_tables(s_count, n, edges_u, edges_v) if tables is None
+                       else tables)
     flat = np.empty((s_count, n + 1))
     t = flat[:, :n]
     t[:] = times0
-    out = np.empty((rounds + 1, s_count, n), dtype=np.float64)
-    out[0] = times0
+    out[0] = t
     for rnd in range(rounds):
         live = np.flatnonzero(masks[rnd].ravel()[pick])
         flat[:, n] = delta_t * (round0 + rnd)
@@ -128,11 +150,12 @@ def filter_series(x, c_f):
     return 0.2 * (d1 + d3) + 0.5 * d2
 
 
-def _error(dt: float, rounds, clocks) -> np.ndarray:
+def _error(dt: float, rounds, clocks, out=None) -> np.ndarray:
     """The error e = dt*r - t of ``clocks`` at ``rounds`` (broadcast against
-    ``clocks``): the one place it is written, so every reader of a clock's
+    ``clocks``), written into ``out`` where given (``clocks`` itself
+    included): the one place it is written, so every reader of a clock's
     error, the detector's input |e| included, gets the same bits."""
-    return dt * np.float64(rounds) - clocks
+    return np.subtract(dt * np.float64(rounds), clocks, out=out)
 
 
 def _shortest_digits(x, mag):

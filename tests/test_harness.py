@@ -674,14 +674,11 @@ def test_run_draws_masks_far_ahead(monkeypatch):
     assert far.events == near.events
 
 
-def _stream(cfg, cells):
-    """_rounds' clocks, joined over its blocks of about ``cells`` cells, and
-    each node's first flip."""
-    clocks = []
-    for _, block, _, first in harness._rounds(cfg, [cfg.seed], cells,
-                                              detect=True):
-        clocks.append(block)
-    return np.concatenate(clocks), first
+def _stream(cfg):
+    """run(cfg)'s clocks and each node's flagged round, both from the round
+    stream (see _rounds), which writes the clocks into the trace's array."""
+    trace = run(cfg)
+    return trace.times, trace.targets
 
 
 def test_halting_stream_independent_of_mask_lookahead(monkeypatch):
@@ -690,13 +687,13 @@ def test_halting_stream_independent_of_mask_lookahead(monkeypatch):
     # clocks, so the clocks cover them
     cfg = SimConfig(**HALT_RUNS["line6_some_halt"][0], seed=0, n_max=1500,
                     halt_on_detect=True)
-    ahead = _stream(cfg, harness._TRACE_BLOCK_ROWS)
+    ahead = _stream(cfg)
     draws = []
     draw = harness._mask_block
     monkeypatch.setattr(harness, "_mask_block",
                         lambda *a: draws.append(a[4] - a[3]) or draw(*a))
     monkeypatch.setattr(harness, "_SWEEP_BLOCK_CELLS", 1)
-    one = _stream(cfg, harness._TRACE_BLOCK_ROWS)
+    one = _stream(cfg)
     assert set(draws) == {1}
     assert np.array_equal(one[0], ahead[0])
     assert np.array_equal(one[1], ahead[1])
@@ -1090,6 +1087,31 @@ def test_memory_bounded_by_the_clocks(monkeypatch, tmp_path):
     assert added[1] < added[0] + 2**16
 
 
+def test_sweep_working_set_is_one_block():
+    # a sweep's size holds, beside its per-(run, node) arrays, one block of
+    # float64 cells (its clocks, then their |e|), run_rounds' tables, one
+    # mask draw and the fold's bool array, all made once or reused; the
+    # margin covers run_rounds' per-round gathers of the up contributions
+    # (about 0.7 MiB here) and the small state. A new block per step, as an
+    # output array or np.argmin's copy, is 2 MiB more
+    cfg = SimConfig(topology=grid_topology(32, 32, gateway="corner"),
+                    n_max=600, p=0.5)
+    seeds = range(8)
+    harness._min_error_instants(replace(cfg, n_max=20), seeds)  # caches
+    _, held = _traced_peak(lambda: harness._min_error_instants(cfg, seeds))
+    runs, n = len(seeds), cfg.topology.node_count
+    eu, ev = cfg.topology.edge_arrays()
+    step = harness._SWEEP_BLOCK_CELLS // (runs * n)
+    rows = min(step, cfg.n_max + 1)
+    draw = step * max(1, harness._SWEEP_BLOCK_CELLS // (
+        runs * (len(eu) + 4 * 64) * step))
+    block = (rows + 1) * runs * n * 8
+    tables = 3 * 8 * runs * (len(eu) + int((ev < n).sum()))
+    masks = draw * runs * len(eu)
+    fold = rows * runs * n
+    assert held < block + tables + masks + fold + 1.5 * 2**20
+
+
 def test_trace_csv_matches_oracle_across_blocks():
     # 15 nodes and 600 rounds span several blocks, with a partial last one
     tr = run(SimConfig(**{**REFERENCE, "n_max": 600, "p": 0.7}))
@@ -1322,10 +1344,11 @@ def test_run_failing_forks_nothing_and_leaves_no_file(
     def no_fork():
         raise AssertionError("forked before the run was done")
 
-    def evolve(t, eu, ev, masks, dt, round0):
+    def evolve(t, eu, ev, masks, dt, round0, out, tables):
         if round0 >= 300:
             raise exc
-        return real_rounds(t, eu, ev, masks, dt, round0=round0)
+        return real_rounds(t, eu, ev, masks, dt, round0=round0, out=out,
+                           tables=tables)
 
     monkeypatch.setattr(harness, "_fork", no_fork)
     monkeypatch.setattr(harness, "run_rounds", evolve)
@@ -1670,6 +1693,37 @@ def test_summarize_matches_oracle(trace, block_rows):
     finally:
         harness._TRACE_BLOCK_ROWS = saved
     assert _same_floats(got, _oracle_summarize(trace))
+
+
+_FOLD_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 2.5]
+
+
+@st.composite
+def split_blocks(draw):
+    """A (rounds, ...) float array drawn from _FOLD_VALUES, so it holds
+    NaN, both zeros, both infinities and ties, and its rounds split into
+    blocks at random, as (r0, r1) pairs."""
+    shape = (draw(st.integers(1, 24)),) + tuple(
+        draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    values = draw(st.lists(st.sampled_from(_FOLD_VALUES),
+                           min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    ends = sorted(draw(st.sets(st.integers(0, shape[0]))) | {0, shape[0]})
+    return np.array(values).reshape(shape), list(zip(ends, ends[1:]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(split_blocks())
+def test_min_rounds_is_one_argmin_over_all_rows(case):
+    # over any split, each column's round and value are those of one
+    # np.argmin over all its rows: the earliest tie (0.0 and -0.0 are
+    # equal) and the first NaN, which wins over any number
+    values, spans = case
+    best, at = harness._min_rounds((r0, values[r0:r1]) for r0, r1 in spans)
+    want = np.argmin(values, axis=0)
+    assert at.tolist() == want.tolist()
+    assert (best.tobytes()
+            == np.take_along_axis(values, want[None], axis=0)[0].tobytes())
 
 
 def test_summarize_matches_oracle_on_runs():
